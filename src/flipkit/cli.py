@@ -544,9 +544,12 @@ def build_parser() -> _Parser:
     p.add_argument("--box-factor", type=float, default=10.0)
     p.add_argument("--interlayer", type=_length, default=None,
                    help="facing-chip ground height above the trace")
-    p.add_argument("--tol", type=float, default=fieldsolve.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=fieldsolve.DEFAULT_TOL,
+                   help="stop once the relative residual |b - Av| / |b| "
+                        "is at most this")
     p.add_argument("--max-sweeps", type=int,
-                   default=fieldsolve.DEFAULT_MAX_SWEEPS)
+                   default=fieldsolve.DEFAULT_MAX_SWEEPS,
+                   help="cap on multigrid-preconditioned CG iterations")
     p.add_argument("--dump-potential",
                    help="write the potential grid as x,y,V CSV rows")
     p.set_defaults(func=_cmd_fieldsolve)

@@ -208,3 +208,191 @@ def test_cpw_section_rejects_coarse_cell():
         cpw_cross_section(GEOM, cell=30e-6)  # trace thinner than one cell
     with pytest.raises(ValueError):
         cpw_cross_section(GEOM, cell=2e-6, box_factor=5.0)
+
+
+# ------------------------------------------------------- direct-solve oracles
+
+def oracle_system(sec):
+    """The flux-conserving system assembled cell by cell from the section.
+
+    Independent of the solver's vectorized assembly: a face between two
+    free cells carries the harmonic-mean permittivity; a free cell next
+    to a fixed cell, a grounded wall or a strip is pinned across half a
+    cell (2 eps).  Returns (free cell list, links between free cells,
+    pins to fixed potentials, fixed-cell potentials); each link is
+    (a, b, t) and each pin (a, potential, t), t in units of EPS_0.
+    """
+    xs, ys = sec.cell_centers()
+    nx, ny, hx, hy = sec.nx, sec.ny, sec.hx, sec.hy
+    eps, fixed, strip_at = {}, {}, {}
+    for i in range(nx):
+        for j in range(ny):
+            for reg in sec.regions:
+                if reg.rect.contains(xs[i], ys[j]):
+                    eps[i, j] = reg.eps_r
+            for cond in sec.conductors:
+                if not cond.rect.is_strip and cond.rect.contains(xs[i], ys[j]):
+                    fixed[i, j] = cond.potential
+    for cond in sec.conductors:
+        if cond.rect.is_strip:
+            m = round((cond.rect.y0 - sec.origin[1]) / hy)
+            for i in range(nx):
+                if cond.rect.x0 <= xs[i] <= cond.rect.x1:
+                    strip_at[i, m] = cond.potential  # face below row m
+    links, pins = [], []
+
+    def face(a, b, ratio):
+        if a in fixed and b in fixed:
+            return
+        if a in fixed:
+            a, b = b, a
+        if b in fixed:
+            pins.append((a, fixed[b], 2.0 * eps[a] * ratio))
+        else:
+            harm = 2.0 * eps[a] * eps[b] / (eps[a] + eps[b])
+            links.append((a, b, harm * ratio))
+
+    def wall(a, ratio):
+        if a not in fixed:
+            pins.append((a, 0.0, 2.0 * eps[a] * ratio))
+
+    for i in range(nx):
+        for j in range(ny):
+            a = (i, j)
+            if i + 1 < nx:
+                face(a, (i + 1, j), hy / hx)
+            elif sec.x_bc == "periodic" and nx > 1:
+                face(a, (0, j), hy / hx)
+            if j + 1 < ny:
+                if (i, j + 1) in strip_at:
+                    pot = strip_at[i, j + 1]
+                    for c in (a, (i, j + 1)):
+                        if c not in fixed:
+                            pins.append((c, pot, 2.0 * eps[c] * hx / hy))
+                else:
+                    face(a, (i, j + 1), hx / hy)
+            if sec.x_bc == "grounded" and i in (0, nx - 1):
+                wall(a, hy / hx)
+            if sec.y_bc == "grounded" and j in (0, ny - 1):
+                wall(a, hx / hy)
+    free = [(i, j) for i in range(nx) for j in range(ny)
+            if (i, j) not in fixed]
+    return free, links, pins, fixed
+
+
+def oracle_triplets(free, links, pins):
+    index = {c: k for k, c in enumerate(free)}
+    rows, cols, vals = [], [], []
+    b = np.zeros(len(free))
+    for a, c, t in links:
+        ka, kc = index[a], index[c]
+        rows += [ka, kc, ka, kc]
+        cols += [ka, kc, kc, ka]
+        vals += [t, t, -t, -t]
+    for a, pot, t in pins:
+        rows.append(index[a])
+        cols.append(index[a])
+        vals.append(t)
+        b[index[a]] += t * pot
+    return np.array(rows), np.array(cols), np.array(vals), b
+
+
+def oracle_potential(sec, x, free, fixed):
+    v = np.zeros((sec.nx, sec.ny))
+    for k, c in enumerate(free):
+        v[c] = x[k]
+    for c, pot in fixed.items():
+        v[c] = pot
+    return v
+
+
+def oracle_capacitance(sec, v, links, pins):
+    energy = 0.5 * (sum(t * (v[a] - v[c]) ** 2 for a, c, t in links) +
+                    sum(t * (v[a] - pot) ** 2 for a, pot, t in pins))
+    pots = [c.potential for c in sec.conductors]
+    if "grounded" in (sec.x_bc, sec.y_bc):
+        pots.append(0.0)
+    span = max(pots) - min(pots)
+    return 2.0 * EPS_0 * energy / span ** 2
+
+
+def dense_oracle(sec):
+    free, links, pins, fixed = oracle_system(sec)
+    rows, cols, vals, b = oracle_triplets(free, links, pins)
+    a = np.zeros((len(free), len(free)))
+    np.add.at(a, (rows, cols), vals)
+    v = oracle_potential(sec, np.linalg.solve(a, b), free, fixed)
+    return v, oracle_capacitance(sec, v, links, pins)
+
+
+def layered_strip_section(nx, ny, x_bc, y_bc, block_x=None):
+    """Two dielectric layers, a 1 V strip over a 0.4 V buried block.
+
+    The block is 3 cells wide, starting block_x from the left wall
+    (default: under the strip).
+    """
+    w, h = nx * 1e-6, ny * 1e-6
+    y_face = (ny // 2) * 1e-6
+    mid = (nx // 2) * 1e-6
+    x0 = mid - 1e-6 if block_x is None else block_x
+    return CrossSection(
+        width=w, height=h, nx=nx, ny=ny, x_bc=x_bc, y_bc=y_bc,
+        regions=[DielectricRegion("low", Rect(0, w, 0, y_face), 11.9),
+                 DielectricRegion("high", Rect(0, w, y_face, h), 3.9)],
+        conductors=[
+            Conductor("strip", Rect(mid - 2e-6, mid + 3e-6, y_face, y_face),
+                      1.0),
+            Conductor("block", Rect(x0, x0 + 3e-6, 1e-6, 3e-6), 0.4),
+            Conductor("ground", Rect(0, 3e-6, y_face, y_face), 0.0)])
+
+
+@pytest.mark.parametrize("sec", [
+    layered_strip_section(33, 21, "grounded", "grounded"),
+    layered_strip_section(33, 21, "periodic", "grounded"),
+    layered_strip_section(20, 17, "neumann", "grounded"),
+    layered_strip_section(31, 16, "periodic", "neumann"),
+    layered_strip_section(13, 11, "grounded", "neumann"),
+    layered_strip_section(25, 19, "periodic", "grounded", block_x=0.0),
+    plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13),
+], ids=["grounded", "periodic", "neumann-x", "periodic-neumann-y",
+        "neumann-y", "block-across-wrap", "plates"])
+def test_dense_direct_solve_oracle(sec):
+    # C' at the default tolerance; the potential itself once the residual
+    # is driven near rounding
+    v_ref, c_ref = dense_oracle(sec)
+    sol = solve_potential(sec)
+    assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-9)
+    assert sol.residual <= fieldsolve.DEFAULT_TOL
+    tight = solve_potential(sec, tol=1e-12)
+    assert np.abs(tight.potential - v_ref).max() <= 1e-10
+
+
+def test_sparse_direct_solve_oracle_at_1um():
+    sparse = pytest.importorskip("scipy.sparse")
+    splinalg = pytest.importorskip("scipy.sparse.linalg")
+    geom = CpwGeometry(trace_width=10e-6, gap=5.806e-6, eps_substrate=11.9,
+                       eps_superstrate=1.0)
+    sec = cpw_cross_section(geom, cell=1e-6, interlayer_thickness=30e-6)
+    free, links, pins, fixed = oracle_system(sec)
+    rows, cols, vals, b = oracle_triplets(free, links, pins)
+    a = sparse.csc_matrix((vals, (rows, cols)), shape=(len(free),) * 2)
+    v = oracle_potential(sec, splinalg.spsolve(a, b), free, fixed)
+    c_ref = oracle_capacitance(sec, v, links, pins)
+    sol = solve_potential(sec)
+    assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-9)
+
+
+def test_iteration_count_flat_in_grid_size():
+    # a V-cycle or plain relaxation needs more iterations on finer grids;
+    # the preconditioned solve should not
+    counts = [solve_potential(cpw_cross_section(GEOM, cell=c)).iterations
+              for c in (2e-6, 1e-6, 0.5e-6)]
+    assert all(abs(n - counts[0]) <= 3 for n in counts), counts
+
+
+def test_convergence_error_says_what_to_change():
+    sec = cpw_cross_section(GEOM, cell=2e-6)
+    with pytest.raises(ConvergenceError) as info:
+        solve_potential(sec, max_sweeps=2)
+    for knob in ("--max-sweeps", "--tol", "--cell"):
+        assert knob in str(info.value)
