@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from .constants import EPS_0
-from .numerics import SymmetricMatrix, eig_sym
 
 __all__ = [
     "parallel_plate_cg",
@@ -56,7 +55,7 @@ def coupling_strength(r: float, f1: float, f2: float) -> float:
 def hybridized_modes(f1: float, f2: float, g: float) -> tuple[float, float]:
     """Eigenfrequencies of the coupled pair, ascending.
 
-    Diagonalizes the two-mode matrix [[f1, g], [g, f2]], which equals
+    The eigenvalues of the two-mode matrix [[f1, g], [g, f2]] are
     mean(f) -/+ sqrt((delta/2)^2 + g^2).  The splitting at zero
     detuning is exactly 2 g, and the shift of the detuned modes
     approaches g^2/delta.
@@ -65,12 +64,9 @@ def hybridized_modes(f1: float, f2: float, g: float) -> tuple[float, float]:
         raise ValueError("frequencies must be positive")
     if g < 0.0:
         raise ValueError("coupling must be >= 0")
-    m = SymmetricMatrix(order=2)
-    m.set(0, 0, f1)
-    m.set(1, 1, f2)
-    m.set(0, 1, g)
-    w, _ = eig_sym(m)
-    return float(w[0]), float(w[1])
+    mean = 0.5 * (f1 + f2)
+    split = math.hypot(0.5 * (f2 - f1), g)
+    return mean - split, mean + split
 
 
 def dispersive_shift(g: float, detuning: float, anharm: float) -> float:

@@ -15,10 +15,7 @@ came from).  Reports serialize to JSON with stable key order and
 from __future__ import annotations
 
 import json
-import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -38,7 +35,6 @@ __all__ = [
     "paper_default",
     "analyze",
     "sweep",
-    "sweep_worker_count",
 ]
 
 SWEEP_PARAMETERS = ("interlayer_thickness", "loss_tangent")
@@ -346,21 +342,31 @@ def resolve_participation(spec: DeviceSpec) -> tuple[dict[str, float], str]:
             "fieldsolve.energy_participation")
 
 
-def _loss_budget(spec: DeviceSpec, baseline_q: float, frequency: float,
+def _loss_budget(tan_d: float, baseline_q: float, frequency: float,
                  participation: dict[str, float]) -> loss.LossBudget:
-    regions = {}
-    for name, p in participation.items():
-        tan_d = spec.interlayer_tan_delta if name == "interlayer" else 0.0
-        regions[name] = (p, tan_d)
+    """Budget with tan_d on the interlayer and lossless other regions."""
+    regions = {name: (p, tan_d if name == "interlayer" else 0.0)
+               for name, p in participation.items()}
     return loss.LossBudget(mode_frequency=frequency, baseline_q=baseline_q,
                            regions=regions)
 
 
-def _qubit_numbers(chip: ChipSpec) -> dict:
-    pars = chip.transmon
-    ej_max = transmon.josephson_energy(pars.l_junction)
+def _qubit_energies(chip: ChipSpec) -> tuple[float, float]:
+    """(Ec, Ej) in joules, Ej at the chip's flux bias."""
+    ej_max = transmon.josephson_energy(chip.transmon.l_junction)
     ej = transmon.squid_josephson_energy(ej_max, chip.flux_bias)
-    ec = transmon.charging_energy(pars.c_total)
+    return transmon.charging_energy(chip.transmon.c_total), ej
+
+
+def _qubit_frequency(chip: ChipSpec) -> float:
+    """Closed-form qubit frequency, the value every derived quantity uses."""
+    return transmon.transmon_frequency(*_qubit_energies(chip))
+
+
+def _qubit_numbers(chip: ChipSpec) -> dict:
+    """Both routes to the qubit's numbers; the only CPB oracle calls."""
+    pars = chip.transmon
+    ec, ej = _qubit_energies(chip)
     out = {
         "ej": ej,
         "ec": ec,
@@ -408,8 +414,8 @@ def _qubit_row(spec: DeviceSpec, chip: ChipSpec,
     else:
         row["chi_hz"] = _v(None, "not computed: readout.g_qr not configured")
     if chip.baseline_q is not None:
-        budget = _loss_budget(spec, chip.baseline_q, nums["f_literal"],
-                              participation)
+        budget = _loss_budget(spec.interlayer_tan_delta, chip.baseline_q,
+                              nums["f_literal"], participation)
         q_total = loss.q_with_dielectric(budget)
         row["q_total"] = _v(q_total, "loss.q_with_dielectric")
         row["t1_upper_s"] = _v(
@@ -431,7 +437,8 @@ def _resonator_row(spec: DeviceSpec, chip: ChipSpec,
                    participation: dict[str, float], part_src: str) -> dict:
     interval = cpw.resonator_interval(chip.resonator)
     mid = interval.midpoint
-    budget = _loss_budget(spec, chip.coupling_q, mid, participation)
+    budget = _loss_budget(spec.interlayer_tan_delta, chip.coupling_q, mid,
+                          participation)
     q_total = loss.q_with_dielectric(budget)
     return {
         "name": f"{chip.name}_resonator",
@@ -457,34 +464,41 @@ def _coupling_frequencies(spec: DeviceSpec) -> tuple[float, str, float, str]:
     if spec.coupling_f_bottom is not None:
         f1, src1 = spec.coupling_f_bottom, "config:coupling.f_bottom"
     else:
-        f1 = _qubit_numbers(spec.bottom)["f_literal"]
+        f1 = _qubit_frequency(spec.bottom)
         src1 = "transmon.transmon_frequency"
     if spec.coupling_f_top is not None:
         f2, src2 = spec.coupling_f_top, "config:coupling.f_top"
     else:
-        f2 = _qubit_numbers(spec.top)["f_literal"]
+        f2 = _qubit_frequency(spec.top)
         src2 = "transmon.transmon_frequency"
     return f1, src1, f2, src2
 
 
-def _coupling_block(spec: DeviceSpec,
-                    thickness: float | None = None) -> dict:
-    d = spec.interlayer_thickness if thickness is None else thickness
+def _coupling(spec: DeviceSpec, d: float, f1: float, f2: float) -> dict:
+    """Pad coupling at interlayer thickness d between qubits at f1, f2."""
     cg = coupling_mod.parallel_plate_cg(spec.pad_overlap_area, d,
                                         spec.interlayer_eps_r)
     r = coupling_mod.capacitance_ratio(cg, spec.bottom.transmon.c_total,
                                        spec.top.transmon.c_total)
-    f1, src1, f2, src2 = _coupling_frequencies(spec)
     g = coupling_mod.coupling_strength(r, f1, f2)
     lo, hi = coupling_mod.hybridized_modes(f1, f2, g)
+    return {"cg_f": cg, "r": r, "g_hz": g, "hybrid_lower_hz": lo,
+            "hybrid_upper_hz": hi}
+
+
+def _coupling_block(spec: DeviceSpec) -> dict:
+    f1, src1, f2, src2 = _coupling_frequencies(spec)
+    c = _coupling(spec, spec.interlayer_thickness, f1, f2)
     return {
-        "cg_f": _v(cg, "coupling.parallel_plate_cg"),
-        "r": _v(r, "coupling.capacitance_ratio"),
+        "cg_f": _v(c["cg_f"], "coupling.parallel_plate_cg"),
+        "r": _v(c["r"], "coupling.capacitance_ratio"),
         "f_bottom_hz": _v(f1, src1),
         "f_top_hz": _v(f2, src2),
-        "g_hz": _v(g, "coupling.coupling_strength"),
-        "hybrid_lower_hz": _v(lo, "coupling.hybridized_modes"),
-        "hybrid_upper_hz": _v(hi, "coupling.hybridized_modes"),
+        "g_hz": _v(c["g_hz"], "coupling.coupling_strength"),
+        "hybrid_lower_hz": _v(c["hybrid_lower_hz"],
+                              "coupling.hybridized_modes"),
+        "hybrid_upper_hz": _v(c["hybrid_upper_hz"],
+                              "coupling.hybridized_modes"),
     }
 
 
@@ -518,66 +532,30 @@ def analyze(spec: DeviceSpec) -> DeviceReport:
 # sweeps
 
 
-def sweep_worker_count() -> int:
-    """Thread count for sweeps: FLIPKIT_THREADS, 0/unset meaning all cores."""
-    raw = os.environ.get("FLIPKIT_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"FLIPKIT_THREADS must be an integer, got {raw!r}"
-                         ) from exc
-    if n < 0:
-        raise ValueError("FLIPKIT_THREADS must be >= 0")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
 def _notch_for(chip: ChipSpec) -> network.NotchResonator:
     mid = cpw.resonator_interval(chip.resonator).midpoint
     return network.NotchResonator(f_r=mid, q_loaded=chip.coupling_q,
                                   q_coupling=chip.coupling_q)
 
 
-def _thickness_row(spec: DeviceSpec, d: float) -> dict:
-    cg = coupling_mod.parallel_plate_cg(spec.pad_overlap_area, d,
-                                        spec.interlayer_eps_r)
-    r = coupling_mod.capacitance_ratio(cg, spec.bottom.transmon.c_total,
-                                       spec.top.transmon.c_total)
-    f1, _, f2, _ = _coupling_frequencies(spec)
-    g = coupling_mod.coupling_strength(r, f1, f2)
-    lo, hi = coupling_mod.hybridized_modes(f1, f2, g)
-    near = _notch_for(spec.bottom)
-    far = _notch_for(spec.top)
-    halfspan = 10.0 * near.f_r / near.q_loaded
-    band = RealInterval(near.f_r - halfspan, near.f_r + halfspan)
-    dip = network.crosstalk_dip(cg, near, far, band)
-    return {
-        "cg_f": cg,
-        "r": r,
-        "g_hz": g,
-        "hybrid_lower_hz": lo,
-        "hybrid_upper_hz": hi,
-        "crosstalk_db": dip,
-        "qubit_bottom_hz": _qubit_numbers(spec.bottom)["f_literal"],
-        "qubit_top_hz": _qubit_numbers(spec.top)["f_literal"],
-    }
+def _thickness_row(spec: DeviceSpec, d: float, f1: float, f2: float,
+                   notches: tuple[network.NotchResonator,
+                                  network.NotchResonator],
+                   band: RealInterval, qubits: dict[str, float]) -> dict:
+    row = _coupling(spec, d, f1, f2)
+    row["crosstalk_db"] = network.crosstalk_dip(row["cg_f"], *notches, band)
+    row["qubit_bottom_hz"] = qubits["bottom"]
+    row["qubit_top_hz"] = qubits["top"]
+    return row
 
 
 def _loss_tangent_row(spec: DeviceSpec, tan_d: float,
-                      participation: dict[str, float]) -> dict:
+                      participation: dict[str, float],
+                      qubits: dict[str, float]) -> dict:
     row: dict[str, float] = {}
     for chip in (spec.bottom, spec.top):
-        if chip.baseline_q is None:
-            raise ConfigError(
-                [f"chip.{chip.name}.transmon.baseline_q is required for a "
-                 "loss_tangent sweep"])
-        regions = {
-            name: (p, tan_d if name == "interlayer" else 0.0)
-            for name, p in participation.items()}
-        f_q = _qubit_numbers(chip)["f_literal"]
-        budget = loss.LossBudget(mode_frequency=f_q,
-                                 baseline_q=chip.baseline_q, regions=regions)
+        f_q = qubits[chip.name]
+        budget = _loss_budget(tan_d, chip.baseline_q, f_q, participation)
         q_total = loss.q_with_dielectric(budget)
         row[f"q_total_{chip.name}"] = q_total
         row[f"t1_upper_{chip.name}_s"] = loss.t1_upper_bound(q_total, f_q)
@@ -590,40 +568,43 @@ def _loss_tangent_row(spec: DeviceSpec, tan_d: float,
 def sweep(spec: DeviceSpec, parameter: str, values) -> SweepTable:
     """Parametric sweep over interlayer_thickness (m) or loss_tangent.
 
-    Rows are computed point-wise (in parallel up to sweep_worker_count()
-    threads) and assembled in grid order, so the table is deterministic.
+    What does not depend on the swept value is computed once: the
+    closed-form qubit frequencies and, for thickness, the coupling
+    frequencies, the two readout notches and the crosstalk band; for
+    loss tangent, the participations.  Rows follow the grid order.
     """
     values = [float(x) for x in values]
     if not values:
         raise ValueError("empty sweep grid")
+    chips = (spec.bottom, spec.top)
+    qubits = {chip.name: _qubit_frequency(chip) for chip in chips}
     if parameter == "interlayer_thickness":
         if min(values) <= 0.0:
             raise ValueError("thickness values must be positive")
-
-        def row_fn(x: float) -> dict:
-            return _thickness_row(spec, x)
-
+        f1, _, f2, _ = _coupling_frequencies(spec)
+        near = _notch_for(spec.bottom)
+        halfspan = 10.0 * near.f_r / near.q_loaded
+        band = RealInterval(near.f_r - halfspan, near.f_r + halfspan)
+        notches = (near, _notch_for(spec.top))
         table = SweepTable(param_name="interlayer_thickness_m")
+        for d in values:
+            table.add_row(d, **_thickness_row(spec, d, f1, f2, notches, band,
+                                              qubits))
     elif parameter == "loss_tangent":
         if min(values) < 0.0:
             raise ValueError("loss tangents must be >= 0")
+        for chip in chips:
+            if chip.baseline_q is None:
+                raise ConfigError(
+                    [f"chip.{chip.name}.transmon.baseline_q is required for "
+                     "a loss_tangent sweep"])
         participation, _ = resolve_participation(spec)
-
-        def row_fn(x: float) -> dict:
-            return _loss_tangent_row(spec, x, participation)
-
         table = SweepTable(param_name="tan_delta")
+        for tan_d in values:
+            table.add_row(tan_d, **_loss_tangent_row(spec, tan_d,
+                                                     participation, qubits))
     else:
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; "
             f"expected one of {SWEEP_PARAMETERS}")
-
-    workers = sweep_worker_count()
-    if workers == 1 or len(values) == 1:
-        rows = [row_fn(x) for x in values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row_fn, values))
-    for x, row in zip(values, rows):
-        table.add_row(x, **row)
     return table

@@ -191,9 +191,15 @@ class _Problem:
         # electrodes: volume conductors pin cells, strips pin face lines
         fixed = np.zeros((nx, ny), dtype=bool)
         fixv = np.zeros((nx, ny))
-        strips: list[tuple[np.ndarray, int, float]] = []
+        owner = np.zeros((nx, ny), dtype=int)  # conductor index per cell
+        strips: list[tuple[str, np.ndarray, int, float]] = []
+        on_wall = np.zeros((nx, ny), dtype=bool)
+        if section.x_bc == "grounded":
+            on_wall[[0, -1], :] = True
+        if section.y_bc == "grounded":
+            on_wall[:, [0, -1]] = True
         self.potentials: list[float] = []
-        for cond in section.conductors:
+        for idx, cond in enumerate(section.conductors):
             r = cond.rect
             if r.is_strip:
                 fy = (r.y0 - section.origin[1]) / hy
@@ -207,7 +213,7 @@ class _Problem:
                 cols = (xs >= r.x0) & (xs <= r.x1)
                 if not cols.any():
                     raise ValueError(f"strip {cond.name!r} covers no cells")
-                strips.append((cols, int(m), cond.potential))
+                strips.append((cond.name, cols, int(m), cond.potential))
             else:
                 inside = ((xg >= r.x0) & (xg <= r.x1) &
                           (yg >= r.y0) & (yg <= r.y1))
@@ -219,14 +225,26 @@ class _Problem:
                     raise ValueError(
                         f"conductor {cond.name!r} overlaps another at a "
                         "different potential")
+                if cond.potential != 0.0 and (inside & on_wall).any():
+                    raise ValueError(
+                        f"conductor {cond.name!r} at {cond.potential} V "
+                        "touches a grounded wall: the section is shorted")
                 fixed |= inside
                 fixv[inside] = cond.potential
+                owner[inside] = idx
             self.potentials.append(cond.potential)
         if section.x_bc == "grounded" or section.y_bc == "grounded":
             self.potentials.append(0.0)
+        for name, cols, m, pot in strips:
+            sides = fixed[cols, m - 1:m + 1] & (fixv[cols, m - 1:m + 1] != pot)
+            if sides.any():
+                other = section.conductors[owner[cols, m - 1:m + 1][sides][0]]
+                raise ValueError(
+                    f"conductor {other.name!r} shares a face with strip "
+                    f"{name!r} at a different potential: the section is "
+                    "shorted")
         self.fixed = fixed
         self.fixv = fixv
-        self.strips = strips
 
         # face transmissivities; tx has nx+1 faces per row, ty ny+1 per col
         free = ~fixed
@@ -266,7 +284,7 @@ class _Problem:
         # strips break their face and pin both sides at half distance
         s_coef = np.zeros((nx, ny, 2))  # [:, :, 0] south face, 1 north face
         s_val = np.zeros((nx, ny, 2))
-        for cols, m, pot in strips:
+        for _, cols, m, pot in strips:
             taken = (s_coef[cols, m, 0] > 0.0) | (s_coef[cols, m - 1, 1] > 0.0)
             if taken.any():
                 raise ValueError("strips overlap on a shared face")

@@ -1,11 +1,10 @@
-"""Self-contained numerical kernels.
+"""Small scalar kernels: an interval type, the AGM, elliptic K, bisection.
 
-Everything downstream (impedance design, charge-basis diagonalization,
-root finding for gap synthesis) runs on the routines in this module so
-that results do not depend on the linear-algebra backend of the host.
-The kernels are deliberately simple: arithmetic-geometric mean, a
-composite quadrature rule, bisection, and cyclic Jacobi rotations for
-small dense symmetric matrices.
+These serve impedance design (complete elliptic integrals through the
+arithmetic-geometric mean) and gap synthesis (bisection on a bracketing
+interval).  Matrix work lives with its callers: the charge-basis
+spectrum runs on numpy's LAPACK eigensolver, and the two-mode
+hybridization is a closed form.
 """
 
 from __future__ import annotations
@@ -13,16 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "RealInterval",
-    "SymmetricMatrix",
     "agm",
     "elliptic_k",
-    "integrate",
     "find_root",
-    "eig_sym",
 ]
 
 
@@ -49,41 +43,6 @@ class RealInterval:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-
-class SymmetricMatrix:
-    """Dense real symmetric matrix; each off-diagonal pair is set once.
-
-    Entries live in a full ndarray, but mutation goes through ``set``
-    which writes both (i, j) and (j, i), so the two are equal exactly.
-    """
-
-    def __init__(self, order: int):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        self.order = order
-        self._a = np.zeros((order, order), dtype=float)
-
-    def set(self, i: int, j: int, value: float) -> None:
-        self._a[i, j] = value
-        self._a[j, i] = value
-
-    def get(self, i: int, j: int) -> float:
-        return float(self._a[i, j])
-
-    @classmethod
-    def from_array(cls, a) -> "SymmetricMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected a square 2-d array")
-        if not np.array_equal(a, a.T):
-            raise ValueError("array is not exactly symmetric")
-        m = cls(a.shape[0])
-        m._a = a.copy()
-        return m
-
-    def to_array(self) -> np.ndarray:
-        return self._a.copy()
 
 
 def agm(a: float, b: float, tol: float = 1e-15) -> float:
@@ -114,22 +73,6 @@ def elliptic_k(k: float) -> float:
     return math.pi / (2.0 * agm(1.0, kp))
 
 
-def integrate(f, interval: RealInterval, n: int = 4096) -> float:
-    """Composite trapezoid estimate of integral of f over the interval.
-
-    Error decays as O(1/n^2) for twice-differentiable integrands (and
-    much faster when the derivative vanishes at both endpoints).
-    """
-    if n < 1:
-        raise ValueError("need at least one panel")
-    h = interval.width / n
-    xs = [interval.lo + i * h for i in range(n + 1)]
-    total = 0.5 * (f(xs[0]) + f(xs[-1]))
-    for x in xs[1:-1]:
-        total += f(x)
-    return total * h
-
-
 def find_root(f, bracket: RealInterval, tol: float = 1e-12,
               max_iter: int = 200) -> float:
     """Bisection root of a continuous scalar function.
@@ -157,75 +100,3 @@ def find_root(f, bracket: RealInterval, tol: float = 1e-12,
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
-
-
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    # One two-sided rotation zeroing a[p, q]; updates eigenvector columns.
-    apq = a[p, q]
-    app = a[p, p]
-    aqq = a[q, q]
-    tau = (aqq - app) / (2.0 * apq)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    ap = a[:, p].copy()
-    aq = a[:, q].copy()
-    a[:, p] = c * ap - s * aq
-    a[:, q] = s * ap + c * aq
-    ap = a[p, :].copy()
-    aq = a[q, :].copy()
-    a[p, :] = c * ap - s * aq
-    a[q, :] = s * ap + c * aq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
-
-
-def eig_sym(m: SymmetricMatrix, tol: float = 1e-12,
-            max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi.
-
-    Sweeps over all (p, q) pairs in row-cyclic order, rotating away any
-    off-diagonal entry above a per-sweep threshold, until the Frobenius
-    norm of the off-diagonal part drops below tol times the matrix norm.
-
-    Returns (w, vecs): eigenvalues ascending, eigenvectors as the
-    matching columns of an orthogonal matrix.
-    """
-    a = m.to_array()
-    n = m.order
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-
-    norm = math.sqrt(float(np.sum(a * a)))
-    if norm == 0.0:
-        return np.zeros(n), v
-    stop = tol * norm
-    od_mask = ~np.eye(n, dtype=bool)
-
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(a[od_mask] ** 2)))
-        if off <= stop:
-            break
-        # rotations below this size cannot move the off-norm meaningfully
-        thresh = off / (n * n)
-        for p in range(n - 1):
-            row = np.abs(a[p, p + 1:])
-            for q in (np.nonzero(row > thresh)[0] + p + 1):
-                if abs(a[p, q]) > thresh:
-                    _jacobi_rotate(a, v, p, int(q))
-    else:
-        raise RuntimeError("jacobi iteration failed to converge")
-
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]

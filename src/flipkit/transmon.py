@@ -69,11 +69,6 @@ class TransmonParams:
     def c_total(self) -> float:
         return self.c_junction + self.c_shunt
 
-    def charging_capacitance(self, calibrated: bool = False) -> float:
-        if calibrated and self.c_eff is not None:
-            return self.c_eff
-        return self.c_total
-
 
 def charging_energy(c_total: float) -> float:
     """Single-electron charging energy Ec = e^2 / (2 C) in joules."""

@@ -6,6 +6,7 @@ spawns.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +202,25 @@ def test_analyze_out_file_matches_stdout(capsys, tmp_path):
     _, out, _ = run(capsys, "analyze", "--config", "paper-default",
                     "--json", "--out", str(path))
     assert path.read_text() == out
+
+
+# -------------------------------------------------------------- golden
+
+# the benchmark's behaviour reference: preset report and both CLI sweeps
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["analyze", "--json"], "preset_analyze.json"),
+    (["sweep", "--param", "interlayer_thickness", "--grid",
+      "0.1mm:4mm:log25"], "preset_thickness.csv"),
+    (["sweep", "--param", "loss_tangent", "--grid", "0:1e-3:log25"],
+     "preset_loss.csv"),
+], ids=["analyze", "thickness-sweep", "loss-sweep"])
+def test_output_matches_reference_bytes(capsys, argv, name):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (REFERENCE / name).read_text(encoding="utf-8")
 
 
 # ----------------------------------------------------------------- sweep

@@ -1,7 +1,6 @@
 """Interchip pad coupling: Cg, ratio r, exchange g, hybridization, chi."""
 
-import math
-
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -120,15 +119,27 @@ def test_hybridized_degenerate_split_is_2g():
     assert hi - lo == pytest.approx(2.0 * g, rel=1e-9)
 
 
-def test_hybridized_matches_closed_form():
-    f1, f2, g = 5.16416e9, 5.74989e9, 54.93e6
+@pytest.mark.parametrize("f1,f2,g", [
+    (6.0e9, 6.0e9, 54.93e6),
+    (F1, F2, 0.0),
+    (5.16416e9, 5.16417e9, 300e6),
+    (5.16416e9, 5.74989e9, 54.93e6),
+    (5.74989e9, 5.16416e9, 54.93e6),
+], ids=["delta-zero", "g-zero", "g-dominant", "delta-dominant",
+        "f1-above-f2"])
+def test_hybridized_matches_closed_form(f1, f2, g):
+    # independent oracle: LAPACK on the two-mode matrix
+    want = np.linalg.eigvalsh([[f1, g], [g, f2]])
     lo, hi = coupling.hybridized_modes(f1, f2, g)
-    delta = f2 - f1
-    mean = 0.5 * (f1 + f2)
-    split = math.sqrt((0.5 * delta) ** 2 + g * g)
-    assert lo == pytest.approx(mean - split, rel=1e-12)
-    assert hi == pytest.approx(mean + split, rel=1e-12)
-    # perturbative pull g^2/Delta at this detuning
+    assert lo == pytest.approx(want[0], rel=1e-14)
+    assert hi == pytest.approx(want[1], rel=1e-14)
+
+
+def test_hybridized_dispersive_pull():
+    # perturbative pull g^2/Delta at the operating detuning
+    f1, f2, g = 5.16416e9, 5.74989e9, 54.93e6
+    lo, _ = coupling.hybridized_modes(f1, f2, g)
+    assert f1 - lo == pytest.approx(g * g / (f2 - f1), rel=0.01)
     assert f1 - lo == pytest.approx(5.15e6, abs=0.2e6)
 
 

@@ -2,10 +2,12 @@
 
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from flipkit import device
+from flipkit import device, transmon
 from flipkit.device import ConfigError, DeviceReport, analyze, parse_config
 
 
@@ -227,28 +229,47 @@ def test_loss_sweep_requires_baseline_q(spec):
         device.sweep(stripped, "loss_tangent", [1e-6])
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("FLIPKIT_THREADS", "3")
-    assert device.sweep_worker_count() == 3
-    monkeypatch.setenv("FLIPKIT_THREADS", "0")
-    assert device.sweep_worker_count() >= 1
-    monkeypatch.delenv("FLIPKIT_THREADS")
-    assert device.sweep_worker_count() >= 1
-    monkeypatch.setenv("FLIPKIT_THREADS", "-2")
-    with pytest.raises(ValueError):
-        device.sweep_worker_count()
-    monkeypatch.setenv("FLIPKIT_THREADS", "lots")
-    with pytest.raises(ValueError):
-        device.sweep_worker_count()
+@pytest.fixture
+def cpb_calls(monkeypatch):
+    """Arguments of every transmon.cpb_spectrum call made in the test."""
+    calls = []
+    real = transmon.cpb_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transmon, "cpb_spectrum", counted)
+    return calls
 
 
-def test_sweep_respects_thread_cap(spec, monkeypatch):
-    monkeypatch.setenv("FLIPKIT_THREADS", "1")
-    grid = [0.4e-3, 0.5e-3]
-    capped = device.sweep(spec, "interlayer_thickness", grid)
-    monkeypatch.setenv("FLIPKIT_THREADS", "4")
-    wide = device.sweep(spec, "interlayer_thickness", grid)
-    assert capped.to_csv() == wide.to_csv()  # scheduling cannot leak in
+def without_coupling_frequencies():
+    lines = device.default_config_text().splitlines(keepends=True)
+    return parse_config("".join(
+        line for line in lines
+        if not line.startswith(("coupling.f_bottom", "coupling.f_top"))))
+
+
+def test_analyze_runs_cpb_oracle_at_most_twice_per_chip(spec, cpb_calls):
+    bare = without_coupling_frequencies()
+    assert bare.coupling_f_bottom is None and bare.coupling_f_top is None
+    for s in (spec, bare):
+        cpb_calls.clear()
+        analyze(s)
+        per_chip = Counter(args[:2] for args in cpb_calls)  # (Ec, Ej)
+        assert len(per_chip) == 2
+        assert max(per_chip.values()) <= 2
+
+
+@pytest.mark.parametrize("parameter,grid", [
+    ("interlayer_thickness", np.geomspace(0.1e-3, 4e-3, 25)),
+    ("loss_tangent", np.geomspace(1e-7, 1e-3, 25)),
+], ids=["thickness", "loss"])
+def test_sweeps_never_run_cpb_oracle(spec, cpb_calls, parameter, grid):
+    for s in (spec, without_coupling_frequencies()):
+        table = device.sweep(s, parameter, grid)
+        assert table.n_rows == 25
+    assert cpb_calls == []
 
 
 def test_participation_resolution_prefers_config(spec):

@@ -210,6 +210,40 @@ def test_cpw_section_rejects_coarse_cell():
         cpw_cross_section(GEOM, cell=2e-6, box_factor=5.0)
 
 
+def box_section(conductors, x_bc="grounded", y_bc="grounded"):
+    """An 8 x 8 box of 1 um vacuum cells."""
+    return CrossSection(
+        width=8e-6, height=8e-6, nx=8, ny=8, x_bc=x_bc, y_bc=y_bc,
+        regions=[DielectricRegion("fill", Rect(0, 8e-6, 0, 8e-6), 1.0)],
+        conductors=conductors)
+
+
+def test_rejects_conductor_shorted_to_grounded_wall():
+    corner = Rect(0, 2e-6, 0, 2e-6)
+    with pytest.raises(ValueError, match="'corner'.*grounded wall"):
+        solve_potential(box_section([Conductor("corner", corner, 1.0)]))
+    # no short: the same conductor grounded, or behind insulated walls
+    block = Conductor("block", Rect(4e-6, 6e-6, 4e-6, 6e-6), 1.0)
+    for sec in (box_section([Conductor("corner", corner, 0.0), block]),
+                box_section([Conductor("corner", corner, 1.0),
+                             Conductor("block", block.rect, 0.0)],
+                            x_bc="neumann", y_bc="neumann")):
+        assert 0.0 < capacitance_per_length(solve_potential(sec)) < 1e-9
+
+
+def test_rejects_conductor_shorted_to_strip():
+    lid = Conductor("lid", Rect(1e-6, 7e-6, 4e-6, 4e-6), 0.0)
+    below = Conductor("block", Rect(3e-6, 5e-6, 2e-6, 4e-6), 1.0)
+    above = Conductor("block", Rect(3e-6, 5e-6, 4e-6, 6e-6), 1.0)
+    for conductors in ([below, lid], [lid, above]):
+        with pytest.raises(ValueError, match="'block'.*strip 'lid'"):
+            solve_potential(box_section(conductors))
+    # at the strip's own potential the block and the strip are one body
+    live_lid = Conductor("lid", lid.rect, 1.0)
+    sec = box_section([below, live_lid])
+    assert 0.0 < capacitance_per_length(solve_potential(sec)) < 1e-9
+
+
 # ------------------------------------------------------- direct-solve oracles
 
 def oracle_system(sec):

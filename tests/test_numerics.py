@@ -1,9 +1,8 @@
-"""Kernel checks: AGM, elliptic K, quadrature, bisection, Jacobi eigensolver.
+"""Kernel checks: AGM, elliptic K, bisection, the interval type.
 
 Frozen values were produced by hand-iterating the defining recurrences
-or by an independent route inside the test (quadrature for K, a
-characteristic-polynomial bisection for the eigensolver) so nothing
-here depends on the implementation under test.
+or by an independent route inside the test (quadrature for K), so
+nothing here depends on the implementation under test.
 """
 
 import math
@@ -13,8 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flipkit.numerics import (RealInterval, SymmetricMatrix, agm, eig_sym,
-                              elliptic_k, find_root, integrate)
+from flipkit.numerics import RealInterval, agm, elliptic_k, find_root
 
 # AGM of (1, 0.46271), iterated by hand to convergence
 AGM_046271 = 0.705558
@@ -92,35 +90,6 @@ def test_elliptic_k_domain(bad):
         elliptic_k(bad)
 
 
-# ------------------------------------------------------------ integrate
-
-def test_integrate_constant():
-    assert integrate(lambda x: 1.0, RealInterval(0.0, 1.0)) == \
-        pytest.approx(1.0, rel=1e-12)
-
-
-def test_integrate_linear():
-    assert integrate(lambda x: x, RealInterval(0.0, 1.0)) == \
-        pytest.approx(0.5, rel=1e-12)
-
-
-def test_integrate_reproduces_elliptic_k():
-    # the defining integral at k = 0.5, independent of the AGM route
-    f = lambda t: 1.0 / math.sqrt(1.0 - 0.25 * math.sin(t) ** 2)
-    got = integrate(f, RealInterval(0.0, math.pi / 2), n=4096)
-    assert got == pytest.approx(elliptic_k(0.5), rel=1e-8)
-
-
-def test_integrate_second_order_convergence():
-    f = math.sin
-    exact = 1.0 - math.cos(1.0)
-    iv = RealInterval(0.0, 1.0)
-    e_coarse = abs(integrate(f, iv, n=64) - exact)
-    e_fine = abs(integrate(f, iv, n=128) - exact)
-    # trapezoid halves the step -> error drops ~4x
-    assert e_fine < e_coarse / 3.5
-
-
 # ------------------------------------------------------------ find_root
 
 def test_find_root_linear():
@@ -148,79 +117,6 @@ def test_find_root_exact_endpoint():
         pytest.approx(0.0, abs=1e-12)
 
 
-# -------------------------------------------------------------- eig_sym
-
-def charpoly_roots(a: np.ndarray, tol: float = 1e-13) -> list[float]:
-    """Eigenvalues of a symmetric matrix by bisecting det(A - x I).
-
-    Independent oracle: scans the Gershgorin interval for sign changes
-    of the characteristic polynomial and bisects each bracket.  Only
-    valid for matrices with well-separated simple eigenvalues.
-    """
-    radius = np.abs(a).sum(axis=1).max()
-    grid = np.linspace(-radius - 1.0, radius + 1.0, 4001)
-    det = np.array([np.linalg.det(a - x * np.eye(a.shape[0])) for x in grid])
-    roots = []
-    for i in np.flatnonzero(np.sign(det[:-1]) * np.sign(det[1:]) < 0):
-        lo, hi = grid[i], grid[i + 1]
-        flo = det[i]
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fmid = np.linalg.det(a - mid * np.eye(a.shape[0]))
-            if flo * fmid <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        roots.append(0.5 * (lo + hi))
-    return roots
-
-
-def test_eig_identity():
-    w, v = eig_sym(SymmetricMatrix.from_array(np.eye(3)))
-    assert np.allclose(w, 1.0, atol=1e-14)
-    assert np.allclose(v.T @ v, np.eye(3), atol=1e-12)
-
-
-def test_eig_antidiagonal_split():
-    g = 3.7e8
-    m = SymmetricMatrix(2)
-    m.set(0, 1, g)
-    w, _ = eig_sym(m)
-    assert w[0] == pytest.approx(-g, rel=1e-12)
-    assert w[1] == pytest.approx(+g, rel=1e-12)
-
-
-def test_eig_matches_charpoly_bisection():
-    rng = np.random.default_rng(20260815)
-    a = rng.standard_normal((5, 5))
-    a = a + a.T
-    w, _ = eig_sym(SymmetricMatrix.from_array(a))
-    oracle = charpoly_roots(a)
-    assert len(oracle) == 5
-    assert np.max(np.abs(np.sort(oracle) - w)) < 1e-8
-
-
-def test_eig_trace_residual_orthonormality():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((8, 8))
-    a = a + a.T
-    m = SymmetricMatrix.from_array(a)
-    w, v = eig_sym(m)
-    norm = np.linalg.norm(a)
-    assert abs(w.sum() - np.trace(a)) <= 1e-10 * norm
-    assert np.allclose(v.T @ v, np.eye(8), atol=1e-10)
-    for i in range(8):
-        assert np.linalg.norm(a @ v[:, i] - w[i] * v[:, i]) <= 1e-10 * norm
-
-
-def test_eig_eigenvalues_ascending():
-    rng = np.random.default_rng(99)
-    a = rng.standard_normal((6, 6))
-    a = a + a.T
-    w, _ = eig_sym(SymmetricMatrix.from_array(a))
-    assert np.all(np.diff(w) >= 0.0)
-
-
 # ----------------------------------------------------------- containers
 
 def test_interval_validation():
@@ -231,11 +127,3 @@ def test_interval_validation():
     iv = RealInterval(1.0, 3.0)
     assert iv.width == 2.0 and iv.midpoint == 2.0
     assert iv.contains(1.0) and iv.contains(3.0) and not iv.contains(3.1)
-
-
-def test_symmetric_matrix_stores_pairs_exactly():
-    m = SymmetricMatrix(4)
-    m.set(1, 3, 0.1 + 0.2)  # value with no short decimal form
-    assert m.get(3, 1) == m.get(1, 3)
-    with pytest.raises(ValueError):
-        SymmetricMatrix.from_array([[0.0, 1.0], [1.0 + 1e-15, 0.0]])

@@ -184,17 +184,9 @@ def test_params_container():
     p = transmon.TransmonParams(c_junction=8e-15, c_shunt=81e-15,
                                 l_junction=LJ_BOTTOM)
     assert p.c_total == pytest.approx(89e-15, rel=1e-12)
-    assert p.charging_capacitance() == p.c_total
     with pytest.raises(ValueError):
         transmon.TransmonParams(c_junction=-8e-15, c_shunt=81e-15,
                                 l_junction=LJ_BOTTOM)
     with pytest.raises(ValueError):
         transmon.TransmonParams(c_junction=8e-15, c_shunt=81e-15,
                                 l_junction=0.0)
-
-
-def test_params_calibrated_capacitance():
-    p = transmon.TransmonParams(c_junction=8e-15, c_shunt=81e-15,
-                                l_junction=LJ_BOTTOM, c_eff=115e-15)
-    assert p.charging_capacitance(calibrated=True) == 115e-15
-    assert p.charging_capacitance(calibrated=False) == p.c_total
