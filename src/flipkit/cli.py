@@ -15,17 +15,16 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 
 import numpy as np
 
 from . import cpw, device, fieldsolve, network, transmon
 from .constants import PLANCK_H
-from .device import _AREA, _CAP, _FREQ, _IND, _LENGTH, _round12
 from .numerics import RealInterval
 from .tables import SweepTable
 from .transmon import CutoffError
+from .units import parse_quantity, round12
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -48,34 +47,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_QUANTITY_RE = re.compile(
-    r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([^\s\d][^\s]*)?$")
-
-
-def _quantity(units: dict[str, float], dimension: str):
-    """argparse type: float with an optional unit suffix ("5.806um")."""
+def _quantity(dimension: str):
+    """argparse type: SI number, or one with a unit suffix ("5.806um")."""
 
     def parse(text: str) -> float:
-        m = _QUANTITY_RE.match(text.strip())
-        if not m:
-            raise _UsageError(f"cannot parse {dimension} value {text!r}")
-        value = float(m.group(1))
-        unit = m.group(2)
-        if unit:
-            if unit not in units:
-                raise _UsageError(f"{unit!r} is not a {dimension} unit")
-            value *= units[unit]
-        return value
+        return parse_quantity(text, dimension)[0]
 
     parse.__name__ = dimension
     return parse
 
 
-_length = _quantity(_LENGTH, "length")
-_capacitance = _quantity(_CAP, "capacitance")
-_inductance = _quantity(_IND, "inductance")
-_frequency = _quantity(_FREQ, "frequency")
-_area = _quantity(_AREA, "area")
+_length = _quantity("length")
+_capacitance = _quantity("capacitance")
+_inductance = _quantity("inductance")
+_frequency = _quantity("frequency")
 
 
 def _band(text: str) -> RealInterval:
@@ -126,7 +111,7 @@ def _parse_grid(text: str, value):
 
 def _jsonable(obj):
     if isinstance(obj, float):
-        return _round12(obj)
+        return round12(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -309,24 +294,20 @@ def _cmd_cpw(args) -> dict:
 def _cmd_transmon(args) -> dict:
     pars = transmon.TransmonParams(c_junction=args.cj, c_shunt=args.cs,
                                    l_junction=args.lj, c_eff=args.c_eff)
-    ej = transmon.squid_josephson_energy(
-        transmon.josephson_energy(pars.l_junction), args.flux)
-    ec = transmon.charging_energy(pars.c_total)
+    nums = transmon.qubit_numbers(pars, args.flux, args.ng, args.cutoff)
+    ec, ej = nums["ec"], nums["ej"]
     out = {
         "c_total_f": pars.c_total,
         "ec_hz": ec / PLANCK_H,
         "ej_hz": ej / PLANCK_H,
         "ej_over_ec": ej / ec,
-        "frequency_hz": transmon.transmon_frequency(ec, ej),
-        "frequency_cpb_hz": transmon.cpb_frequency(ec, ej, ng=args.ng,
-                                                   cutoff=args.cutoff),
-        "anharmonicity_hz": transmon.anharmonicity(ec),
-        "anharmonicity_cpb_hz": transmon.cpb_anharmonicity(
-            ec, ej, ng=args.ng, cutoff=args.cutoff),
+        "frequency_hz": nums["frequency"],
+        "frequency_cpb_hz": nums["frequency_cpb"],
+        "anharmonicity_hz": nums["anharmonicity"],
+        "anharmonicity_cpb_hz": nums["anharmonicity_cpb"],
     }
     if args.c_eff is not None:
-        ec_eff = transmon.charging_energy(args.c_eff)
-        out["frequency_c_eff_hz"] = transmon.transmon_frequency(ec_eff, ej)
+        out["frequency_c_eff_hz"] = nums["frequency_c_eff"]
     return out
 
 

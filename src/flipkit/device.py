@@ -15,7 +15,6 @@ came from).  Reports serialize to JSON with stable key order and
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -23,6 +22,7 @@ from . import coupling as coupling_mod
 from . import cpw, fieldsolve, loss, network, transmon
 from .numerics import RealInterval
 from .tables import SweepTable
+from .units import parse_quantity, round12
 
 __all__ = [
     "ConfigError",
@@ -111,17 +111,7 @@ class DeviceSpec:
             raise ValueError("fieldsolve box factor must be >= 10")
 
 
-# configuration schema: key -> (dimension, required)
-
-_LENGTH = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9}
-_CAP = {"F": 1.0, "pF": 1e-12, "fF": 1e-15}
-_IND = {"H": 1.0, "uH": 1e-6, "µH": 1e-6, "nH": 1e-9}
-_FREQ = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
-_AREA = {"m2": 1.0, "mm2": 1e-6, "um2": 1e-12, "µm2": 1e-12}
-_NONE: dict[str, float] = {}
-
-_UNITS = {"length": _LENGTH, "capacitance": _CAP, "inductance": _IND,
-          "frequency": _FREQ, "area": _AREA, "scalar": _NONE}
+# configuration schema: key -> (dimension in units.UNITS, required)
 
 
 def _chip_schema(side: str) -> dict[str, tuple[str, bool]]:
@@ -159,9 +149,6 @@ _SCHEMA: dict[str, tuple[str, bool]] = {
     "fieldsolve.box_factor": ("scalar", False),
 }
 
-_VALUE_RE = re.compile(
-    r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(\S*)$")
-
 
 def _parse_entries(text: str) -> tuple[dict[str, float], list[str]]:
     entries: dict[str, float] = {}
@@ -180,24 +167,16 @@ def _parse_entries(text: str) -> tuple[dict[str, float], list[str]]:
         if key in entries:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        m = _VALUE_RE.match(rhs)
-        if not m:
-            errors.append(f"line {lineno}: cannot parse value {rhs!r}")
-            continue
-        magnitude = float(m.group(1))
-        unit = m.group(2)
         dimension, _ = _SCHEMA[key]
-        units = _UNITS[dimension]
-        if unit:
-            if unit not in units:
-                errors.append(
-                    f"line {lineno}: unit {unit!r} is not a {dimension}")
-                continue
-            magnitude *= units[unit]
-        elif units:
-            errors.append(f"line {lineno}: {key} needs a {dimension} unit")
+        try:
+            value, has_unit = parse_quantity(rhs, dimension)
+        except ValueError as exc:
+            errors.append(f"line {lineno}: {key}: {exc}")
             continue
-        entries[key] = magnitude
+        if has_unit or dimension == "scalar":
+            entries[key] = value
+        else:
+            errors.append(f"line {lineno}: {key}: needs a unit of {dimension}")
     return entries, errors
 
 
@@ -301,14 +280,10 @@ def paper_default() -> DeviceSpec:
 # report assembly
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def _v(value, by: str) -> dict:
     if value is None:
         return {"value": None, "by": by}
-    return {"value": _round12(float(value)), "by": by}
+    return {"value": round12(float(value)), "by": by}
 
 
 @dataclass
@@ -363,25 +338,6 @@ def _qubit_frequency(chip: ChipSpec) -> float:
     return transmon.transmon_frequency(*_qubit_energies(chip))
 
 
-def _qubit_numbers(chip: ChipSpec) -> dict:
-    """Both routes to the qubit's numbers; the only CPB oracle calls."""
-    pars = chip.transmon
-    ec, ej = _qubit_energies(chip)
-    out = {
-        "ej": ej,
-        "ec": ec,
-        "f_literal": transmon.transmon_frequency(ec, ej),
-        "f_cpb": transmon.cpb_frequency(ec, ej),
-        "anharm": transmon.anharmonicity(ec),
-        "anharm_cpb": transmon.cpb_anharmonicity(ec, ej),
-        "f_c_eff": None,
-    }
-    if pars.c_eff is not None:
-        ec_eff = transmon.charging_energy(pars.c_eff)
-        out["f_c_eff"] = transmon.transmon_frequency(ec_eff, ej)
-    return out
-
-
 def _participation_field(participation: dict[str, float],
                          source: str) -> dict:
     return {name: _v(p, source) for name, p in participation.items()}
@@ -389,19 +345,22 @@ def _participation_field(participation: dict[str, float],
 
 def _qubit_row(spec: DeviceSpec, chip: ChipSpec,
                participation: dict[str, float], part_src: str) -> dict:
-    nums = _qubit_numbers(chip)
+    nums = transmon.qubit_numbers(chip.transmon, chip.flux_bias)
+    f_q = nums["frequency"]
     row = {
         "name": f"{chip.name}_qubit",
         "kind": "qubit",
-        "frequency_hz": _v(nums["f_literal"], "transmon.transmon_frequency"),
+        "frequency_hz": _v(f_q, "transmon.transmon_frequency"),
         "frequency_c_eff_hz": _v(
-            nums["f_c_eff"],
+            nums["frequency_c_eff"],
             "transmon.transmon_frequency with config:transmon.c_eff"
-            if nums["f_c_eff"] is not None
+            if nums["frequency_c_eff"] is not None
             else "not computed: transmon.c_eff not configured"),
-        "frequency_cpb_hz": _v(nums["f_cpb"], "transmon.cpb_frequency"),
-        "anharmonicity_hz": _v(nums["anharm"], "transmon.anharmonicity"),
-        "anharmonicity_cpb_hz": _v(nums["anharm_cpb"],
+        "frequency_cpb_hz": _v(nums["frequency_cpb"],
+                               "transmon.cpb_frequency"),
+        "anharmonicity_hz": _v(nums["anharmonicity"],
+                               "transmon.anharmonicity"),
+        "anharmonicity_cpb_hz": _v(nums["anharmonicity_cpb"],
                                    "transmon.cpb_anharmonicity"),
         "ej_over_ec": _v(transmon.ej_ec_ratio(nums["ec"], nums["ej"]),
                          "transmon.ej_ec_ratio"),
@@ -409,17 +368,17 @@ def _qubit_row(spec: DeviceSpec, chip: ChipSpec,
     res_mid = cpw.resonator_interval(chip.resonator).midpoint
     if chip.g_qr is not None:
         chi = coupling_mod.dispersive_shift(
-            chip.g_qr, nums["f_literal"] - res_mid, nums["anharm"])
+            chip.g_qr, f_q - res_mid, nums["anharmonicity"])
         row["chi_hz"] = _v(chi, "coupling.dispersive_shift")
     else:
         row["chi_hz"] = _v(None, "not computed: readout.g_qr not configured")
     if chip.baseline_q is not None:
         budget = _loss_budget(spec.interlayer_tan_delta, chip.baseline_q,
-                              nums["f_literal"], participation)
+                              f_q, participation)
         q_total = loss.q_with_dielectric(budget)
         row["q_total"] = _v(q_total, "loss.q_with_dielectric")
         row["t1_upper_s"] = _v(
-            loss.t1_upper_bound(q_total, nums["f_literal"]),
+            loss.t1_upper_bound(q_total, f_q),
             "loss.t1_upper_bound")
         row["gamma_cap_per_s"] = _v(
             loss.dielectric_decay_rate(budget),

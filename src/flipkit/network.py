@@ -1,17 +1,15 @@
-"""Microwave two-port algebra and scattering-domain models.
+"""Scattering-domain models of the readout lines.
 
-ABCD chains for lossless lines, conversion to S-parameters at an
-explicit reference impedance, the side-coupled (notch) resonator line
-shape, -3 dB bandwidth extraction, and two scattering studies used by
-the device pipeline: worst-case in-band reflection versus port
-impedance, and the interchip crosstalk dip from a bridging capacitance.
+The side-coupled (notch) resonator line shape, -3 dB bandwidth
+extraction, and two scattering studies used by the device pipeline:
+worst-case in-band reflection of a lossless line versus port impedance,
+and the interchip crosstalk dip from a bridging capacitance.
 
-Conventions.  ABCD entries follow [V1; I1] = [A B; C D] [V2; I2] with
-I2 flowing out of port 2.  S-parameters are always formed at a caller
-supplied real reference impedance; nothing in this module renormalizes
-a response from one reference to another, because doing so silently is
-exactly the kind of mistake the explicit z_ref argument exists to
-prevent.  Magnitudes in dB are 20 log10 |S|.
+Conventions.  S-parameters are always formed at a caller supplied real
+reference impedance; nothing in this module renormalizes a response
+from one reference to another, because doing so silently is exactly
+the kind of mistake the explicit z_ref argument exists to prevent.
+Magnitudes in dB are 20 log10 |S|.
 """
 
 from __future__ import annotations
@@ -25,14 +23,10 @@ from .constants import C_LIGHT
 from .numerics import RealInterval
 
 __all__ = [
-    "TwoPortABCD",
     "NotchResonator",
     "FrequencyResponse",
     "ExtractionError",
     "AmbiguousDipError",
-    "tline_abcd",
-    "cascade",
-    "abcd_to_s",
     "notch_s21",
     "extract_q_fwhm",
     "worst_case_reflection",
@@ -52,19 +46,6 @@ class ExtractionError(RuntimeError):
 
 class AmbiguousDipError(ExtractionError):
     """More than one dip crosses the half-power threshold."""
-
-
-@dataclass(frozen=True)
-class TwoPortABCD:
-    """Chain matrix of a reciprocal two-port."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def determinant(self) -> complex:
-        return self.a * self.d - self.b * self.c
 
 
 @dataclass(frozen=True)
@@ -140,45 +121,6 @@ def frequency_grid(band: RealInterval,
     if points < 2:
         raise ValueError("need at least two grid points")
     return np.linspace(band.lo, band.hi, points)
-
-
-def tline_abcd(z0: float, beta_l: float) -> TwoPortABCD:
-    """Lossless line section: A = D = cos(beta l), B = j z0 sin(beta l),
-    C = j sin(beta l) / z0.  Unimodular by construction."""
-    if z0 <= 0.0:
-        raise ValueError("line impedance must be positive")
-    bl = float(beta_l)
-    return TwoPortABCD(a=complex(math.cos(bl)),
-                       b=1j * z0 * math.sin(bl),
-                       c=1j * math.sin(bl) / z0,
-                       d=complex(math.cos(bl)))
-
-
-def cascade(*sections: TwoPortABCD) -> TwoPortABCD:
-    """Chain-matrix product of two-ports, first argument nearest port 1."""
-    if not sections:
-        raise ValueError("nothing to cascade")
-    a, b, c, d = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
-    for s in sections:
-        a, b, c, d = (a * s.a + b * s.c, a * s.b + b * s.d,
-                      c * s.a + d * s.c, c * s.b + d * s.d)
-    return TwoPortABCD(a, b, c, d)
-
-
-def abcd_to_s(m: TwoPortABCD, z_ref: float) -> tuple[complex, complex,
-                                                     complex, complex]:
-    """(S11, S12, S21, S22) of an ABCD two-port at reference z_ref."""
-    if z_ref <= 0.0:
-        raise ValueError("reference impedance must be positive")
-    a, b, c, d = m.a, m.b, m.c, m.d
-    denom = a + b / z_ref + c * z_ref + d
-    if abs(denom) < 1e-300:
-        raise ZeroDivisionError("degenerate two-port: singular denominator")
-    s11 = (a + b / z_ref - c * z_ref - d) / denom
-    s21 = 2.0 / denom
-    s12 = 2.0 * m.determinant() / denom
-    s22 = (-a + b / z_ref - c * z_ref + d) / denom
-    return s11, s12, s21, s22
 
 
 def notch_s21(resonator: NotchResonator, frequencies,

@@ -28,6 +28,7 @@ __all__ = [
     "cpb_spectrum",
     "cpb_frequency",
     "cpb_anharmonicity",
+    "qubit_numbers",
 ]
 
 # eigenvector weight allowed on the outermost charge states before the
@@ -175,3 +176,29 @@ def cpb_anharmonicity(ec: float, ej: float, ng: float = 0.0,
     f01 = float(levels[1] - levels[0])
     f12 = float(levels[2] - levels[1])
     return (f12 - f01) / PLANCK_H
+
+
+def qubit_numbers(pars: TransmonParams, flux: float = 0.0, ng: float = 0.0,
+                  cutoff: int = DEFAULT_CUTOFF) -> dict[str, float | None]:
+    """A qubit's energies and both routes to its frequencies.
+
+    Keys: "ec" and "ej" (joules, Ej at the flux bias in units of Phi0);
+    the closed-form "frequency" and "anharmonicity"; their charge-basis
+    "frequency_cpb" and "anharmonicity_cpb", both from one three-level
+    spectrum; and "frequency_c_eff", the closed form at c_eff (None when
+    c_eff is not set).  Frequencies are Hz.
+    """
+    ej = squid_josephson_energy(josephson_energy(pars.l_junction), flux)
+    ec = charging_energy(pars.c_total)
+    e0, e1, e2 = (float(e) for e in
+                  cpb_spectrum(ec, ej, ng=ng, cutoff=cutoff, n_levels=3))
+    return {
+        "ec": ec,
+        "ej": ej,
+        "frequency": transmon_frequency(ec, ej),
+        "frequency_cpb": (e1 - e0) / PLANCK_H,
+        "anharmonicity": anharmonicity(ec),
+        "anharmonicity_cpb": ((e2 - e1) - (e1 - e0)) / PLANCK_H,
+        "frequency_c_eff": None if pars.c_eff is None else transmon_frequency(
+            charging_energy(pars.c_eff), ej),
+    }

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from flipkit import device, transmon
+from flipkit import cli, device, transmon
 from flipkit.device import ConfigError, DeviceReport, analyze, parse_config
 
 
@@ -84,7 +84,10 @@ def test_wrong_unit_dimension_rejected():
         "chip.bottom.transmon.junction_inductance = 8.75 fF")
     with pytest.raises(ConfigError) as e:
         parse_config(text)
-    assert any("junction_inductance" in m for m in e.value.errors)
+    line_errors = [m for m in e.value.errors if m.startswith("line ")]
+    assert len(line_errors) == 1
+    assert "chip.bottom.transmon.junction_inductance" in line_errors[0]
+    assert "inductance has no unit 'fF'" in line_errors[0]
 
 
 def test_errors_are_aggregated_not_first_only():
@@ -250,15 +253,23 @@ def without_coupling_frequencies():
         if not line.startswith(("coupling.f_bottom", "coupling.f_top"))))
 
 
-def test_analyze_runs_cpb_oracle_at_most_twice_per_chip(spec, cpb_calls):
+def test_analyze_runs_cpb_oracle_once_per_chip(spec, cpb_calls):
     bare = without_coupling_frequencies()
     assert bare.coupling_f_bottom is None and bare.coupling_f_top is None
     for s in (spec, bare):
         cpb_calls.clear()
         analyze(s)
         per_chip = Counter(args[:2] for args in cpb_calls)  # (Ec, Ej)
-        assert len(per_chip) == 2
-        assert max(per_chip.values()) <= 2
+        assert list(per_chip.values()) == [1, 1]
+
+
+@pytest.mark.parametrize("extra", [[], ["--c-eff", "90fF", "--flux", "0.2",
+                                        "--ng", "0.3", "--json"]],
+                         ids=["text", "c-eff-json"])
+def test_transmon_command_runs_cpb_oracle_once(cpb_calls, capsys, extra):
+    argv = ["transmon", "--cj", "8fF", "--cs", "81fF", "--lj", "8.75nH"]
+    assert cli.main(argv + extra) == 0
+    assert len(cpb_calls) == 1
 
 
 @pytest.mark.parametrize("parameter,grid", [

@@ -1,4 +1,4 @@
-"""Two-port algebra, notch line shape, and the -3 dB extraction loop."""
+"""Notch line shape, the -3 dB extraction loop, and the line studies."""
 
 import math
 
@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from flipkit import network
+from flipkit.constants import C_LIGHT
 from flipkit.network import (AmbiguousDipError, ExtractionError,
-                             FrequencyResponse, NotchResonator, TwoPortABCD,
-                             abcd_to_s, cascade, crosstalk_dip,
+                             FrequencyResponse, NotchResonator, crosstalk_dip,
                              extract_q_fwhm, frequency_grid, notch_s21,
-                             tline_abcd, worst_case_reflection)
+                             worst_case_reflection)
 from flipkit.numerics import RealInterval
 
 EPS_EFF = 6.45
@@ -23,79 +23,6 @@ QL_BOTTOM = 6618.16
 def grid_around(f_r, q_loaded, linewidths=10.0, points=2001):
     half = linewidths * f_r / q_loaded
     return np.linspace(f_r - half, f_r + half, points)
-
-
-# --------------------------------------------------------------- ABCD
-
-def test_tline_zero_length_is_identity():
-    m = tline_abcd(50.0, 0.0)
-    assert m.a == 1.0 and m.d == 1.0 and m.b == 0.0 and m.c == 0.0
-
-
-def test_tline_quarter_wave():
-    m = tline_abcd(50.0, math.pi / 2)
-    assert abs(m.a) < 1e-15 and abs(m.d) < 1e-15
-    assert m.b == pytest.approx(50j, rel=1e-12)
-    assert m.c == pytest.approx(1j / 50.0, rel=1e-12)
-
-
-def test_tline_group_property():
-    half = tline_abcd(50.0, 0.4)
-    full = tline_abcd(50.0, 0.8)
-    prod = cascade(half, half)
-    for got, want in zip((prod.a, prod.b, prod.c, prod.d),
-                         (full.a, full.b, full.c, full.d)):
-        assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_cascade_identity_and_inverse():
-    x = tline_abcd(42.0, 1.1)
-    ident = TwoPortABCD(1.0, 0.0, 0.0, 1.0)
-    y = cascade(ident, x)
-    assert (y.a, y.b, y.c, y.d) == (x.a, x.b, x.c, x.d)
-    inv = tline_abcd(42.0, -1.1)  # negated electrical length
-    z = cascade(x, inv)
-    assert z.a == pytest.approx(1.0, abs=1e-10)
-    assert abs(z.b) < 1e-10 and abs(z.c) < 1e-12
-    assert z.d == pytest.approx(1.0, abs=1e-10)
-
-
-def test_cascade_preserves_reciprocity():
-    chain = cascade(tline_abcd(50.0, 0.3), tline_abcd(35.0, 1.7),
-                    tline_abcd(80.0, 2.9))
-    assert chain.determinant() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_cascade_empty():
-    with pytest.raises(ValueError):
-        cascade()
-
-
-def test_abcd_to_s_identity():
-    s11, s12, s21, s22 = abcd_to_s(TwoPortABCD(1.0, 0.0, 0.0, 1.0), 50.0)
-    assert s11 == 0.0 and s22 == 0.0
-    assert s21 == 1.0 and s12 == 1.0
-
-
-def test_abcd_to_s_matched_line():
-    for bl in (0.1, 1.0, 2.7):
-        s11, _, s21, _ = abcd_to_s(tline_abcd(50.0, bl), 50.0)
-        assert abs(s11) < 1e-12
-        assert abs(s21) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_abcd_to_s_quarter_wave_mismatch():
-    z0, z_ref = 49.53, 48.4
-    s11, _, _, _ = abcd_to_s(tline_abcd(z0, math.pi / 2), z_ref)
-    want = abs(z0 ** 2 - z_ref ** 2) / (z0 ** 2 + z_ref ** 2)
-    assert abs(s11) == pytest.approx(want, abs=1e-9)
-
-
-def test_lossless_passivity_and_reciprocity():
-    for bl in np.linspace(0.05, 3.0, 17):
-        s11, s12, s21, _ = abcd_to_s(tline_abcd(63.0, float(bl)), 50.0)
-        assert abs(s11) ** 2 + abs(s21) ** 2 == pytest.approx(1.0, abs=1e-9)
-        assert s12 == pytest.approx(s21, abs=1e-12)
 
 
 # -------------------------------------------------------------- notch
@@ -226,6 +153,21 @@ def test_worst_case_reflection_unimodal_minimum_at_z0():
     assert abs(zs[i] - z_line) <= 0.5
     # three-point bracket: strictly decreasing into the minimum, then rising
     assert vals[i - 1] > vals[i] < vals[i + 1]
+
+
+@pytest.mark.parametrize("z_line,z_port", [
+    (49.53, 48.4), (63.0, 50.0), (35.0, 50.0)])
+def test_worst_case_reflection_peaks_at_quarter_wave(z_line, z_port):
+    # a lossless line reflects most where it is a quarter wave long, where
+    # it is an impedance inverter: |S11| = |z0^2 - zr^2| / (z0^2 + zr^2)
+    length = 2e-3
+    f_qw = C_LIGHT / (4.0 * length * math.sqrt(EPS_EFF))
+    band = RealInterval(0.5 * f_qw, 1.5 * f_qw)  # point 1000 of 2001 is f_qw
+    want = 20.0 * math.log10(abs(z_line ** 2 - z_port ** 2)
+                             / (z_line ** 2 + z_port ** 2))
+    got = worst_case_reflection(z_line, z_port, band, length, EPS_EFF,
+                                points=2001)
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_worst_case_reflection_validation():
