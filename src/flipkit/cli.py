@@ -51,7 +51,10 @@ def _quantity(dimension: str):
     """argparse type: SI number, or one with a unit suffix ("5.806um")."""
 
     def parse(text: str) -> float:
-        return parse_quantity(text, dimension)[0]
+        try:
+            return parse_quantity(text, dimension)[0]
+        except ValueError as exc:  # argparse would drop the message
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     parse.__name__ = dimension
     return parse
@@ -66,7 +69,7 @@ _frequency = _quantity("frequency")
 def _band(text: str) -> RealInterval:
     parts = text.split(":")
     if len(parts) != 2:
-        raise _UsageError(f"band must be lo:hi, got {text!r}")
+        raise argparse.ArgumentTypeError(f"band must be lo:hi, got {text!r}")
     return RealInterval(_frequency(parts[0]), _frequency(parts[1]))
 
 

@@ -3,12 +3,15 @@
 Solves div(eps grad V) = 0 on a rectangular box of nx x ny cells with
 piecewise-constant permittivity, by conjugate gradients on the
 flux-conserving five-point stencil, preconditioned by one geometric
-multigrid W-cycle per iteration.  Unknowns sit at cell centers;
-faces between cells of different permittivity carry the harmonic mean,
-which is the exact series composition for interfaces aligned with the
-grid.  Conductors are either blocks of fixed cells or zero-thickness
-horizontal strips pinned on a face line; in both cases the Dirichlet
-surface sits on a face, at half a cell from the neighbouring unknown.
+multigrid W-cycle per iteration.  Unknowns sit at cell centers.
+Conductors are either blocks of fixed cells or zero-thickness
+horizontal strips on a face line.  The discrete system has two parts:
+couplings between neighbouring free cells, each carrying the harmonic
+mean of the two permittivities (the exact series composition for
+interfaces aligned with the grid), and pins, one per face where a free
+cell meets a fixed potential (a fixed cell, a grounded wall, or either
+side of a strip), which tie the cell to that potential across half a
+cell.  The solver and the energy extraction both read this one model.
 
 From a converged solution the module extracts per-unit-length
 capacitance via the discrete field energy (C = 2U/V^2), the effective
@@ -154,12 +157,21 @@ class FieldSolution:
     potential: np.ndarray
     iterations: int
     residual: float
-    converged: bool
     _problem: "_Problem"
 
 
 class _Problem:
-    """Assembled arrays: permittivity, couplings, fixed cells, strips."""
+    """The section's discrete system: free-cell couplings plus pins.
+
+    fx, fy and fw couple neighbouring free cells across interior x
+    faces, interior y faces and the periodic wrap (fw is None unless x
+    is periodic); links lists each with the index of its cells on either
+    side.  pin_cell (flat cell index), pin_coef and pin_val list every
+    face of a free cell that touches a fixed potential.  diag and b are
+    the operator diagonal and right-hand side, zero on fixed cells.
+    Couplings and pins are in units of EPS_0 and include the cell
+    aspect ratio.  This is the only place that reads the wall types.
+    """
 
     def __init__(self, section: CrossSection):
         self.section = section
@@ -235,6 +247,8 @@ class _Problem:
             self.potentials.append(cond.potential)
         if section.x_bc == "grounded" or section.y_bc == "grounded":
             self.potentials.append(0.0)
+        # a strip cuts its face line: no coupling across, a pin either side
+        cut = np.zeros((nx, ny - 1), dtype=bool)  # face below row m at m - 1
         for name, cols, m, pot in strips:
             sides = fixed[cols, m - 1:m + 1] & (fixv[cols, m - 1:m + 1] != pot)
             if sides.any():
@@ -243,71 +257,63 @@ class _Problem:
                     f"conductor {other.name!r} shares a face with strip "
                     f"{name!r} at a different potential: the section is "
                     "shorted")
+            if cut[cols, m - 1].any():
+                raise ValueError("strips overlap on a shared face")
+            cut[cols, m - 1] = True
         self.fixed = fixed
         self.fixv = fixv
 
-        # face transmissivities; tx has nx+1 faces per row, ty ny+1 per col
         free = ~fixed
-        tx = np.zeros((nx + 1, ny))
-        el, er = eps[:-1, :], eps[1:, :]
-        both_free = free[:-1, :] & free[1:, :]
-        one_fixed = free[:-1, :] ^ free[1:, :]
-        harm = 2.0 * el * er / (el + er)
-        half = np.where(free[:-1, :], el, er) * 2.0
-        tx[1:-1, :] = (hy / hx) * np.where(both_free, harm,
-                                           np.where(one_fixed, half, 0.0))
+        cells = np.arange(nx * ny).reshape(nx, ny)
+        pins = []
+
+        def pin(at, ratio, value, where=True):
+            """Pin the free cells at index `at` to value across half a cell."""
+            sel = free[at] & where
+            pins.append((cells[at][sel], ratio * (2.0 * eps[at][sel]),
+                         np.broadcast_to(value, sel.shape)[sel]))
+
+        def couple(a, b, ratio, where=True):
+            """Harmonic-mean couplings between the free cells a and b; a
+            free cell facing a fixed one is pinned to it instead."""
+            pin(a, ratio, fixv[b], fixed[b] & where)
+            pin(b, ratio, fixv[a], fixed[a] & where)
+            ea, eb = eps[a], eps[b]
+            return np.where(free[a] & free[b] & where,
+                            ratio * (2.0 * ea * eb / (ea + eb)), 0.0)
+
+        every = slice(None)
+        x_faces = ((slice(None, -1), every), (slice(1, None), every))
+        y_faces = ((every, slice(None, -1)), (every, slice(1, None)))
+        self.fx = couple(*x_faces, hy / hx)
+        self.fy = couple(*y_faces, hx / hy, ~cut)
+        self.links = [(self.fx, *x_faces), (self.fy, *y_faces)]
+        self.fw = None
+        if section.x_bc == "periodic" and nx > 1:
+            wrap = ((-1, every), (0, every))
+            self.fw = couple(*wrap, hy / hx)
+            self.links.append((self.fw, *wrap))
         if section.x_bc == "grounded":
-            tx[0, :] = 2.0 * eps[0, :] * hy / hx
-            tx[-1, :] = 2.0 * eps[-1, :] * hy / hx
-        elif section.x_bc == "periodic":
-            el, er = eps[-1, :], eps[0, :]
-            bf = free[-1, :] & free[0, :]
-            of = free[-1, :] ^ free[0, :]
-            harm = 2.0 * el * er / (el + er)
-            half = np.where(free[0, :], er, el) * 2.0
-            wrap = (hy / hx) * np.where(bf, harm, np.where(of, half, 0.0))
-            tx[0, :] = wrap
-            tx[-1, :] = wrap
-
-        ty = np.zeros((nx, ny + 1))
-        eb, et = eps[:, :-1], eps[:, 1:]
-        both_free = free[:, :-1] & free[:, 1:]
-        one_fixed = free[:, :-1] ^ free[:, 1:]
-        harm = 2.0 * eb * et / (eb + et)
-        half = np.where(free[:, :-1], eb, et) * 2.0
-        ty[:, 1:-1] = (hx / hy) * np.where(both_free, harm,
-                                           np.where(one_fixed, half, 0.0))
+            for i in (0, -1):
+                pin((i, every), hy / hx, 0.0)
         if section.y_bc == "grounded":
-            ty[:, 0] = 2.0 * eps[:, 0] * hx / hy
-            ty[:, -1] = 2.0 * eps[:, -1] * hx / hy
-
-        # strips break their face and pin both sides at half distance
-        s_coef = np.zeros((nx, ny, 2))  # [:, :, 0] south face, 1 north face
-        s_val = np.zeros((nx, ny, 2))
+            for j in (0, -1):
+                pin((every, j), hx / hy, 0.0)
         for _, cols, m, pot in strips:
-            taken = (s_coef[cols, m, 0] > 0.0) | (s_coef[cols, m - 1, 1] > 0.0)
-            if taken.any():
-                raise ValueError("strips overlap on a shared face")
-            ty_face = ty[:, m].copy()
-            ty_face[cols] = 0.0
-            ty[:, m] = ty_face
-            below = np.zeros(nx, dtype=bool)
-            below[:] = cols
-            s_coef[below, m - 1, 1] = 2.0 * eps[below, m - 1] * hx / hy
-            s_val[below, m - 1, 1] = pot
-            s_coef[below, m, 0] = 2.0 * eps[below, m] * hx / hy
-            s_val[below, m, 0] = pot
-        self.tx = tx
-        self.ty = ty
-        self.s_coef = s_coef
-        self.s_val = s_val
+            for j in (m - 1, m):
+                pin((cols, j), hx / hy, pot)
+        self.pin_cell, self.pin_coef, self.pin_val = (
+            np.concatenate(group) for group in zip(*pins))
 
-        self.bsrc = (s_coef[:, :, 0] * s_val[:, :, 0] +
-                     s_coef[:, :, 1] * s_val[:, :, 1])
-        self.diag = (tx[:-1, :] + tx[1:, :] + ty[:, :-1] + ty[:, 1:] +
-                     s_coef[:, :, 0] + s_coef[:, :, 1])
-        bad = (self.diag == 0.0) & free
-        if bad.any():
+        self.diag = np.bincount(self.pin_cell, weights=self.pin_coef,
+                                minlength=nx * ny).reshape(nx, ny)
+        self.b = np.bincount(self.pin_cell,
+                             weights=self.pin_coef * self.pin_val,
+                             minlength=nx * ny).reshape(nx, ny)
+        for t, a, b in self.links:
+            self.diag[a] += t
+            self.diag[b] += t
+        if ((self.diag == 0.0) & free).any():
             raise ValueError("isolated cells: no coupling to any potential")
 
     def potential_span(self) -> float:
@@ -515,31 +521,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float((a * b).sum())
 
 
-def _fine_level(prob: _Problem) -> tuple[_Level, np.ndarray]:
-    """The operator over the free cells, and its right-hand side.
-
-    The right-hand side gathers every Dirichlet source: strip pins and
-    the couplings of free cells to fixed neighbours.
-    """
-    free = ~prob.fixed
-    tx, ty = prob.tx, prob.ty
-    fx = tx[1:-1, :] * (free[:-1, :] & free[1:, :])
-    fy = ty[:, 1:-1] * (free[:, :-1] & free[:, 1:])
-    fw = None
-    u = np.where(prob.fixed, prob.fixv, 0.0)
-    b = prob.bsrc.copy()
-    b[1:, :] += tx[1:-1, :] * u[:-1, :]
-    b[:-1, :] += tx[1:-1, :] * u[1:, :]
-    b[:, 1:] += ty[:, 1:-1] * u[:, :-1]
-    b[:, :-1] += ty[:, 1:-1] * u[:, 1:]
-    if prob.section.x_bc == "periodic":
-        fw = tx[0, :] * (free[-1, :] & free[0, :])
-        b[0, :] += tx[0, :] * u[-1, :]
-        b[-1, :] += tx[0, :] * u[0, :]
-    b[prob.fixed] = 0.0
-    return _Level(np.where(free, prob.diag, 0.0), fx, fy, fw), b
-
-
 def solve_potential(section: CrossSection, tol: float = DEFAULT_TOL,
                     max_sweeps: int = DEFAULT_MAX_SWEEPS) -> FieldSolution:
     """Solve the section to a potential map.
@@ -563,7 +544,8 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
     early.  start, when given, is a full potential map to iterate from;
     one that already meets the tolerance is returned untouched.
     """
-    fine, b = _fine_level(prob)
+    fine = _Level(prob.diag, prob.fx, prob.fy, prob.fw)
+    b = prob.b
     xp = fine.padded()
     if start is not None:
         xp[1:-1, 1:-1] = np.where(fine.active, start, 0.0)
@@ -611,71 +593,27 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
     return FieldSolution(section=prob.section,
                          potential=np.where(prob.fixed, prob.fixv,
                                             xp[1:-1, 1:-1]),
-                         iterations=iterations, residual=rel, converged=True,
-                         _problem=prob)
+                         iterations=iterations, residual=rel, _problem=prob)
 
 
 def _face_energies(sol: FieldSolution):
     """Yield (energy, region_a, region_b, frac_a) per face group.
 
-    frac_a is the share of the face energy stored on side a; for two
-    dielectrics in series across a face the drop splits inversely to
-    eps, putting eps_b / (eps_a + eps_b) of the energy on side a.
+    One group per coupling array, between the free cells a and b on its
+    two sides, and one for the pins, whose energy is wholly their own
+    cell's.  frac_a is the share of the face energy stored on side a;
+    for two dielectrics in series across a face the drop splits
+    inversely to eps, putting eps_b / (eps_a + eps_b) of the energy on
+    side a.
     """
     prob = sol._problem
-    v = sol.potential
-    sec = sol.section
-    eps = prob.eps
-    rid = prob.region_id
-    free = ~prob.fixed
-    vw = np.where(prob.fixed, prob.fixv, v)
-
-    # interior x faces
-    dl = vw[:-1, :] - vw[1:, :]
-    t = prob.tx[1:-1, :]
-    e = 0.5 * t * dl * dl
-    el, er = eps[:-1, :], eps[1:, :]
-    both = free[:-1, :] & free[1:, :]
-    frac_l = np.where(both, er / (el + er), np.where(free[:-1, :], 1.0, 0.0))
-    yield e, rid[:-1, :], rid[1:, :], frac_l
-
-    # interior y faces
-    dl = vw[:, :-1] - vw[:, 1:]
-    t = prob.ty[:, 1:-1]
-    e = 0.5 * t * dl * dl
-    eb, et = eps[:, :-1], eps[:, 1:]
-    both = free[:, :-1] & free[:, 1:]
-    frac_b = np.where(both, et / (eb + et), np.where(free[:, :-1], 1.0, 0.0))
-    yield e, rid[:, :-1], rid[:, 1:], frac_b
-
-    # walls (grounded only; neumann faces carry zero T, periodic wrap below)
-    if sec.x_bc == "grounded":
-        for sl, tface in (((0, slice(None)), prob.tx[0, :]),
-                          ((-1, slice(None)), prob.tx[-1, :])):
-            dv = vw[sl]
-            e = 0.5 * tface * dv * dv
-            yield e, rid[sl], rid[sl], np.ones_like(e)
-    elif sec.x_bc == "periodic":
-        dv = vw[-1, :] - vw[0, :]
-        e = 0.5 * prob.tx[0, :] * dv * dv
-        el, er = eps[-1, :], eps[0, :]
-        both = free[-1, :] & free[0, :]
-        frac_l = np.where(both, er / (el + er), np.where(free[-1, :], 1.0,
-                                                         0.0))
-        yield e, rid[-1, :], rid[0, :], frac_l
-    if sec.y_bc == "grounded":
-        for sl, tface in (((slice(None), 0), prob.ty[:, 0]),
-                          ((slice(None), -1), prob.ty[:, -1])):
-            dv = vw[sl]
-            e = 0.5 * tface * dv * dv
-            yield e, rid[sl], rid[sl], np.ones_like(e)
-
-    # strip pins, both sides
-    for side in (0, 1):
-        coef = prob.s_coef[:, :, side]
-        dv = vw - prob.s_val[:, :, side]
-        e = 0.5 * coef * dv * dv
-        yield e, rid, rid, np.ones_like(e)
+    v, eps, rid = sol.potential, prob.eps, prob.region_id
+    for t, a, b in prob.links:
+        dv = v[a] - v[b]
+        yield 0.5 * t * dv * dv, rid[a], rid[b], eps[b] / (eps[a] + eps[b])
+    dv = v.ravel()[prob.pin_cell] - prob.pin_val
+    rp = rid.ravel()[prob.pin_cell]
+    yield 0.5 * prob.pin_coef * dv * dv, rp, rp, 1.0
 
 
 def _total_energy(sol: FieldSolution) -> float:

@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from flipkit.fieldsolve import Conductor, CrossSection, DielectricRegion, Rect
 
 # field solves and CPB diagonalizations blow past the default deadline on
 # loaded CI boxes; wall-time limits belong to the acceptance tests instead
@@ -8,3 +11,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("flipkit")
+
+
+@pytest.fixture
+def plate_section():
+    """Builder of two full-width plates separated by gap_cells of dielectric.
+
+    Periodic side walls remove fringing entirely, so C' = eps W / d
+    holds exactly up to discretization.
+    """
+
+    def build(eps_r=1.0, nx=64, ny=32, gap_cells=16, x_bc="periodic"):
+        w, h = 64e-6, 32e-6
+        hy = h / ny
+        y_lo = (ny - gap_cells) / 2 * hy
+        y_hi = y_lo + gap_cells * hy
+        return CrossSection(
+            width=w, height=h, nx=nx, ny=ny,
+            regions=[DielectricRegion("fill", Rect(0, w, 0, h), eps_r)],
+            conductors=[Conductor("top", Rect(0, w, y_hi, h), 1.0),
+                        Conductor("bottom", Rect(0, w, 0, y_lo), 0.0)],
+            x_bc=x_bc, y_bc="neumann")
+
+    return build

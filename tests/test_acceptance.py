@@ -200,10 +200,8 @@ def test_criterion_10_loss_trends():
                    f"{monotone}", t0)
 
 
-def test_criterion_11_field_solver():
+def test_criterion_11_field_solver(plate_section):
     t0 = time.perf_counter()
-    from tests.test_fieldsolve import plate_section
-
     sec = plate_section()
     c_plate = capacitance_per_length(solve_potential(sec))
     c_want = 8.8541878128e-12 * sec.width / (16 * sec.hy)

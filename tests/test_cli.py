@@ -40,6 +40,21 @@ def test_conflicting_cpw_flags(capsys):
     assert code == 1
 
 
+def test_bad_band_unit_keeps_its_message(capsys):
+    code, _, err = run(capsys, "match", "--band", "4GHz:8parsec")
+    assert code == 1
+    assert "frequency has no unit 'parsec'" in err
+    code, _, err = run(capsys, "match", "--band", "4GHz")
+    assert code == 1
+    assert "band must be lo:hi" in err
+
+
+def test_bad_length_unit_keeps_its_message(capsys):
+    code, _, err = run(capsys, "cpw", "--w", "10parsec")
+    assert code == 1
+    assert "length has no unit 'parsec'" in err
+
+
 def test_numeric_failure_exit_2(capsys):
     # cutoff too small for this ratio -> CutoffError -> 2
     code, _, err = run(capsys, "transmon", "--cj", "8fF", "--cs", "81fF",

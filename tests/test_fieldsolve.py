@@ -19,25 +19,7 @@ GEOM = CpwGeometry(trace_width=10e-6, gap=5.806e-6, eps_substrate=11.9,
                    eps_superstrate=1.0)
 
 
-def plate_section(eps_r=1.0, nx=64, ny=32, gap_cells=16, x_bc="periodic"):
-    """Two full-width plates separated by gap_cells of dielectric.
-
-    Periodic side walls remove fringing entirely, so C' = eps W / d
-    holds exactly up to discretization.
-    """
-    w, h = 64e-6, 32e-6
-    hy = h / ny
-    y_lo = (ny - gap_cells) / 2 * hy
-    y_hi = y_lo + gap_cells * hy
-    return CrossSection(
-        width=w, height=h, nx=nx, ny=ny,
-        regions=[DielectricRegion("fill", Rect(0, w, 0, h), eps_r)],
-        conductors=[Conductor("top", Rect(0, w, y_hi, h), 1.0),
-                    Conductor("bottom", Rect(0, w, 0, y_lo), 0.0)],
-        x_bc=x_bc, y_bc="neumann")
-
-
-def test_parallel_plate_capacitance():
+def test_parallel_plate_capacitance(plate_section):
     sec = plate_section()
     sol = solve_potential(sec)
     d = 16 * sec.hy
@@ -45,13 +27,13 @@ def test_parallel_plate_capacitance():
     assert capacitance_per_length(sol) == pytest.approx(want, rel=0.01)
 
 
-def test_parallel_plate_dielectric_scaling():
+def test_parallel_plate_dielectric_scaling(plate_section):
     c_vac = capacitance_per_length(solve_potential(plate_section(1.0)))
     c_sub = capacitance_per_length(solve_potential(plate_section(6.45)))
     assert c_sub == pytest.approx(6.45 * c_vac, rel=1e-3)
 
 
-def test_plate_potential_is_linear_ramp():
+def test_plate_potential_is_linear_ramp(plate_section):
     sec = plate_section(nx=16, ny=32)
     sol = solve_potential(sec)
     _, ys = sec.cell_centers()
@@ -61,7 +43,7 @@ def test_plate_potential_is_linear_ramp():
     assert np.allclose(mid[inside], ramp, atol=1e-6)
 
 
-def test_equal_potentials_give_field_free_solution():
+def test_equal_potentials_give_field_free_solution(plate_section):
     sec = plate_section()
     sec = CrossSection(width=sec.width, height=sec.height, nx=sec.nx,
                        ny=sec.ny, regions=sec.regions,
@@ -74,7 +56,7 @@ def test_equal_potentials_give_field_free_solution():
     assert np.allclose(sol.potential, 1.0, atol=1e-7)
 
 
-def test_capacitance_monotone_in_separation():
+def test_capacitance_monotone_in_separation(plate_section):
     caps = [capacitance_per_length(solve_potential(plate_section(
         gap_cells=g))) for g in (8, 16, 24)]
     assert caps[0] > caps[1] > caps[2]
@@ -141,7 +123,7 @@ def test_participation_sums_to_one():
     assert p["substrate"] > p["interlayer"]
 
 
-def test_participation_single_region():
+def test_participation_single_region(plate_section):
     sec = plate_section()
     p = energy_participation(solve_potential(sec))
     assert p == {"fill": pytest.approx(1.0, abs=1e-12)}
@@ -356,7 +338,31 @@ def dense_oracle(sec):
     a = np.zeros((len(free), len(free)))
     np.add.at(a, (rows, cols), vals)
     v = oracle_potential(sec, np.linalg.solve(a, b), free, fixed)
-    return v, oracle_capacitance(sec, v, links, pins)
+    return v, links, pins
+
+
+def oracle_participation(sec, v, links, pins):
+    """Energy share per region from the oracle's links and pins.
+
+    A link's energy splits eps_b / (eps_a + eps_b) to side a and the
+    rest to side b; a pin's energy is wholly its own cell's.
+    """
+    xs, ys = sec.cell_centers()
+
+    def region(c):
+        return next(r for r in sec.regions
+                    if r.rect.contains(xs[c[0]], ys[c[1]]))
+
+    energy = {r.name: 0.0 for r in sec.regions}
+    for a, c, t in links:
+        ra, rc = region(a), region(c)
+        e = 0.5 * t * (v[a] - v[c]) ** 2
+        energy[ra.name] += e * rc.eps_r / (ra.eps_r + rc.eps_r)
+        energy[rc.name] += e * ra.eps_r / (ra.eps_r + rc.eps_r)
+    for a, pot, t in pins:
+        energy[region(a).name] += 0.5 * t * (v[a] - pot) ** 2
+    total = sum(energy.values())
+    return {name: e / total for name, e in energy.items()}
 
 
 def layered_strip_section(nx, ny, x_bc, y_bc, block_x=None):
@@ -380,25 +386,46 @@ def layered_strip_section(nx, ny, x_bc, y_bc, block_x=None):
             Conductor("ground", Rect(0, 3e-6, y_face, y_face), 0.0)])
 
 
-@pytest.mark.parametrize("sec", [
-    layered_strip_section(33, 21, "grounded", "grounded"),
-    layered_strip_section(33, 21, "periodic", "grounded"),
-    layered_strip_section(20, 17, "neumann", "grounded"),
-    layered_strip_section(31, 16, "periodic", "neumann"),
-    layered_strip_section(13, 11, "grounded", "neumann"),
-    layered_strip_section(25, 19, "periodic", "grounded", block_x=0.0),
-    plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13),
+@pytest.fixture(params=[
+    (33, 21, "grounded", "grounded"),
+    (33, 21, "periodic", "grounded"),
+    (20, 17, "neumann", "grounded"),
+    (31, 16, "periodic", "neumann"),
+    (13, 11, "grounded", "neumann"),
+    (25, 19, "periodic", "grounded", 0.0),
+    "plates",
 ], ids=["grounded", "periodic", "neumann-x", "periodic-neumann-y",
         "neumann-y", "block-across-wrap", "plates"])
-def test_dense_direct_solve_oracle(sec):
+def oracle_section(request, plate_section):
+    """Small sections for the dense oracle: every wall type, strips,
+    volume conductors, a block across the periodic wrap, odd sizes."""
+    if request.param == "plates":
+        return plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13)
+    return layered_strip_section(*request.param)
+
+
+def test_dense_direct_solve_oracle(oracle_section):
+    sec = oracle_section
     # C' at the default tolerance; the potential itself once the residual
     # is driven near rounding
-    v_ref, c_ref = dense_oracle(sec)
+    v_ref, links, pins = dense_oracle(sec)
+    c_ref = oracle_capacitance(sec, v_ref, links, pins)
     sol = solve_potential(sec)
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-9)
     assert sol.residual <= fieldsolve.DEFAULT_TOL
     tight = solve_potential(sec, tol=1e-12)
     assert np.abs(tight.potential - v_ref).max() <= 1e-10
+
+
+def test_dense_participation_oracle(oracle_section):
+    # every region's share at the default tolerance, against the shares
+    # of the dense solution's link and pin energies
+    v_ref, links, pins = dense_oracle(oracle_section)
+    want = oracle_participation(oracle_section, v_ref, links, pins)
+    got = energy_participation(solve_potential(oracle_section))
+    assert got.keys() == want.keys()
+    for name, share in want.items():
+        assert abs(got[name] - share) <= 1e-9, name
 
 
 def test_sparse_direct_solve_oracle_at_1um():
