@@ -14,7 +14,7 @@ import pathlib
 import numpy as np
 
 from flipkit import device
-from flipkit.cli import emit_plot
+from flipkit.plot import emit_plot
 
 
 def main(argv=None) -> int:

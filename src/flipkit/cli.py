@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -29,12 +28,6 @@ from .units import parse_quantity, round12
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERIC = 2
-
-_SVG_W, _SVG_H = 800, 500
-_MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 160, 20, 50
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
-            "#8c564b")
-
 
 class _UsageError(ValueError):
     pass
@@ -152,127 +145,6 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-# SVG plotting
-
-
-def _axis_ticks(lo: float, hi: float, log: bool) -> list[float]:
-    if log:
-        decades = range(math.ceil(math.log10(lo) - 1e-9),
-                        math.floor(math.log10(hi) + 1e-9) + 1)
-        ticks = [10.0 ** d for d in decades]
-        if len(ticks) > 8:  # subsample, keep ends
-            step = math.ceil(len(ticks) / 8)
-            ticks = ticks[::step] + ([ticks[-1]] if (len(ticks) - 1) % step
-                                     else [])
-        if ticks:
-            return ticks
-    return [float(x) for x in np.linspace(lo, hi, 5)]
-
-
-def emit_plot(table: SweepTable, x_name: str, y_names: list[str],
-              path: str, logx: bool = False, logy: bool = False):
-    """Deterministic 800x500 SVG line chart of table columns.
-
-    The x column may be the sweep parameter or any metric column; every
-    series shares the y axis.  Log axes demand positive data.  Needs at
-    least two rows (a single point draws no line) and raises ValueError
-    otherwise.
-    """
-    series = dict(table.columns)
-    series[table.param_name] = list(table.param_values)
-    for name in [x_name, *y_names]:
-        if name not in series:
-            raise ValueError(f"unknown column {name!r}")
-    if not y_names:
-        raise ValueError("no y columns to plot")
-    xs = [float(v) for v in series[x_name]]
-    if len(xs) < 2:
-        raise ValueError("need at least two rows to draw a line")
-    ys = {name: [float(v) for v in series[name]] for name in y_names}
-
-    def to_axis(values: list[float], log: bool, label: str) -> list[float]:
-        if not log:
-            return values
-        if min(values) <= 0.0:
-            raise ValueError(f"log axis needs positive {label} values")
-        return [math.log10(v) for v in values]
-
-    ax = to_axis(xs, logx, "x")
-    ay = {n: to_axis(v, logy, "y") for n, v in ys.items()}
-    x_lo, x_hi = min(ax), max(ax)
-    all_y = [v for col in ay.values() for v in col]
-    y_lo, y_hi = min(all_y), max(all_y)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-
-    def px(v: float) -> float:
-        return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * (
-            _SVG_W - _MARGIN_L - _MARGIN_R)
-
-    def py(v: float) -> float:
-        return _SVG_H - _MARGIN_B - (v - y_lo) / (y_hi - y_lo) * (
-            _SVG_H - _MARGIN_T - _MARGIN_B)
-
-    left, right = _MARGIN_L, _SVG_W - _MARGIN_R
-    top, bottom = _MARGIN_T, _SVG_H - _MARGIN_B
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
-        f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" '
-        'fill="white"/>',
-        '<g font-family="monospace" font-size="12" fill="black">',
-        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" '
-        'stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" '
-        'stroke="black"/>',
-    ]
-    for t in _axis_ticks(10.0 ** x_lo if logx else x_lo,
-                         10.0 ** x_hi if logx else x_hi, logx):
-        v = math.log10(t) if logx else t
-        if not x_lo - 1e-9 <= v <= x_hi + 1e-9:
-            continue
-        x = px(v)
-        parts.append(f'<line x1="{x:.2f}" y1="{bottom}" x2="{x:.2f}" '
-                     f'y2="{bottom + 5}" stroke="black"/>')
-        parts.append(f'<text x="{x:.2f}" y="{bottom + 18}" '
-                     f'text-anchor="middle">{t:.6g}</text>')
-    for t in _axis_ticks(10.0 ** y_lo if logy else y_lo,
-                         10.0 ** y_hi if logy else y_hi, logy):
-        v = math.log10(t) if logy else t
-        if not y_lo - 1e-9 <= v <= y_hi + 1e-9:
-            continue
-        y = py(v)
-        parts.append(f'<line x1="{left - 5}" y1="{y:.2f}" x2="{left}" '
-                     f'y2="{y:.2f}" stroke="black"/>')
-        parts.append(f'<text x="{left - 8}" y="{y + 4:.2f}" '
-                     f'text-anchor="end">{t:.6g}</text>')
-    parts.append(f'<text x="{(left + right) / 2:.2f}" y="{_SVG_H - 12}" '
-                 f'text-anchor="middle">{x_name}</text>')
-
-    for i, name in enumerate(y_names):
-        color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}"
-                       for a, b in zip(ax, ay[name]))
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        # label both endpoints with the data values
-        for j in (0, -1):
-            x, y = px(ax[j]), py(ay[name][j])
-            anchor = "start" if j == 0 else "end"
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
-                         f'fill="{color}"/>')
-            parts.append(f'<text x="{x:.2f}" y="{y - 6:.2f}" '
-                         f'text-anchor="{anchor}" fill="{color}">'
-                         f'{ys[name][j]:.6g}</text>')
-        parts.append(f'<text x="{right + 8}" y="{top + 14 * (i + 1)}" '
-                     f'fill="{color}">{name}</text>')
-    parts.append("</g>")
-    parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
-
-
 # subcommands
 
 
@@ -325,6 +197,7 @@ def _cmd_smatrix(args) -> dict:
     if args.out:
         _write_text(args.out, resp.to_csv())
     if args.plot:
+        from .plot import emit_plot
         chart = SweepTable(param_name="freq_hz")
         for f, db in zip(resp.frequencies, resp.magnitude_db("s21")):
             chart.add_row(float(f), s21_db=float(db))
@@ -361,6 +234,7 @@ def _cmd_match(args) -> dict:
     if args.out:
         _write_text(args.out, table.to_csv())
     if args.plot:
+        from .plot import emit_plot
         emit_plot(table, "z_port_ohm", ["worst_s11_db"], args.plot)
     return {
         "line_z0_ohm": args.line_z0,
@@ -379,6 +253,15 @@ def _cmd_fieldsolve(args) -> dict:
     section = fieldsolve.cpw_cross_section(
         geometry, cell=args.cell, box_factor=args.box_factor,
         interlayer_thickness=args.interlayer)
+    if args.interlayer is not None and not any(
+            c.name == "facing_ground" for c in section.conductors):
+        # the library leaves such a ground out; asked for here, it must fit
+        raise _UsageError(
+            f"--interlayer {args.interlayer:.6g} m puts the facing ground "
+            f"outside the box: it must be at least one cell "
+            f"({args.cell:.6g} m) and below the box half-height "
+            f"({0.5 * section.height:.6g} m); change --interlayer, --cell "
+            "or --box-factor")
     sol = fieldsolve.solve_potential(section, tol=args.tol,
                                      max_sweeps=args.max_sweeps)
     if args.dump_potential:
@@ -436,6 +319,7 @@ def _cmd_sweep(args) -> None:
     if args.out:
         _write_text(args.out, csv_text)
     if args.plot:
+        from .plot import emit_plot
         y_names = (args.y.split(",") if args.y
                    else [table.header()[1]])
         x_name = args.x if args.x else table.param_name
@@ -565,6 +449,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`flipkit ... | head`): stop quietly, and
+        # send what is still buffered to devnull so that the flush at
+        # exit cannot fail again; 1 is Python's own exit code on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -577,6 +475,8 @@ def main(argv=None) -> int:
             network.ExtractionError) as exc:
         print(f"flipkit: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:  # a closed stdout is main's to handle
+        raise
     except (ValueError, KeyError, OSError) as exc:
         print(f"flipkit: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .constants import C_LIGHT, EPS_0
 from .cpw import CpwGeometry
@@ -323,134 +324,153 @@ class _Problem:
         return max(pots) - min(pots)
 
 
+# neighbours west, east, south, north; quadrants of red, black cells
+_SHIFTS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+_QUADS = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
+
+
 class _Level:
     """One grid of the multigrid hierarchy: a five-point SPD operator.
 
-    fx and fy couple neighbouring active cells across interior x and y
-    faces, fw across the periodic wrap (None unless x is periodic).
-    Couplings to fixed cells, walls and strips live in the diagonal
-    alone.  Inactive cells (fixed cells, or padding on coarse grids)
-    carry zero diagonal and zero couplings, so they stay at zero.
+    diag, fx, fy and fw are as in _Problem (fw joins x-cells 0 and
+    nx - 1).  Inactive cells, fixed or padding, have zero diagonal and
+    couplings, so they stay at zero.  Sides are padded to a multiple of
+    4, so that this grid and the coarse one split into whole quadrants.
+    A vector holds cell (2i + a, 2j + b) at [a, b, i, j]; an iterate,
+    with a ghost ring, at [a, b, i + 1, j + 1].  Then one neighbour of
+    all cells of a colour (red is a + b even) is one view contiguous
+    along y, and a 2 x 2 block is one [i, j] across the quadrants.  The
+    level owns the cycle's iterate x and right-hand side r.
     """
 
     def __init__(self, diag: np.ndarray, fx: np.ndarray, fy: np.ndarray,
                  fw: np.ndarray | None):
         self.nx, self.ny = nx, ny = diag.shape
-        self.diag, self.fx, self.fy, self.fw = diag, fx, fy, fw
-        self.active = diag > 0.0
-        inv = np.zeros((nx, ny))
-        inv[self.active] = 1.0 / diag[self.active]
-        cw = np.zeros((nx, ny))
-        ce = np.zeros((nx, ny))
-        cs = np.zeros((nx, ny))
-        cn = np.zeros((nx, ny))
-        cw[1:, :] = fx
-        ce[:-1, :] = fx
-        cs[:, 1:] = fy
-        cn[:, :-1] = fy
+        self.mx, self.my = mx, my = 4 * -(-nx // 4), 4 * -(-ny // 4)
+        self.h, self.w = h, w = mx // 2, my // 2
+        # couplings to _SHIFTS neighbours, diag, 1 / diag; per colour in coef
+        self.c = c = np.zeros((6, mx, my))
+        c[0, 1:nx, :ny] = c[1, :nx - 1, :ny] = fx
+        c[2, :nx, 1:ny] = c[3, :nx, :ny - 1] = fy
+        c[4, :nx, :ny] = diag
+        np.divide(1.0, c[4], out=c[5], where=c[4] > 0.0)
+        self.diag, self.fw = c[4], None
+        quads = c.reshape(6, h, 2, w, 2).transpose(0, 2, 4, 1, 3).copy()
         if fw is not None:
-            cw[0, :] = fw
-            ce[-1, :] = fw
-        self.cw, self.ce, self.cs, self.cn = cw, ce, cs, cn
+            self.fw = np.pad(fw, (0, my - ny))
+            quads[0, 0, :, 0] = quads[1, (nx - 1) % 2, :, (nx - 1) // 2] = (
+                self.fw.reshape(w, 2).T)
+        # x-cells 0 and nx - 1 share a colour, and the wrap joins them
+        self.odd_wrap = fw is not None and nx % 2 == 1
+        self.coef = [[self._view(q, k) for q in quads] for k in (0, 1)]
+        self.x, self.r = np.zeros((2, 2, h + 2, w + 2)), np.zeros((2, 2, h, w))
+        self.xv = self.bind(self.x)
+        self.rv = [self._view(self.r, colour) for colour in (0, 1)]
+        self.num, self.tmp = np.empty((2, h, w)), np.empty((2, h, w))
+        self.up = np.empty((h, w))
 
-        # checkerboard Gauss-Seidel: cells of one parity never neighbour
-        # each other, so each half-sweep is a pure array update over two
-        # of the four strided quadrant views of the padded iterate
-        self.quads: tuple[list, list] = ([], [])
-        for a in (0, 1):
-            for b in (0, 1):
-                qs = (slice(a, None, 2), slice(b, None, 2))
-                ci = slice(1 + a, nx + 1, 2)
-                cj = slice(1 + b, ny + 1, 2)
-                self.quads[(a + b) % 2].append((
-                    qs, (ci, cj), (slice(a, nx, 2), cj),
-                    (slice(2 + a, nx + 2, 2), cj), (ci, slice(b, ny, 2)),
-                    (ci, slice(2 + b, ny + 2, 2)),
-                    np.ascontiguousarray(cw[qs]),
-                    np.ascontiguousarray(ce[qs]),
-                    np.ascontiguousarray(cs[qs]),
-                    np.ascontiguousarray(cn[qs]),
-                    np.ascontiguousarray(inv[qs])))
+    def _view(self, a: np.ndarray, colour: int, shift=(0, 0)) -> np.ndarray:
+        """(2, h, w) view of the quadrant array a at the cells of one
+        colour, each moved to its neighbour at shift."""
+        pad, (dx, dy), st = (a.shape[2] - self.h) // 2, shift, a.strides
+        o0, o1 = (((p + dx) % 2) * st[0] + ((q + dy) % 2) * st[1] +
+                  (pad + (p + dx) // 2) * st[2] + (pad + (q + dy) // 2) * st[3]
+                  for p, q in _QUADS[colour])
+        return as_strided(a.reshape(-1)[o0 // a.itemsize:],
+                          (2, self.h, self.w), (o1 - o0,) + st[2:])
 
-    def padded(self) -> np.ndarray:
-        """Zero iterate with one ghost cell on every side."""
-        return np.zeros((self.nx + 2, self.ny + 2))
+    def bind(self, u: np.ndarray):
+        """Per colour, views of u at the _SHIFTS neighbours and in place;
+        (ghost, source) pairs: x-cell -1 is nx - 1, x-cell nx is 0."""
+        n = self.nx
+        return ([[self._view(u, colour, s) for s in (*_SHIFTS, (0, 0))]
+                 for colour in (0, 1)],
+                [] if self.fw is None else [
+                    (u[1, :, 0], u[(n - 1) % 2, :, 1 + (n - 1) // 2]),
+                    (u[n % 2, :, 1 + n // 2], u[0, :, 1])])
 
-    def _ghosts(self, xp: np.ndarray) -> None:
-        if self.fw is not None:
-            xp[0, 1:-1] = xp[-2, 1:-1]
-            xp[-1, 1:-1] = xp[1, 1:-1]
+    def split(self, v: np.ndarray) -> np.ndarray:
+        """The nx x ny array v in quadrant storage."""
+        v = np.pad(v, ((0, self.mx - self.nx), (0, self.my - self.ny)))
+        return v.reshape(self.h, 2, self.w, 2).transpose(1, 3, 0, 2).copy()
 
-    def apply(self, xp: np.ndarray) -> np.ndarray:
-        """A x for a padded iterate, as an unpadded array."""
-        self._ghosts(xp)
-        y = self.diag * xp[1:-1, 1:-1]
-        y -= self.cw * xp[:-2, 1:-1]
-        y -= self.ce * xp[2:, 1:-1]
-        y -= self.cs * xp[1:-1, :-2]
-        y -= self.cn * xp[1:-1, 2:]
-        return y
+    def join(self, u: np.ndarray) -> np.ndarray:
+        """The iterate u as an nx x ny array."""
+        return u[:, :, 1:-1, 1:-1].transpose(2, 0, 3, 1).reshape(
+            self.mx, self.my)[:self.nx, :self.ny]
 
-    def smooth(self, xp: np.ndarray, r: np.ndarray, colours) -> None:
-        """Gauss-Seidel half-sweeps on A x = r, one per colour given."""
-        for colour in colours:
-            self._ghosts(xp)
-            for qs, c, w, e, s, n, cw, ce, cs, cn, inv in self.quads[colour]:
-                num = cw * xp[w]
-                num += ce * xp[e]
-                num += cs * xp[s]
-                num += cn * xp[n]
-                num += r[qs]
-                num *= inv
-                xp[c] = num
+    def _pull(self, colour: int, bound, out: np.ndarray) -> np.ndarray:
+        """out = sum of coupling x neighbour over the four faces."""
+        for ghost, source in bound[1]:
+            ghost[...] = source
+        c, v = self.coef[colour], bound[0][colour]
+        np.multiply(c[0], v[0], out=out)
+        for k in (1, 2, 3):
+            out += np.multiply(c[k], v[k], out=self.tmp)
+        return out
+
+    def apply(self, bound, out: np.ndarray) -> np.ndarray:
+        """out = A u for the iterate u that bound came from."""
+        for colour in (0, 1):
+            pull = self._pull(colour, bound, self.num)
+            res = np.multiply(self.coef[colour][4], bound[0][colour][4],
+                              out=self._view(out, colour))
+            res -= pull
+        return out
+
+    def sweep(self, colour: int, zero: bool = False) -> None:
+        """A Gauss-Seidel half-sweep of A x = r over one colour; zero
+        says x is zero on the other one, so there are no neighbours."""
+        if zero and self.odd_wrap:  # the wrap partner is read next
+            self.x[...] = 0.0
+        num = self.rv[colour]
+        if not zero:
+            num = self._pull(colour, self.xv, self.num)
+            num += self.rv[colour]
+        np.multiply(num, self.coef[colour][5], out=self.xv[0][colour][4])
+
+    def restrict(self) -> None:
+        """Coarse r = r - A x summed over 2 x 2 blocks, right after a
+        black half-sweep, which leaves residual on red cells only."""
+        blocks = (self.h // 2, 2, self.w // 2, 2)
+        if self.odd_wrap:  # and on the black cells that the wrap joins
+            res = self.r - self.apply(self.xv, np.empty_like(self.r))
+            self.coarse_r[...] = res.sum(axis=(0, 1)).reshape(blocks)
+            return
+        res = self._pull(0, self.xv, self.num)
+        res += self.rv[0]
+        res -= np.multiply(self.coef[0][4], self.xv[0][0][4], out=self.tmp)
+        np.add(res[0].reshape(blocks), res[1].reshape(blocks),
+               out=self.coarse_r)
+
+    def prolong(self, gain: float) -> None:
+        """x += gain times the coarse iterate, constant on each block."""
+        np.multiply(self.coarse_x, gain,
+                    out=self.up.reshape(self.h // 2, 2, self.w // 2, 2))
+        self.x[:, :, 1:-1, 1:-1] += self.up
 
     def coarsen(self) -> "_Level":
-        """Galerkin operator of 2 x 2 piecewise-constant aggregation.
-
-        A coarse face coupling is the sum of the fine couplings across
-        it; couplings inside a block drop out of the diagonal.  Odd
-        sides are padded with one inactive row or column first.
-        """
-        nx, ny = self.nx, self.ny
-        mx, my = nx + nx % 2, ny + ny % 2
-        d = np.zeros((mx, my))
-        d[:nx, :ny] = self.diag
-        fx = np.zeros((mx - 1, my))
-        fx[:nx - 1, :ny] = self.fx
-        fy = np.zeros((mx, my - 1))
-        fy[:nx, :ny - 1] = self.fy
-        inner = _pair_sum(fx[0::2], 1) + _pair_sum(fy[:, 0::2], 0)
-        diag = _pair_sum(_pair_sum(d, 0), 1) - 2.0 * inner
+        """Galerkin operator of 2 x 2 piecewise-constant aggregation: a
+        coarse face coupling sums the fine ones across it, and those
+        inside a block drop out of the diagonal.  Links this level to
+        the coarse r and x in natural order."""
+        ce, cn, d = (self.c[k].reshape(self.h, 2, self.w, 2)
+                     for k in (1, 3, 4))  # indexed [i, a, j, b]
+        diag = d.sum(axis=(1, 3)) - 2.0 * (ce[:, 0].sum(2) + cn[..., 0].sum(1))
+        cx, cy = (self.nx + 1) // 2, (self.ny + 1) // 2
         fw = None
         if self.fw is not None:
-            fw = np.zeros(my)
-            fw[:ny] = self.fw
-            fw = _pair_sum(fw, 0)
-            if mx == 2:  # the wrap now joins a block to itself
-                diag[0, :] -= 2.0 * fw
+            fw = self.fw.reshape(self.w, 2).sum(1)[:cy]
+            if cx == 1:  # the wrap now joins a block to itself
+                diag[0, :cy] -= 2.0 * fw
                 fw = None
-        return _Level(diag, _pair_sum(fx[1::2], 1), _pair_sum(fy[:, 1::2], 0),
-                      fw)
-
-    def restrict(self, r: np.ndarray) -> np.ndarray:
-        nx, ny = self.nx, self.ny
-        if nx % 2 or ny % 2:
-            even = np.zeros((nx + nx % 2, ny + ny % 2))
-            even[:nx, :ny] = r
-            r = even
-        return _pair_sum(_pair_sum(r, 0), 1)
-
-    def prolong(self, xc: np.ndarray) -> np.ndarray:
-        fine = xc.repeat(2, axis=0).repeat(2, axis=1)[:self.nx, :self.ny]
-        fine[~self.active] = 0.0
-        return fine
-
-
-def _pair_sum(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum index pairs (0 + 1, 2 + 3, ...) along an axis of even length."""
-    if axis == 0:
-        return a[0::2] + a[1::2]
-    return a[:, 0::2] + a[:, 1::2]
+        coarse = _Level(diag[:cx, :cy], ce[:, 1].sum(2)[:cx - 1, :cy],
+                        cn[..., 1].sum(1)[:cx, :cy - 1], fw)
+        blocks = (slice(self.h // 2), slice(None), slice(self.w // 2))
+        self.coarse_r, self.coarse_x = (
+            a.transpose(2, 0, 3, 1)[blocks]
+            for a in (coarse.r, coarse.x[:, :, 1:-1, 1:-1]))
+        return coarse
 
 
 class _Multigrid:
@@ -465,54 +485,71 @@ class _Multigrid:
     coarse level but the last is cycled twice per visit, a W-cycle:
     a V-cycle compounds the scaling error level by level, and its CG
     iteration count grew from 12 to 27 between 2 and 0.25 um cells.
-    The coarsest grid holds at most COARSEST_CELLS cells and is solved
-    with a precomputed inverse; LAPACK stays on its unthreaded path at
-    that size.
+    A visit's first half-sweep has no neighbour terms, and only red
+    cells have residual to restrict.  The coarsest grid, at most
+    COARSEST_CELLS cells, is solved by an inverse formed by Gauss-Jordan
+    elimination: LAPACK's at that size now and then stalls on threads.
     """
 
     COARSE_GAIN = 1.9
-    COARSEST_CELLS = 64
+    COARSEST_CELLS = 256
 
     def __init__(self, fine: _Level):
         self.levels = [fine]
         while self.levels[-1].nx * self.levels[-1].ny > self.COARSEST_CELLS:
             self.levels.append(self.levels[-1].coarsen())
-        self.cells = np.flatnonzero(self.levels[-1].active)
-        self.inverse = np.linalg.inv(_dense(self.levels[-1])[
-            np.ix_(self.cells, self.cells)])
+        last = self.levels[-1]
+        idx = np.arange(last.mx * last.my).reshape(last.mx, last.my)
+        a = np.diag(last.diag.ravel())  # the operator, dense, row-major
+        for c, (dx, dy) in zip(last.c, _SHIFTS):  # coupling past an edge: 0
+            a[idx, np.roll(idx, (-dx, -dy), (0, 1))] -= c
+        if last.fw is not None:
+            a[idx[last.nx - 1], idx[0]] -= last.fw
+            a[idx[0], idx[last.nx - 1]] -= last.fw
+        cells = np.flatnonzero(last.diag > 0.0)  # row-major: a narrow band
+        self.inverse = _gauss_jordan_inverse(a[np.ix_(cells, cells)])
+        xs, ys = np.divmod(cells, last.my)
+        at = (xs % 2, ys % 2, xs // 2, ys // 2)
+        self.rows = np.ravel_multi_index(at, last.r.shape)
+        self.slots = np.ravel_multi_index(at[:2] + (at[2] + 1, at[3] + 1),
+                                          last.x.shape)
+        self.rhs, self.sol = last.r.reshape(-1), last.x.reshape(-1)
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        xp = self.levels[0].padded()
-        self._cycle(0, r, xp)
-        return xp[1:-1, 1:-1]
-
-    def _cycle(self, k: int, r: np.ndarray, xp: np.ndarray) -> None:
-        """Improve the padded iterate xp of A_k x = r in place."""
-        lv = self.levels[k]
-        last = len(self.levels) - 1
+    def __call__(self, k: int = 0, zero: bool = True) -> np.ndarray:
+        """Improve and return level k's x towards A_k x = r_k, where zero
+        says x starts at zero: called bare, z = M r for the fine r."""
+        lv, last = self.levels[k], len(self.levels) - 1
         if k == last:
-            x = np.zeros(lv.nx * lv.ny)
-            # a row sum, not a BLAS matrix-vector product (see _dot)
-            x[self.cells] = (self.inverse * r.ravel()[self.cells]).sum(axis=1)
-            xp[1:-1, 1:-1] = x.reshape(lv.nx, lv.ny)
-            return
-        lv.smooth(xp, r, (0, 1))
-        rc = lv.restrict(r - lv.apply(xp))
-        xc = self.levels[k + 1].padded()
-        for _ in range(1 if k + 1 == last else 2):
-            self._cycle(k + 1, rc, xc)
-        xp[1:-1, 1:-1] += self.COARSE_GAIN * lv.prolong(xc[1:-1, 1:-1])
-        lv.smooth(xp, r, (1, 0))
+            # einsum's own loop, not a BLAS matrix-vector product (_dot)
+            self.sol[self.slots] = np.einsum("ij,j->i", self.inverse,
+                                             self.rhs[self.rows])
+            return lv.x
+        lv.sweep(0, zero)
+        lv.sweep(1)
+        lv.restrict()
+        for visit in range(1 if k + 1 == last else 2):
+            self(k + 1, visit == 0)
+        lv.prolong(self.COARSE_GAIN)
+        lv.sweep(1)
+        lv.sweep(0)
+        return lv.x
 
 
-def _dense(lv: _Level) -> np.ndarray:
-    """The level's operator as a dense matrix (row-major cell order)."""
-    columns = []
-    for k in range(lv.nx * lv.ny):
-        xp = lv.padded()
-        xp[1 + k // lv.ny, 1 + k % lv.ny] = 1.0
-        columns.append(lv.apply(xp).ravel())
-    return np.array(columns).T
+def _gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD matrix by Gauss-Jordan elimination in numpy,
+    without pivoting: every pivot is positive.  With nonzeros at most
+    `band` off the diagonal, pivot k's row and column are still zero
+    past k + band, so each step touches only the block before that."""
+    inv = np.array(a, dtype=float)
+    rows, cols = np.nonzero(inv)
+    band = int(np.abs(rows - cols).max(initial=0))
+    for k in range(len(inv)):
+        blk = inv[:k + band + 1, :k + band + 1]
+        pivot, row, col = blk[k, k], blk[k] / blk[k, k], blk[:, k].copy()
+        blk -= np.outer(col, row)  # zeroes row and column k
+        blk[k], blk[:, k] = row, -col / pivot
+        blk[k, k] = 1.0 / pivot
+    return inv
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -542,47 +579,50 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
     Convergence is |b - A v| <= tol |b| in the 2-norm, confirmed on the
     recomputed residual so that drift in the recurrence cannot stop it
     early.  start, when given, is a full potential map to iterate from;
-    one that already meets the tolerance is returned untouched.
+    one that already meets the tolerance is returned untouched.  The
+    residual is the fine level's r, which the preconditioner reads.
     """
     fine = _Level(prob.diag, prob.fx, prob.fy, prob.fw)
-    b = prob.b
-    xp = fine.padded()
+    b, x, p = fine.split(prob.b), np.zeros_like(fine.x), np.zeros_like(fine.x)
     if start is not None:
-        xp[1:-1, 1:-1] = np.where(fine.active, start, 0.0)
+        x[:, :, 1:-1, 1:-1] = fine.split(np.where(prob.fixed, 0.0, start))
     bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:
-        xp[:] = 0.0
+        x[:] = 0.0
         bnorm = 1.0
-    r = b - fine.apply(xp)
-    rel = math.sqrt(_dot(r, r)) / bnorm
+    r, q, x_at, p_at = fine.r, np.empty_like(b), fine.bind(x), fine.bind(p)
+
+    def recomputed() -> float:
+        np.subtract(b, fine.apply(x_at, r), out=r)
+        return math.sqrt(_dot(r, r)) / bnorm
+
+    rel = recomputed()
     precondition = None
-    pp = fine.padded()
     rz_old = 0.0
     iterations = 0
     while rel > tol and iterations < max_sweeps:
         if precondition is None:
             precondition = _Multigrid(fine)
-        z = precondition(r)
-        rz = _dot(r, z)
+        z = precondition()
+        rz = _dot(r, z[:, :, 1:-1, 1:-1])
         if rz_old:
-            pp[1:-1, 1:-1] *= rz / rz_old
-            pp[1:-1, 1:-1] += z
+            p *= rz / rz_old
+            p += z
         else:
-            pp[1:-1, 1:-1] = z
-        q = fine.apply(pp)
-        pq = _dot(pp[1:-1, 1:-1], q)
+            p[...] = z
+        fine.apply(p_at, q)
+        pq = _dot(p[:, :, 1:-1, 1:-1], q)
         if not (rz > 0.0 and pq > 0.0):  # breakdown, or non-finite values
             rel = math.nan
             break
         alpha = rz / pq
-        xp[1:-1, 1:-1] += alpha * pp[1:-1, 1:-1]
+        x += alpha * p
         r -= alpha * q
         rz_old = rz
         iterations += 1
         rel = math.sqrt(_dot(r, r)) / bnorm
         if rel <= tol:
-            r = b - fine.apply(xp)
-            rel = math.sqrt(_dot(r, r)) / bnorm
+            rel = recomputed()
             rz_old = 0.0  # restart the recurrence if the check failed
     if not rel <= tol:
         raise ConvergenceError(
@@ -592,7 +632,7 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
             "(--cell)")
     return FieldSolution(section=prob.section,
                          potential=np.where(prob.fixed, prob.fixv,
-                                            xp[1:-1, 1:-1]),
+                                            fine.join(x)),
                          iterations=iterations, residual=rel, _problem=prob)
 
 

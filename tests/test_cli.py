@@ -2,10 +2,13 @@
 
 Every invocation goes through cli.main() in-process so the tests see
 the same code path as the console script without paying for process
-spawns.
+spawns.  Only the closed-stdout test needs a process of its own.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,6 +193,27 @@ def test_fieldsolve_nonconvergence_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("interlayer", ["0.5mm", "1um"],
+                         ids=["above-box", "below-one-cell"])
+def test_fieldsolve_facing_ground_outside_box_exit_1(capsys, interlayer):
+    # cpw_cross_section leaves such a ground out; the CLI must not print
+    # the open-box result as if it were there
+    code, out, err = run(capsys, "fieldsolve", "--w", "10um", "--s",
+                         "5.806um", "--eps-sub", "11.9", "--cell", "2um",
+                         "--interlayer", interlayer)
+    assert code == 1
+    assert out == ""
+    assert "half-height (0.00011 m)" in err and "(2e-06 m)" in err
+
+
+def test_fieldsolve_facing_ground_inside_box(capsys):
+    code, out, _ = run(capsys, "fieldsolve", "--w", "10um", "--s", "5.806um",
+                       "--eps-sub", "11.9", "--cell", "2um",
+                       "--interlayer", "40um", "--json")
+    assert code == 0
+    assert json.loads(out)["eps_eff"] < 6.45
+
+
 # --------------------------------------------------------------- analyze
 
 def test_analyze_packaged_preset(capsys):
@@ -299,3 +323,20 @@ def test_quantity_parsing_rejects_garbage(capsys):
     code, _, _ = run(capsys, "cpw", "--w", "10parsec", "--s", "5um",
                      "--eps-sub", "11.9")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [CPW_ARGS + ["--json"],
+                                  ["analyze", "--json"]],
+                         ids=["emit", "analyze"])
+def test_closed_stdout_exits_quietly(argv):
+    # `flipkit ... --json | head -3`: the reader is gone before the write
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "flipkit.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1

@@ -457,3 +457,86 @@ def test_convergence_error_says_what_to_change():
         solve_potential(sec, max_sweeps=2)
     for knob in ("--max-sweeps", "--tol", "--cell"):
         assert knob in str(info.value)
+
+
+# ------------------------------------------------------ multigrid internals
+
+CYCLE_SECTIONS = {
+    "open": lambda: cpw_cross_section(GEOM, cell=2e-6),
+    "facing": lambda: cpw_cross_section(GEOM, cell=2e-6,
+                                        interlayer_thickness=20e-6),
+    "odd": lambda: layered_strip_section(33, 21, "grounded", "grounded"),
+    "periodic-odd": lambda: layered_strip_section(33, 21, "periodic",
+                                                  "grounded"),
+    "periodic-even": lambda: layered_strip_section(34, 21, "periodic",
+                                                   "neumann"),
+    # 132 -> 66 -> 33 -> 17 columns: the wrap joins one colour on a
+    # smoothed coarse grid
+    "periodic-odd-coarse": lambda: layered_strip_section(132, 40, "periodic",
+                                                         "grounded"),
+}
+
+
+def multigrid(sec):
+    """The solver's preconditioner for a section, as v -> M v on its
+    nx x ny grid, with the hierarchy and the free-cell mask."""
+    prob = fieldsolve._Problem(sec)
+    fine = fieldsolve._Level(prob.diag, prob.fx, prob.fy, prob.fw)
+    mg = fieldsolve._Multigrid(fine)
+
+    def precondition(v):
+        fine.r[...] = fine.split(v)
+        return fine.join(mg())
+
+    return precondition, mg, ~prob.fixed
+
+
+@pytest.mark.parametrize("name", CYCLE_SECTIONS)
+def test_preconditioner_is_symmetric_positive_definite(name):
+    # conjugate gradients needs M symmetric and positive definite on the
+    # free cells; one cycle applied to random a and b must show both
+    precondition, _, free = multigrid(CYCLE_SECTIONS[name]())
+    rng = np.random.default_rng(11)
+    a, b = (rng.standard_normal(free.shape) * free for _ in range(2))
+    ma, mb = precondition(a), precondition(b)
+    gap = abs(np.sum(ma * b) - np.sum(a * mb))
+    assert gap <= 1e-12 * np.linalg.norm(ma) * np.linalg.norm(b)
+    assert np.sum(ma * a) > 0.0 and np.sum(mb * b) > 0.0
+
+
+def spd_matrices():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((12, 12))
+    lap = (4.0 * np.eye(49) - np.eye(49, k=1) - np.eye(49, k=-1)
+           - np.eye(49, k=7) - np.eye(49, k=-7))  # 7 off the diagonal
+    return {"1x1": np.array([[2.5]]), "diagonal": np.diag([1.0, 3.0, 7.0]),
+            "dense": m @ m.T + 12.0 * np.eye(12), "banded": lap}
+
+
+@pytest.mark.parametrize("name", ["1x1", "diagonal", "dense", "banded"])
+def test_gauss_jordan_inverse_matches_lapack(name):
+    a = spd_matrices()[name]
+    want = np.linalg.inv(a)
+    got = fieldsolve._gauss_jordan_inverse(a)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["facing", "periodic-even"])
+def test_coarsest_inverse_matches_lapack(name):
+    # the coarsest operator, column by column from the level's own
+    # stencil, over its active cells in row-major order
+    _, mg, _ = multigrid(CYCLE_SECTIONS[name]())
+    last = mg.levels[-1]
+    cells = np.flatnonzero(last.diag[:last.nx, :last.ny] > 0.0)
+    u, au = np.zeros_like(last.x), np.zeros_like(last.r)
+    columns = []
+    for k in cells:
+        v = np.zeros(last.nx * last.ny)
+        v[k] = 1.0
+        u[:, :, 1:-1, 1:-1] = last.split(v.reshape(last.nx, last.ny))
+        last.apply(last.bind(u), au)
+        u[:, :, 1:-1, 1:-1] = au
+        columns.append(last.join(u).ravel()[cells])
+    want = np.linalg.inv(np.array(columns).T)
+    assert len(want) <= mg.COARSEST_CELLS
+    assert np.abs(mg.inverse - want).max() <= 1e-12 * np.abs(want).max()
