@@ -20,9 +20,8 @@ section via a paired all-vacuum solve, and the fraction of the energy
 stored in each dielectric region.
 
 The box walls are grounded by default.  Tests and idealized parallel
-plate sections may instead ask for insulated (zero normal flux) walls
-or a periodic x-direction; both exist to kill fringing where a closed
-form is the reference.
+plate sections may instead ask for insulated (zero normal flux) walls,
+which kill fringing where a closed form is the reference.
 """
 
 from __future__ import annotations
@@ -105,8 +104,8 @@ class CrossSection:
 
     width and height are in meters, split into nx x ny equal cells.
     origin is the physical coordinate of the lower-left corner.  Every
-    cell center must fall in exactly one dielectric region.  x_bc is
-    one of grounded / periodic / neumann, y_bc grounded / neumann.
+    cell center must fall in exactly one dielectric region.  x_bc and
+    y_bc are each grounded or neumann.
     """
 
     width: float
@@ -124,7 +123,7 @@ class CrossSection:
             raise ValueError("domain must have positive size")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("need at least one cell per direction")
-        if self.x_bc not in ("grounded", "periodic", "neumann"):
+        if self.x_bc not in ("grounded", "neumann"):
             raise ValueError(f"unknown x boundary {self.x_bc!r}")
         if self.y_bc not in ("grounded", "neumann"):
             raise ValueError(f"unknown y boundary {self.y_bc!r}")
@@ -164,10 +163,9 @@ class FieldSolution:
 class _Problem:
     """The section's discrete system: free-cell couplings plus pins.
 
-    fx, fy and fw couple neighbouring free cells across interior x
-    faces, interior y faces and the periodic wrap (fw is None unless x
-    is periodic); links lists each with the index of its cells on either
-    side.  pin_cell (flat cell index), pin_coef and pin_val list every
+    fx and fy couple neighbouring free cells across interior x and y
+    faces; links lists each with the index of its cells on either side.
+    pin_cell (flat cell index), pin_coef and pin_val list every
     face of a free cell that touches a fixed potential.  diag and b are
     the operator diagonal and right-hand side, zero on fixed cells.
     Couplings and pins are in units of EPS_0 and include the cell
@@ -289,11 +287,6 @@ class _Problem:
         self.fx = couple(*x_faces, hy / hx)
         self.fy = couple(*y_faces, hx / hy, ~cut)
         self.links = [(self.fx, *x_faces), (self.fy, *y_faces)]
-        self.fw = None
-        if section.x_bc == "periodic" and nx > 1:
-            wrap = ((-1, every), (0, every))
-            self.fw = couple(*wrap, hy / hx)
-            self.links.append((self.fw, *wrap))
         if section.x_bc == "grounded":
             for i in (0, -1):
                 pin((i, every), hy / hx, 0.0)
@@ -332,10 +325,10 @@ _QUADS = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
 class _Level:
     """One grid of the multigrid hierarchy: a five-point SPD operator.
 
-    diag, fx, fy and fw are as in _Problem (fw joins x-cells 0 and
-    nx - 1).  Inactive cells, fixed or padding, have zero diagonal and
-    couplings, so they stay at zero.  Sides are padded to a multiple of
-    4, so that this grid and the coarse one split into whole quadrants.
+    diag, fx and fy are as in _Problem.  Inactive cells, fixed or
+    padding, have zero diagonal and couplings, so they stay at zero.
+    Sides are padded to a multiple of 4, so that this grid and the
+    coarse one split into whole quadrants.
     A vector holds cell (2i + a, 2j + b) at [a, b, i, j]; an iterate,
     with a ghost ring, at [a, b, i + 1, j + 1].  Then one neighbour of
     all cells of a colour (red is a + b even) is one view contiguous
@@ -343,8 +336,7 @@ class _Level:
     level owns the cycle's iterate x and right-hand side r.
     """
 
-    def __init__(self, diag: np.ndarray, fx: np.ndarray, fy: np.ndarray,
-                 fw: np.ndarray | None):
+    def __init__(self, diag: np.ndarray, fx: np.ndarray, fy: np.ndarray):
         self.nx, self.ny = nx, ny = diag.shape
         self.mx, self.my = mx, my = 4 * -(-nx // 4), 4 * -(-ny // 4)
         self.h, self.w = h, w = mx // 2, my // 2
@@ -354,14 +346,8 @@ class _Level:
         c[2, :nx, 1:ny] = c[3, :nx, :ny - 1] = fy
         c[4, :nx, :ny] = diag
         np.divide(1.0, c[4], out=c[5], where=c[4] > 0.0)
-        self.diag, self.fw = c[4], None
+        self.diag = c[4]
         quads = c.reshape(6, h, 2, w, 2).transpose(0, 2, 4, 1, 3).copy()
-        if fw is not None:
-            self.fw = np.pad(fw, (0, my - ny))
-            quads[0, 0, :, 0] = quads[1, (nx - 1) % 2, :, (nx - 1) // 2] = (
-                self.fw.reshape(w, 2).T)
-        # x-cells 0 and nx - 1 share a colour, and the wrap joins them
-        self.odd_wrap = fw is not None and nx % 2 == 1
         self.coef = [[self._view(q, k) for q in quads] for k in (0, 1)]
         self.x, self.r = np.zeros((2, 2, h + 2, w + 2)), np.zeros((2, 2, h, w))
         self.xv = self.bind(self.x)
@@ -380,14 +366,9 @@ class _Level:
                           (2, self.h, self.w), (o1 - o0,) + st[2:])
 
     def bind(self, u: np.ndarray):
-        """Per colour, views of u at the _SHIFTS neighbours and in place;
-        (ghost, source) pairs: x-cell -1 is nx - 1, x-cell nx is 0."""
-        n = self.nx
-        return ([[self._view(u, colour, s) for s in (*_SHIFTS, (0, 0))]
-                 for colour in (0, 1)],
-                [] if self.fw is None else [
-                    (u[1, :, 0], u[(n - 1) % 2, :, 1 + (n - 1) // 2]),
-                    (u[n % 2, :, 1 + n // 2], u[0, :, 1])])
+        """Per colour, views of u at the _SHIFTS neighbours and in place."""
+        return [[self._view(u, colour, s) for s in (*_SHIFTS, (0, 0))]
+                for colour in (0, 1)]
 
     def split(self, v: np.ndarray) -> np.ndarray:
         """The nx x ny array v in quadrant storage."""
@@ -401,9 +382,7 @@ class _Level:
 
     def _pull(self, colour: int, bound, out: np.ndarray) -> np.ndarray:
         """out = sum of coupling x neighbour over the four faces."""
-        for ghost, source in bound[1]:
-            ghost[...] = source
-        c, v = self.coef[colour], bound[0][colour]
+        c, v = self.coef[colour], bound[colour]
         np.multiply(c[0], v[0], out=out)
         for k in (1, 2, 3):
             out += np.multiply(c[k], v[k], out=self.tmp)
@@ -413,7 +392,7 @@ class _Level:
         """out = A u for the iterate u that bound came from."""
         for colour in (0, 1):
             pull = self._pull(colour, bound, self.num)
-            res = np.multiply(self.coef[colour][4], bound[0][colour][4],
+            res = np.multiply(self.coef[colour][4], bound[colour][4],
                               out=self._view(out, colour))
             res -= pull
         return out
@@ -421,25 +400,19 @@ class _Level:
     def sweep(self, colour: int, zero: bool = False) -> None:
         """A Gauss-Seidel half-sweep of A x = r over one colour; zero
         says x is zero on the other one, so there are no neighbours."""
-        if zero and self.odd_wrap:  # the wrap partner is read next
-            self.x[...] = 0.0
         num = self.rv[colour]
         if not zero:
             num = self._pull(colour, self.xv, self.num)
             num += self.rv[colour]
-        np.multiply(num, self.coef[colour][5], out=self.xv[0][colour][4])
+        np.multiply(num, self.coef[colour][5], out=self.xv[colour][4])
 
     def restrict(self) -> None:
         """Coarse r = r - A x summed over 2 x 2 blocks, right after a
         black half-sweep, which leaves residual on red cells only."""
         blocks = (self.h // 2, 2, self.w // 2, 2)
-        if self.odd_wrap:  # and on the black cells that the wrap joins
-            res = self.r - self.apply(self.xv, np.empty_like(self.r))
-            self.coarse_r[...] = res.sum(axis=(0, 1)).reshape(blocks)
-            return
         res = self._pull(0, self.xv, self.num)
         res += self.rv[0]
-        res -= np.multiply(self.coef[0][4], self.xv[0][0][4], out=self.tmp)
+        res -= np.multiply(self.coef[0][4], self.xv[0][4], out=self.tmp)
         np.add(res[0].reshape(blocks), res[1].reshape(blocks),
                out=self.coarse_r)
 
@@ -458,14 +431,8 @@ class _Level:
                      for k in (1, 3, 4))  # indexed [i, a, j, b]
         diag = d.sum(axis=(1, 3)) - 2.0 * (ce[:, 0].sum(2) + cn[..., 0].sum(1))
         cx, cy = (self.nx + 1) // 2, (self.ny + 1) // 2
-        fw = None
-        if self.fw is not None:
-            fw = self.fw.reshape(self.w, 2).sum(1)[:cy]
-            if cx == 1:  # the wrap now joins a block to itself
-                diag[0, :cy] -= 2.0 * fw
-                fw = None
         coarse = _Level(diag[:cx, :cy], ce[:, 1].sum(2)[:cx - 1, :cy],
-                        cn[..., 1].sum(1)[:cx, :cy - 1], fw)
+                        cn[..., 1].sum(1)[:cx, :cy - 1])
         blocks = (slice(self.h // 2), slice(None), slice(self.w // 2))
         self.coarse_r, self.coarse_x = (
             a.transpose(2, 0, 3, 1)[blocks]
@@ -503,9 +470,6 @@ class _Multigrid:
         a = np.diag(last.diag.ravel())  # the operator, dense, row-major
         for c, (dx, dy) in zip(last.c, _SHIFTS):  # coupling past an edge: 0
             a[idx, np.roll(idx, (-dx, -dy), (0, 1))] -= c
-        if last.fw is not None:
-            a[idx[last.nx - 1], idx[0]] -= last.fw
-            a[idx[0], idx[last.nx - 1]] -= last.fw
         cells = np.flatnonzero(last.diag > 0.0)  # row-major: a narrow band
         self.inverse = _gauss_jordan_inverse(a[np.ix_(cells, cells)])
         xs, ys = np.divmod(cells, last.my)
@@ -582,7 +546,7 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
     one that already meets the tolerance is returned untouched.  The
     residual is the fine level's r, which the preconditioner reads.
     """
-    fine = _Level(prob.diag, prob.fx, prob.fy, prob.fw)
+    fine = _Level(prob.diag, prob.fx, prob.fy)
     b, x, p = fine.split(prob.b), np.zeros_like(fine.x), np.zeros_like(fine.x)
     if start is not None:
         x[:, :, 1:-1, 1:-1] = fine.split(np.where(prob.fixed, 0.0, start))

@@ -99,12 +99,18 @@ def squid_josephson_energy(ej_max: float, flux: float) -> float:
 def transmon_frequency(ec: float, ej: float) -> float:
     """Asymptotic qubit frequency (sqrt(8 Ec Ej) - Ec) / h in Hz.
 
-    Accurate deep in the transmon regime Ej/Ec >> 1; the charge-basis
-    spectrum below is the check on it.
+    Accurate for Ej/Ec >> 1, checked by the charge-basis spectrum below;
+    raises ValueError at Ej/Ec <= 1/8, where it is not positive.
     """
     if ec <= 0.0 or ej <= 0.0:
         raise ValueError("energies must be positive")
-    return (math.sqrt(8.0 * ec * ej) - ec) / PLANCK_H
+    f = (math.sqrt(8.0 * ec * ej) - ec) / PLANCK_H
+    if f <= 0.0:
+        raise ValueError(
+            f"Ej/Ec = {ej / ec:.4g} is not above 1/8, so the closed-form "
+            f"qubit frequency {f:.6g} Hz is not positive; move the flux "
+            "bias off half a flux quantum or lower the junction inductance")
+    return f
 
 
 def anharmonicity(ec: float) -> float:

@@ -17,11 +17,11 @@ settings.load_profile("flipkit")
 def plate_section():
     """Builder of two full-width plates separated by gap_cells of dielectric.
 
-    Periodic side walls remove fringing entirely, so C' = eps W / d
+    Insulated side walls remove fringing entirely, so C' = eps W / d
     holds exactly up to discretization.
     """
 
-    def build(eps_r=1.0, nx=64, ny=32, gap_cells=16, x_bc="periodic"):
+    def build(eps_r=1.0, nx=64, ny=32, gap_cells=16):
         w, h = 64e-6, 32e-6
         hy = h / ny
         y_lo = (ny - gap_cells) / 2 * hy
@@ -31,6 +31,6 @@ def plate_section():
             regions=[DielectricRegion("fill", Rect(0, w, 0, h), eps_r)],
             conductors=[Conductor("top", Rect(0, w, y_hi, h), 1.0),
                         Conductor("bottom", Rect(0, w, 0, y_lo), 0.0)],
-            x_bc=x_bc, y_bc="neumann")
+            x_bc="neumann", y_bc="neumann")
 
     return build

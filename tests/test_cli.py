@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from flipkit import cli
+from flipkit import cli, device
 
 CPW_ARGS = ["cpw", "--w", "10um", "--s", "5.806um",
             "--eps-sub", "11.9", "--eps-sup", "1"]
@@ -214,6 +214,21 @@ def test_fieldsolve_facing_ground_inside_box(capsys):
     assert json.loads(out)["eps_eff"] < 6.45
 
 
+# the preset report runs no field solve, so the solver has goldens of its own
+FIELDSOLVE_REFERENCE = Path(__file__).resolve().parent / "reference"
+
+
+@pytest.mark.parametrize("extra,name", [
+    ([], "fieldsolve_open.json"),
+    (["--interlayer", "40um"], "fieldsolve_facing.json"),
+], ids=["open", "facing"])
+def test_fieldsolve_matches_reference_bytes(capsys, extra, name):
+    code, out, _ = run(capsys, "fieldsolve", "--w", "10um", "--s", "5.806um",
+                       "--eps-sub", "11.9", "--cell", "1um", *extra, "--json")
+    assert code == 0
+    assert out == (FIELDSOLVE_REFERENCE / name).read_text(encoding="utf-8")
+
+
 # --------------------------------------------------------------- analyze
 
 def test_analyze_packaged_preset(capsys):
@@ -241,6 +256,37 @@ def test_analyze_out_file_matches_stdout(capsys, tmp_path):
     _, out, _ = run(capsys, "analyze", "--config", "paper-default",
                     "--json", "--out", str(path))
     assert path.read_text() == out
+
+
+# ------------------------------------------------- half a flux quantum
+
+HALF_FLUX_COMMANDS = {
+    "transmon": ["transmon", "--cj", "8fF", "--cs", "81fF", "--lj", "8.75nH",
+                 "--flux", "0.5"],
+    "analyze": ["analyze", "--json"],
+    "loss-sweep": ["sweep", "--param", "loss_tangent", "--grid",
+                   "0:1e-3:log5"],
+    "thickness-sweep": ["sweep", "--param", "interlayer_thickness",
+                        "--grid", "0.1mm:4mm:log5"],
+}
+
+
+@pytest.mark.parametrize("name", HALF_FLUX_COMMANDS)
+def test_closed_form_frequency_below_ej_ec_bound_exit_1(capsys, tmp_path,
+                                                        name):
+    # at half a flux quantum Ej/Ec is ~5e-15, below the 1/8 where the
+    # closed form (sqrt(8 Ec Ej) - Ec) / h turns negative: the commands
+    # must say why and what to change, and print no numbers
+    argv = HALF_FLUX_COMMANDS[name]
+    if name != "transmon":
+        config = tmp_path / "half-flux.cfg"
+        config.write_text(device.default_config_text()
+                          + "chip.top.transmon.flux_bias = 0.5\n")
+        argv = [*argv, "--config", str(config)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "Ej/Ec = " in err and "is not above 1/8" in err
+    assert "flux bias" in err and "junction inductance" in err
 
 
 # -------------------------------------------------------------- golden

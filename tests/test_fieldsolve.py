@@ -174,11 +174,12 @@ def test_section_validation():
                          "a", Rect(0, 1e-6, 0, 1e-6), 1.0)])
     with pytest.raises(ValueError):
         CrossSection(width=1e-6, height=1e-6, nx=4, ny=4, regions=[])
-    with pytest.raises(ValueError):
-        CrossSection(width=1e-6, height=1e-6, nx=4, ny=4,
-                     regions=[DielectricRegion(
-                         "a", Rect(0, 1e-6, 0, 1e-6), 1.0)],
-                     x_bc="open")
+    for x_bc in ("open", "periodic"):
+        with pytest.raises(ValueError, match=f"unknown x boundary '{x_bc}'"):
+            CrossSection(width=1e-6, height=1e-6, nx=4, ny=4,
+                         regions=[DielectricRegion(
+                             "a", Rect(0, 1e-6, 0, 1e-6), 1.0)],
+                         x_bc=x_bc)
     with pytest.raises(ValueError):
         DielectricRegion("flat", Rect(0, 1e-6, 0, 0), 1.0)
     with pytest.raises(ValueError):
@@ -277,8 +278,6 @@ def oracle_system(sec):
             a = (i, j)
             if i + 1 < nx:
                 face(a, (i + 1, j), hy / hx)
-            elif sec.x_bc == "periodic" and nx > 1:
-                face(a, (0, j), hy / hx)
             if j + 1 < ny:
                 if (i, j + 1) in strip_at:
                     pot = strip_at[i, j + 1]
@@ -365,16 +364,12 @@ def oracle_participation(sec, v, links, pins):
     return {name: e / total for name, e in energy.items()}
 
 
-def layered_strip_section(nx, ny, x_bc, y_bc, block_x=None):
-    """Two dielectric layers, a 1 V strip over a 0.4 V buried block.
-
-    The block is 3 cells wide, starting block_x from the left wall
-    (default: under the strip).
-    """
+def layered_strip_section(nx, ny, x_bc, y_bc):
+    """Two dielectric layers, a 1 V strip over a 0.4 V buried block
+    3 cells wide."""
     w, h = nx * 1e-6, ny * 1e-6
     y_face = (ny // 2) * 1e-6
     mid = (nx // 2) * 1e-6
-    x0 = mid - 1e-6 if block_x is None else block_x
     return CrossSection(
         width=w, height=h, nx=nx, ny=ny, x_bc=x_bc, y_bc=y_bc,
         regions=[DielectricRegion("low", Rect(0, w, 0, y_face), 11.9),
@@ -382,23 +377,19 @@ def layered_strip_section(nx, ny, x_bc, y_bc, block_x=None):
         conductors=[
             Conductor("strip", Rect(mid - 2e-6, mid + 3e-6, y_face, y_face),
                       1.0),
-            Conductor("block", Rect(x0, x0 + 3e-6, 1e-6, 3e-6), 0.4),
+            Conductor("block", Rect(mid - 1e-6, mid + 2e-6, 1e-6, 3e-6), 0.4),
             Conductor("ground", Rect(0, 3e-6, y_face, y_face), 0.0)])
 
 
 @pytest.fixture(params=[
     (33, 21, "grounded", "grounded"),
-    (33, 21, "periodic", "grounded"),
     (20, 17, "neumann", "grounded"),
-    (31, 16, "periodic", "neumann"),
     (13, 11, "grounded", "neumann"),
-    (25, 19, "periodic", "grounded", 0.0),
     "plates",
-], ids=["grounded", "periodic", "neumann-x", "periodic-neumann-y",
-        "neumann-y", "block-across-wrap", "plates"])
+], ids=["grounded", "neumann-x", "neumann-y", "plates"])
 def oracle_section(request, plate_section):
     """Small sections for the dense oracle: every wall type, strips,
-    volume conductors, a block across the periodic wrap, odd sizes."""
+    volume conductors, odd sizes."""
     if request.param == "plates":
         return plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13)
     return layered_strip_section(*request.param)
@@ -466,14 +457,6 @@ CYCLE_SECTIONS = {
     "facing": lambda: cpw_cross_section(GEOM, cell=2e-6,
                                         interlayer_thickness=20e-6),
     "odd": lambda: layered_strip_section(33, 21, "grounded", "grounded"),
-    "periodic-odd": lambda: layered_strip_section(33, 21, "periodic",
-                                                  "grounded"),
-    "periodic-even": lambda: layered_strip_section(34, 21, "periodic",
-                                                   "neumann"),
-    # 132 -> 66 -> 33 -> 17 columns: the wrap joins one colour on a
-    # smoothed coarse grid
-    "periodic-odd-coarse": lambda: layered_strip_section(132, 40, "periodic",
-                                                         "grounded"),
 }
 
 
@@ -481,7 +464,7 @@ def multigrid(sec):
     """The solver's preconditioner for a section, as v -> M v on its
     nx x ny grid, with the hierarchy and the free-cell mask."""
     prob = fieldsolve._Problem(sec)
-    fine = fieldsolve._Level(prob.diag, prob.fx, prob.fy, prob.fw)
+    fine = fieldsolve._Level(prob.diag, prob.fx, prob.fy)
     mg = fieldsolve._Multigrid(fine)
 
     def precondition(v):
@@ -521,7 +504,7 @@ def test_gauss_jordan_inverse_matches_lapack(name):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("name", ["facing", "periodic-even"])
+@pytest.mark.parametrize("name", ["facing", "odd"])
 def test_coarsest_inverse_matches_lapack(name):
     # the coarsest operator, column by column from the level's own
     # stencil, over its active cells in row-major order

@@ -111,6 +111,14 @@ def test_transmon_frequency_monotone_in_ej():
         transmon.transmon_frequency(EC, ej)
 
 
+def test_transmon_frequency_raises_at_ej_ec_one_eighth():
+    # (sqrt(8 Ec Ej) - Ec) / h is zero at Ej/Ec = 1/8 and negative below
+    assert transmon.transmon_frequency(EC, 0.13 * EC) > 0.0
+    for ratio in (0.125, 0.1, 1e-15):
+        with pytest.raises(ValueError, match="not above 1/8"):
+            transmon.transmon_frequency(EC, ratio * EC)
+
+
 def test_anharmonicity_is_minus_ec():
     assert transmon.anharmonicity(EC) == pytest.approx(-217.6e6, abs=0.5e6)
     assert transmon.anharmonicity(EC) < 0.0
