@@ -63,7 +63,10 @@ def _band(text: str) -> RealInterval:
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"band must be lo:hi, got {text!r}")
-    return RealInterval(_frequency(parts[0]), _frequency(parts[1]))
+    try:
+        return RealInterval(_frequency(parts[0]), _frequency(parts[1]))
+    except ValueError as exc:  # argparse would drop the message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_grid(text: str, value):
@@ -192,14 +195,13 @@ def _cmd_smatrix(args) -> dict:
     span = args.span if args.span is not None else 20.0 * args.fr / args.ql
     band = RealInterval(args.fr - 0.5 * span, args.fr + 0.5 * span)
     grid = network.frequency_grid(band, args.points)
-    resp = network.notch_s21(res, grid, qubit_state=args.state,
-                             z_ref=args.z_ref)
+    resp = network.notch_s21(res, grid, qubit_state=args.state)
     if args.out:
         _write_text(args.out, resp.to_csv())
     if args.plot:
         from .plot import emit_plot
         chart = SweepTable(param_name="freq_hz")
-        for f, db in zip(resp.frequencies, resp.magnitude_db("s21")):
+        for f, db in zip(resp.frequencies, resp.magnitude_db()):
             chart.add_row(float(f), s21_db=float(db))
         emit_plot(chart, "freq_hz", ["s21_db"], args.plot)
     out = {
@@ -208,7 +210,7 @@ def _cmd_smatrix(args) -> dict:
         "q_loaded": res.q_loaded,
         "q_coupling": res.q_coupling,
         "points": args.points,
-        "min_s21_db": float(np.min(resp.magnitude_db("s21"))),
+        "min_s21_db": float(np.min(resp.magnitude_db())),
     }
     if not args.no_extract:
         f_fit, q_fit, bw = network.extract_q_fwhm(resp)
@@ -296,18 +298,11 @@ def _resolve_config(path: str) -> device.DeviceSpec:
     raise _UsageError(f"config file not found: {path}")
 
 
-def _cmd_analyze(args) -> None:
-    spec = _resolve_config(args.config)
-    report = device.analyze(spec)
-    text = report.to_json()
+def _cmd_analyze(args) -> dict:
+    report = device.analyze(_resolve_config(args.config))
     if args.out:
-        _write_text(args.out, text)
-    if args.json:
-        sys.stdout.write(text)
-    else:
-        lines: list[str] = []
-        _flat_lines("", report.data, lines)
-        print("\n".join(lines))
+        _write_text(args.out, report.to_json())
+    return report.data
 
 
 def _cmd_sweep(args) -> None:
@@ -380,7 +375,6 @@ def build_parser() -> _Parser:
                    help="grid span (default 20 linewidths)")
     p.add_argument("--points", type=int,
                    default=network.DEFAULT_GRID_POINTS)
-    p.add_argument("--z-ref", type=float, default=50.0)
     p.add_argument("--no-extract", action="store_true",
                    help="skip the FWHM Q extraction")
     p.add_argument("--out", help="write the trace as CSV")

@@ -319,23 +319,16 @@ def resolve_participation(spec: DeviceSpec) -> tuple[dict[str, float], str]:
 
 def _loss_budget(tan_d: float, baseline_q: float, frequency: float,
                  participation: dict[str, float]) -> loss.LossBudget:
-    """Budget with tan_d on the interlayer and lossless other regions."""
-    regions = {name: (p, tan_d if name == "interlayer" else 0.0)
-               for name, p in participation.items()}
-    return loss.LossBudget(mode_frequency=frequency, baseline_q=baseline_q,
-                           regions=regions)
-
-
-def _qubit_energies(chip: ChipSpec) -> tuple[float, float]:
-    """(Ec, Ej) in joules, Ej at the chip's flux bias."""
-    ej_max = transmon.josephson_energy(chip.transmon.l_junction)
-    ej = transmon.squid_josephson_energy(ej_max, chip.flux_bias)
-    return transmon.charging_energy(chip.transmon.c_total), ej
+    """Budget of the interlayer alone; the other regions are lossless."""
+    return loss.LossBudget(
+        mode_frequency=frequency, baseline_q=baseline_q,
+        regions={"interlayer": (participation["interlayer"], tan_d)})
 
 
 def _qubit_frequency(chip: ChipSpec) -> float:
     """Closed-form qubit frequency, the value every derived quantity uses."""
-    return transmon.transmon_frequency(*_qubit_energies(chip))
+    return transmon.transmon_frequency(
+        *transmon.qubit_energies(chip.transmon, chip.flux_bias))
 
 
 def _participation_field(participation: dict[str, float],
@@ -373,16 +366,12 @@ def _qubit_row(spec: DeviceSpec, chip: ChipSpec,
     else:
         row["chi_hz"] = _v(None, "not computed: readout.g_qr not configured")
     if chip.baseline_q is not None:
-        budget = _loss_budget(spec.interlayer_tan_delta, chip.baseline_q,
-                              f_q, participation)
-        q_total = loss.q_with_dielectric(budget)
-        row["q_total"] = _v(q_total, "loss.q_with_dielectric")
-        row["t1_upper_s"] = _v(
-            loss.t1_upper_bound(q_total, f_q),
-            "loss.t1_upper_bound")
-        row["gamma_cap_per_s"] = _v(
-            loss.dielectric_decay_rate(budget),
-            "loss.dielectric_decay_rate")
+        figures = loss.loss_figures(_loss_budget(
+            spec.interlayer_tan_delta, chip.baseline_q, f_q, participation))
+        row["q_total"] = _v(figures["q_total"], "loss.q_with_dielectric")
+        row["t1_upper_s"] = _v(figures["t1_upper_s"], "loss.t1_upper_bound")
+        row["gamma_cap_per_s"] = _v(figures["gamma_cap_per_s"],
+                                    "loss.dielectric_decay_rate")
     else:
         why = "not computed: transmon.baseline_q not configured"
         row["q_total"] = _v(None, why)
@@ -396,9 +385,8 @@ def _resonator_row(spec: DeviceSpec, chip: ChipSpec,
                    participation: dict[str, float], part_src: str) -> dict:
     interval = cpw.resonator_interval(chip.resonator)
     mid = interval.midpoint
-    budget = _loss_budget(spec.interlayer_tan_delta, chip.coupling_q, mid,
-                          participation)
-    q_total = loss.q_with_dielectric(budget)
+    figures = loss.loss_figures(_loss_budget(
+        spec.interlayer_tan_delta, chip.coupling_q, mid, participation))
     return {
         "name": f"{chip.name}_resonator",
         "kind": "resonator",
@@ -407,13 +395,13 @@ def _resonator_row(spec: DeviceSpec, chip: ChipSpec,
                                "cpw.quarter_wave_frequency (full length)"),
         "frequency_high_hz": _v(
             interval.hi, "cpw.quarter_wave_frequency (extension removed)"),
-        "q_total": _v(q_total,
+        "q_total": _v(figures["q_total"],
                       "loss.q_with_dielectric from config:readout.coupling_q"),
-        "bandwidth_hz": _v(mid / q_total,
+        "bandwidth_hz": _v(mid / figures["q_total"],
                            "interval midpoint / q_total"),
-        "t1_upper_s": _v(loss.t1_upper_bound(q_total, mid),
+        "t1_upper_s": _v(figures["t1_upper_s"],
                          "loss.t1_upper_bound at the interval midpoint"),
-        "gamma_cap_per_s": _v(loss.dielectric_decay_rate(budget),
+        "gamma_cap_per_s": _v(figures["gamma_cap_per_s"],
                               "loss.dielectric_decay_rate"),
         "participation": _participation_field(participation, part_src),
     }
@@ -508,19 +496,15 @@ def _thickness_row(spec: DeviceSpec, d: float, f1: float, f2: float,
     return row
 
 
-def _loss_tangent_row(spec: DeviceSpec, tan_d: float,
-                      participation: dict[str, float],
-                      qubits: dict[str, float]) -> dict:
+def _loss_tangent_row(tan_d: float,
+                      budgets: dict[str, loss.LossBudget]) -> dict:
     row: dict[str, float] = {}
-    for chip in (spec.bottom, spec.top):
-        f_q = qubits[chip.name]
-        budget = _loss_budget(tan_d, chip.baseline_q, f_q, participation)
-        q_total = loss.q_with_dielectric(budget)
-        row[f"q_total_{chip.name}"] = q_total
-        row[f"t1_upper_{chip.name}_s"] = loss.t1_upper_bound(q_total, f_q)
-        row[f"gamma_cap_{chip.name}_per_s"] = loss.dielectric_decay_rate(
-            budget)
-        row[f"qubit_{chip.name}_hz"] = f_q
+    for name, budget in budgets.items():
+        figures = loss.loss_figures(budget.with_tan_delta(tan_d))
+        row[f"q_total_{name}"] = figures["q_total"]
+        row[f"t1_upper_{name}_s"] = figures["t1_upper_s"]
+        row[f"gamma_cap_{name}_per_s"] = figures["gamma_cap_per_s"]
+        row[f"qubit_{name}_hz"] = budget.mode_frequency
     return row
 
 
@@ -530,7 +514,7 @@ def sweep(spec: DeviceSpec, parameter: str, values) -> SweepTable:
     What does not depend on the swept value is computed once: the
     closed-form qubit frequencies and, for thickness, the coupling
     frequencies, the two readout notches and the crosstalk band; for
-    loss tangent, the participations.  Rows follow the grid order.
+    loss tangent, the two interlayer budgets.  Rows follow the grid order.
     """
     values = [float(x) for x in values]
     if not values:
@@ -558,10 +542,12 @@ def sweep(spec: DeviceSpec, parameter: str, values) -> SweepTable:
                     [f"chip.{chip.name}.transmon.baseline_q is required for "
                      "a loss_tangent sweep"])
         participation, _ = resolve_participation(spec)
+        budgets = {chip.name: _loss_budget(0.0, chip.baseline_q,
+                                           qubits[chip.name], participation)
+                   for chip in chips}
         table = SweepTable(param_name="tan_delta")
         for tan_d in values:
-            table.add_row(tan_d, **_loss_tangent_row(spec, tan_d,
-                                                     participation, qubits))
+            table.add_row(tan_d, **_loss_tangent_row(tan_d, budgets))
     else:
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; "

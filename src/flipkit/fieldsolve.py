@@ -689,17 +689,17 @@ def extract_eps_eff_and_z0(section: CrossSection, tol: float = DEFAULT_TOL,
 
 def cpw_cross_section(geometry: CpwGeometry, cell: float = 0.25e-6,
                       box_factor: float = 10.0,
-                      interlayer_thickness: float | None = None,
-                      substrate_name: str = "substrate",
-                      superstrate_name: str = "interlayer") -> CrossSection:
+                      interlayer_thickness: float | None = None
+                      ) -> CrossSection:
     """Grounded-box cross-section of a CPW between two half-spaces.
 
     The metal plane sits at y = 0 as zero-thickness strips: the center
     trace at 1 V, the side grounds running to the walls at 0 V.  The
-    box is box_factor times the (w + 2s) aperture on a side; rectangle
-    edges snap to the cell grid.  When interlayer_thickness puts the
-    facing chip's ground inside the box, a grounded strip is added at
-    that height.
+    region below it is named "substrate" and the one above "interlayer",
+    the names the device loss budget looks up.  The box is box_factor
+    times the (w + 2s) aperture on a side; rectangle edges snap to the
+    cell grid.  When interlayer_thickness puts the facing chip's ground
+    inside the box, a grounded strip is added at that height.
     """
     if cell <= 0.0:
         raise ValueError("cell size must be positive")
@@ -723,9 +723,9 @@ def cpw_cross_section(geometry: CpwGeometry, cell: float = 0.25e-6,
         raise ValueError("cell size too coarse for this geometry")
 
     regions = [
-        DielectricRegion(substrate_name, Rect(-half, half, -half, 0.0),
+        DielectricRegion("substrate", Rect(-half, half, -half, 0.0),
                          geometry.eps_substrate),
-        DielectricRegion(superstrate_name, Rect(-half, half, 0.0, half),
+        DielectricRegion("interlayer", Rect(-half, half, 0.0, half),
                          geometry.eps_superstrate),
     ]
     conductors = [

@@ -18,6 +18,7 @@ __all__ = [
     "t1_upper_bound",
     "dielectric_decay_rate",
     "q_with_dielectric",
+    "loss_figures",
     "t1_vs_loss_tangent",
     "gamma_linearity_check",
 ]
@@ -29,22 +30,18 @@ class LossBudget:
 
     regions maps region name -> (participation, loss tangent); the
     participations must each lie in [0, 1] and sum to at most 1.
-    baseline_q is the quality factor with every loss tangent set to
-    zero; eta is the mode weighting, close to 1 for a transmon.
+    baseline_q is the quality factor with every loss tangent set to zero.
     """
 
     mode_frequency: float
     baseline_q: float
     regions: dict[str, tuple[float, float]] = field(default_factory=dict)
-    eta: float = 1.0
 
     def __post_init__(self):
         if self.mode_frequency <= 0.0:
             raise ValueError("mode frequency must be positive")
         if self.baseline_q <= 0.0:
             raise ValueError("baseline Q must be positive")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
         total_p = 0.0
         for name, (p, tan_d) in self.regions.items():
             if not 0.0 <= p <= 1.0:
@@ -73,9 +70,9 @@ def t1_upper_bound(q: float, frequency: float) -> float:
 
 
 def dielectric_decay_rate(budget: LossBudget) -> float:
-    """Capacitive decay rate eta * omega * sum_i p_i tan(delta_i), 1/s."""
+    """Capacitive decay rate omega * sum_i p_i tan(delta_i), 1/s."""
     omega = 2.0 * math.pi * budget.mode_frequency
-    return budget.eta * omega * budget.weighted_loss()
+    return omega * budget.weighted_loss()
 
 
 def q_with_dielectric(budget: LossBudget) -> float:
@@ -83,21 +80,25 @@ def q_with_dielectric(budget: LossBudget) -> float:
     return 1.0 / (1.0 / budget.baseline_q + budget.weighted_loss())
 
 
-def t1_vs_loss_tangent(budget: LossBudget, tan_deltas) -> SweepTable:
-    """Loss-tangent sweep: every region takes the grid tangent in turn.
+def loss_figures(budget: LossBudget) -> dict[str, float]:
+    """The budget's q_total, its T1 ceiling t1_upper_s and gamma_cap_per_s."""
+    q_total = q_with_dielectric(budget)
+    return {"q_total": q_total,
+            "t1_upper_s": t1_upper_bound(q_total, budget.mode_frequency),
+            "gamma_cap_per_s": dielectric_decay_rate(budget)}
 
-    One row per requested tangent with columns q_total, t1_upper_s and
-    gamma_cap_per_s.  On a log-log plot the q_total column rolls off
-    with slope -1 once the dielectric term dominates the baseline.
+
+def t1_vs_loss_tangent(budget: LossBudget, tan_deltas) -> SweepTable:
+    """Loss-tangent sweep: every region of the budget takes each tangent.
+
+    One row per requested tangent with the loss_figures columns.  On a
+    log-log plot the q_total column rolls off with slope -1 once the
+    dielectric term dominates the baseline.
     """
     table = SweepTable(param_name="tan_delta")
     for tan_d in tan_deltas:
-        b = budget.with_tan_delta(float(tan_d))
-        q_total = q_with_dielectric(b)
         table.add_row(float(tan_d),
-                      q_total=q_total,
-                      t1_upper_s=t1_upper_bound(q_total, b.mode_frequency),
-                      gamma_cap_per_s=dielectric_decay_rate(b))
+                      **loss_figures(budget.with_tan_delta(float(tan_d))))
     return table
 
 
@@ -118,8 +119,7 @@ def gamma_linearity_check(budget: LossBudget, tan_deltas,
         raise ValueError("empty loss-tangent grid")
     if any(t < 0.0 or t > 0.1 for t in grid):
         raise ValueError("loss tangents must lie in [0, 0.1]")
-    scale = Fraction(budget.eta) * Fraction(2.0 * math.pi) * Fraction(
-        budget.mode_frequency)
+    scale = Fraction(2.0 * math.pi) * Fraction(budget.mode_frequency)
 
     def rate(t: float) -> Fraction:
         total = Fraction(0)

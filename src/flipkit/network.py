@@ -5,17 +5,16 @@ extraction, and two scattering studies used by the device pipeline:
 worst-case in-band reflection of a lossless line versus port impedance,
 and the interchip crosstalk dip from a bridging capacitance.
 
-Conventions.  S-parameters are always formed at a caller supplied real
-reference impedance; nothing in this module renormalizes a response
-from one reference to another, because doing so silently is exactly
-the kind of mistake the explicit z_ref argument exists to prevent.
-Magnitudes in dB are 20 log10 |S|.
+Conventions.  The notch S21 is the line shape on a matched feedline
+and names no reference impedance; the two studies form their
+S-parameters at the real impedance the caller passes (z_port, z0).
+Magnitudes in dB are 20 log10 |S|, floored at 1e-30.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,13 +74,17 @@ class NotchResonator:
         return self.f_r + self.chi * (1.0 - 2.0 * qubit_state)
 
 
+def _db(s) -> np.ndarray:
+    """20 log10 |s|, with |s| floored so that a zero stays finite."""
+    return 20.0 * np.log10(np.maximum(np.abs(s), _DB_FLOOR))
+
+
 @dataclass
 class FrequencyResponse:
-    """Sampled S-parameters on an ascending frequency grid."""
+    """An S21 trace sampled on an ascending frequency grid."""
 
     frequencies: np.ndarray
-    s_params: dict[str, np.ndarray] = field(default_factory=dict)
-    z_ref: float = 50.0
+    s21: np.ndarray
 
     def __post_init__(self):
         self.frequencies = np.asarray(self.frequencies, dtype=float)
@@ -89,30 +92,17 @@ class FrequencyResponse:
             raise ValueError("frequency grid must be a 1-d array")
         if np.any(np.diff(self.frequencies) <= 0.0):
             raise ValueError("frequency grid must be strictly ascending")
-        for name, vals in self.s_params.items():
-            vals = np.asarray(vals, dtype=complex)
-            if vals.shape != self.frequencies.shape:
-                raise ValueError(f"{name} length does not match grid")
-            self.s_params[name] = vals
-        if self.z_ref <= 0.0:
-            raise ValueError("reference impedance must be positive")
+        self.s21 = np.asarray(self.s21, dtype=complex)
+        if self.s21.shape != self.frequencies.shape:
+            raise ValueError("s21 length does not match grid")
 
-    def magnitude_db(self, name: str) -> np.ndarray:
-        mag = np.abs(self.s_params[name])
-        return 20.0 * np.log10(np.maximum(mag, _DB_FLOOR))
+    def magnitude_db(self) -> np.ndarray:
+        return _db(self.s21)
 
     def to_csv(self) -> str:
-        names = list(self.s_params)
-        header = "freq_hz," + ",".join(
-            f"{n.lower()}_re,{n.lower()}_im" for n in names)
-        lines = [header]
-        for i, f in enumerate(self.frequencies):
-            cells = [f"{f:.12g}"]
-            for n in names:
-                v = self.s_params[n][i]
-                cells.append(f"{v.real:.12g}")
-                cells.append(f"{v.imag:.12g}")
-            lines.append(",".join(cells))
+        lines = ["freq_hz,s21_re,s21_im"]
+        for f, v in zip(self.frequencies, self.s21):
+            lines.append(f"{f:.12g},{v.real:.12g},{v.imag:.12g}")
         return "\n".join(lines) + "\n"
 
 
@@ -124,7 +114,7 @@ def frequency_grid(band: RealInterval,
 
 
 def notch_s21(resonator: NotchResonator, frequencies,
-              qubit_state: int = 0, z_ref: float = 50.0) -> FrequencyResponse:
+              qubit_state: int = 0) -> FrequencyResponse:
     """Transmission past a side-coupled resonator.
 
     S21(f) = 1 - (Ql/Qc) / (1 + 2j Ql (f - fd)/fd) with fd the dressed
@@ -137,12 +127,10 @@ def notch_s21(resonator: NotchResonator, frequencies,
     fd = resonator.dressed_frequency(qubit_state)
     depth = resonator.q_loaded / resonator.q_coupling
     s21 = 1.0 - depth / (1.0 + 2j * resonator.q_loaded * (f - fd) / fd)
-    return FrequencyResponse(frequencies=f, s_params={"s21": s21},
-                             z_ref=z_ref)
+    return FrequencyResponse(frequencies=f, s21=s21)
 
 
-def extract_q_fwhm(response: FrequencyResponse,
-                   name: str = "s21") -> tuple[float, float, float]:
+def extract_q_fwhm(response: FrequencyResponse) -> tuple[float, float, float]:
     """(f_r, Q, bandwidth) from the -3 dB full width of a dip.
 
     The resonance is the sample of minimum |S21|; the bandwidth comes
@@ -151,9 +139,7 @@ def extract_q_fwhm(response: FrequencyResponse,
     reaching -3 dB raises ExtractionError; more than one separate dip
     below the threshold raises AmbiguousDipError.
     """
-    if name not in response.s_params:
-        raise KeyError(f"response has no {name!r} trace")
-    db = response.magnitude_db(name)
+    db = response.magnitude_db()
     f = response.frequencies
     below = db < -3.0
     if not below.any():
@@ -208,14 +194,13 @@ def worst_case_reflection(line_z0: float, z_port: float,
     # S11 of [cos, j z0 sin; j sin / z0, cos] at reference z_port
     num = 1j * sin_bl * (line_z0 / z_port - z_port / line_z0)
     den = 2.0 * cos_bl + 1j * sin_bl * (line_z0 / z_port + z_port / line_z0)
-    mag = np.abs(num / den)
-    return float(np.max(20.0 * np.log10(np.maximum(mag, _DB_FLOOR))))
+    return float(np.max(_db(num / den)))
 
 
 def _shunt_admittance(res: NotchResonator, f: np.ndarray,
-                      z0: float, qubit_state: int = 0) -> np.ndarray:
+                      z0: float) -> np.ndarray:
     # shunt element that reproduces notch_s21 exactly on a matched line
-    fd = res.dressed_frequency(qubit_state)
+    fd = res.dressed_frequency()
     q = res.q_loaded / res.q_coupling
     x = 2.0 * res.q_loaded * (f - fd) / fd
     den = (1.0 - q) + 1j * x
@@ -286,7 +271,6 @@ def crosstalk_dip(bridge_capacitance: float, near: NotchResonator,
     eye = np.eye(4)
     s = np.linalg.solve(eye + z0 * yred, eye - z0 * yred)
 
-    s43 = s[:, 3, 2]
-    db = 20.0 * np.log10(np.maximum(np.abs(s43), _DB_FLOOR))
+    db = _db(s[:, 3, 2])
     baseline = float(db[0])
     return max(baseline - float(db.min()), 0.0)

@@ -22,6 +22,7 @@ __all__ = [
     "charging_energy",
     "josephson_energy",
     "squid_josephson_energy",
+    "qubit_energies",
     "transmon_frequency",
     "anharmonicity",
     "ej_ec_ratio",
@@ -94,6 +95,12 @@ def squid_josephson_energy(ej_max: float, flux: float) -> float:
     if ej_max <= 0.0:
         raise ValueError("ej_max must be positive")
     return ej_max * abs(math.cos(math.pi * flux))
+
+
+def qubit_energies(pars: TransmonParams, flux: float) -> tuple[float, float]:
+    """(Ec, Ej) in joules: Ec at c_total, Ej at the flux bias in Phi0."""
+    ej = squid_josephson_energy(josephson_energy(pars.l_junction), flux)
+    return charging_energy(pars.c_total), ej
 
 
 def transmon_frequency(ec: float, ej: float) -> float:
@@ -194,8 +201,7 @@ def qubit_numbers(pars: TransmonParams, flux: float = 0.0, ng: float = 0.0,
     spectrum; and "frequency_c_eff", the closed form at c_eff (None when
     c_eff is not set).  Frequencies are Hz.
     """
-    ej = squid_josephson_energy(josephson_energy(pars.l_junction), flux)
-    ec = charging_energy(pars.c_total)
+    ec, ej = qubit_energies(pars, flux)
     e0, e1, e2 = (float(e) for e in
                   cpb_spectrum(ec, ej, ng=ng, cutoff=cutoff, n_levels=3))
     return {

@@ -18,6 +18,9 @@ from flipkit import cli, device
 CPW_ARGS = ["cpw", "--w", "10um", "--s", "5.806um",
             "--eps-sub", "11.9", "--eps-sup", "1"]
 
+# byte goldens of the commands the preset report does not run
+TEST_REFERENCE = Path(__file__).resolve().parent / "reference"
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -50,6 +53,9 @@ def test_bad_band_unit_keeps_its_message(capsys):
     code, _, err = run(capsys, "match", "--band", "4GHz")
     assert code == 1
     assert "band must be lo:hi" in err
+    code, _, err = run(capsys, "match", "--band", "8GHz:4GHz")
+    assert code == 1
+    assert "empty interval: [8000000000.0, 4000000000.0]" in err
 
 
 def test_bad_length_unit_keeps_its_message(capsys):
@@ -141,6 +147,22 @@ def test_smatrix_recovers_q(capsys, tmp_path):
     assert header == "freq_hz,s21_re,s21_im"
 
 
+# a notch with Qc = 2 Ql, so the dip bottoms out at -6.02 dB
+SMATRIX_ARGS = ["smatrix", "--fr", "7.11524GHz", "--ql", "6618.16",
+                "--qc", "13236.32", "--points", "201"]
+
+
+def test_smatrix_matches_reference_bytes(capsys, tmp_path):
+    csv_path = tmp_path / "trace.csv"
+    code, _, _ = run(capsys, *SMATRIX_ARGS, "--out", str(csv_path))
+    assert code == 0
+    assert csv_path.read_text(encoding="utf-8") == \
+        (TEST_REFERENCE / "smatrix.csv").read_text(encoding="utf-8")
+    code, out, _ = run(capsys, *SMATRIX_ARGS, "--json")
+    assert code == 0
+    assert out == (TEST_REFERENCE / "smatrix.json").read_text(encoding="utf-8")
+
+
 def test_smatrix_plot_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     for path in (a, b):
@@ -215,9 +237,6 @@ def test_fieldsolve_facing_ground_inside_box(capsys):
 
 
 # the preset report runs no field solve, so the solver has goldens of its own
-FIELDSOLVE_REFERENCE = Path(__file__).resolve().parent / "reference"
-
-
 @pytest.mark.parametrize("extra,name", [
     ([], "fieldsolve_open.json"),
     (["--interlayer", "40um"], "fieldsolve_facing.json"),
@@ -226,7 +245,7 @@ def test_fieldsolve_matches_reference_bytes(capsys, extra, name):
     code, out, _ = run(capsys, "fieldsolve", "--w", "10um", "--s", "5.806um",
                        "--eps-sub", "11.9", "--cell", "1um", *extra, "--json")
     assert code == 0
-    assert out == (FIELDSOLVE_REFERENCE / name).read_text(encoding="utf-8")
+    assert out == (TEST_REFERENCE / name).read_text(encoding="utf-8")
 
 
 # --------------------------------------------------------------- analyze

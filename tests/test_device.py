@@ -9,6 +9,7 @@ import pytest
 
 from flipkit import cli, device, transmon
 from flipkit.device import ConfigError, DeviceReport, analyze, parse_config
+from flipkit.units import round12
 
 
 def val(field):
@@ -246,8 +247,9 @@ def cpb_calls(monkeypatch):
     return calls
 
 
-def without_coupling_frequencies():
-    lines = device.default_config_text().splitlines(keepends=True)
+def without_coupling_frequencies(text=None):
+    """Config text (the preset by default) parsed without coupling.f_*."""
+    lines = (text or device.default_config_text()).splitlines(keepends=True)
     return parse_config("".join(
         line for line in lines
         if not line.startswith(("coupling.f_bottom", "coupling.f_top"))))
@@ -288,3 +290,28 @@ def test_participation_resolution_prefers_config(spec):
     assert src.startswith("config")
     assert p["substrate"] == pytest.approx(0.922481, abs=1e-6)
     assert sum(p.values()) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_report_rows_agree_with_sweep_rows():
+    # the report and the sweeps share one loss path and one coupling path:
+    # a sweep row at the configured value prints what the report prints
+    lossy = without_coupling_frequencies(
+        device.default_config_text().replace(
+            "stack.interlayer_tan_delta = 0.0",
+            "stack.interlayer_tan_delta = 3.3e-6"))
+    assert lossy.interlayer_tan_delta == 3.3e-6
+    assert lossy.coupling_f_bottom is None and lossy.coupling_f_top is None
+    lossy_report = analyze(lossy)
+    loss_rows = device.sweep(lossy, "loss_tangent", [3.3e-6])
+    for chip in ("bottom", "top"):
+        row = mode(lossy_report, f"{chip}_qubit")
+        assert val(row["gamma_cap_per_s"]) > 0.0
+        for key, column in (("q_total", f"q_total_{chip}"),
+                            ("t1_upper_s", f"t1_upper_{chip}_s"),
+                            ("gamma_cap_per_s", f"gamma_cap_{chip}_per_s")):
+            assert val(row[key]) == round12(loss_rows.column(column)[0]), key
+    thickness_rows = device.sweep(lossy, "interlayer_thickness",
+                                  [lossy.interlayer_thickness])
+    for key in ("cg_f", "r", "g_hz", "hybrid_lower_hz", "hybrid_upper_hz"):
+        assert val(lossy_report.data["coupling"][key]) == round12(
+            thickness_rows.column(key)[0]), key

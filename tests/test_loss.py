@@ -15,12 +15,10 @@ Q_MODE2 = 754259.0
 F_MODE2 = 5.74989e9
 
 
-def budget(tan_d=1e-6, baseline_q=1e7, f=5e9, eta=1.0, p_sub=0.9,
-           p_inter=0.08):
+def budget(tan_d=1e-6, baseline_q=1e7, f=5e9, p_sub=0.9, p_inter=0.08):
     return LossBudget(mode_frequency=f, baseline_q=baseline_q,
                       regions={"substrate": (p_sub, tan_d),
-                               "interlayer": (p_inter, tan_d)},
-                      eta=eta)
+                               "interlayer": (p_inter, tan_d)})
 
 
 def test_t1_upper_bound_mode1():

@@ -31,14 +31,14 @@ def test_notch_depth_at_resonance():
     res = NotchResonator(f_r=FR_BOTTOM, q_loaded=1000.0, q_coupling=2000.0)
     resp = notch_s21(res, [FR_BOTTOM])
     # Qc = 2 Ql -> |S21| = 1 - 1/2
-    assert abs(resp.s_params["s21"][0]) == pytest.approx(0.5, abs=1e-12)
-    assert resp.magnitude_db("s21")[0] == pytest.approx(-6.02, abs=0.01)
+    assert abs(resp.s21[0]) == pytest.approx(0.5, abs=1e-12)
+    assert resp.magnitude_db()[0] == pytest.approx(-6.02, abs=0.01)
 
 
 def test_notch_off_resonance_recovers():
     res = NotchResonator(f_r=FR_BOTTOM, q_loaded=1000.0, q_coupling=2000.0)
     resp = notch_s21(res, [FR_BOTTOM * 1.2])
-    assert abs(resp.s_params["s21"][0]) == pytest.approx(1.0, abs=1e-3)
+    assert abs(resp.s21[0]) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_notch_state_shift_is_two_chi():
@@ -88,7 +88,7 @@ def test_extraction_table_consistency():
 def test_extraction_flat_response_fails():
     f = np.linspace(4e9, 5e9, 101)
     flat = FrequencyResponse(frequencies=f,
-                             s_params={"s21": np.ones_like(f, dtype=complex)})
+                             s21=np.ones_like(f, dtype=complex))
     with pytest.raises(ExtractionError):
         extract_q_fwhm(flat)
 
@@ -102,10 +102,10 @@ def test_extraction_shallow_dip_fails():
 def test_extraction_two_dips_ambiguous():
     f = np.linspace(6e9, 8e9, 4001)
     a = notch_s21(NotchResonator(f_r=6.5e9, q_loaded=500.0,
-                                 q_coupling=500.0), f).s_params["s21"]
+                                 q_coupling=500.0), f).s21
     b = notch_s21(NotchResonator(f_r=7.5e9, q_loaded=500.0,
-                                 q_coupling=500.0), f).s_params["s21"]
-    resp = FrequencyResponse(frequencies=f, s_params={"s21": a * b})
+                                 q_coupling=500.0), f).s21
+    resp = FrequencyResponse(frequencies=f, s21=a * b)
     with pytest.raises(AmbiguousDipError):
         extract_q_fwhm(resp)
 
@@ -119,20 +119,19 @@ def test_extraction_grid_edge():
 
 def test_response_csv_header():
     f = np.array([1e9, 2e9])
-    resp = FrequencyResponse(frequencies=f,
-                             s_params={"s11": np.zeros(2, dtype=complex),
-                                       "s21": np.ones(2, dtype=complex)})
+    resp = FrequencyResponse(frequencies=f, s21=np.ones(2, dtype=complex))
     lines = resp.to_csv().splitlines()
-    assert lines[0] == "freq_hz,s11_re,s11_im,s21_re,s21_im"
+    assert lines[0] == "freq_hz,s21_re,s21_im"
     assert len(lines) == 3
 
 
 def test_response_validation():
     with pytest.raises(ValueError):
-        FrequencyResponse(frequencies=np.array([2e9, 1e9]))
+        FrequencyResponse(frequencies=np.array([2e9, 1e9]),
+                          s21=np.zeros(2, dtype=complex))
     with pytest.raises(ValueError):
         FrequencyResponse(frequencies=np.array([1e9, 2e9]),
-                          s_params={"s21": np.zeros(3, dtype=complex)})
+                          s21=np.zeros(3, dtype=complex))
 
 
 # ----------------------------------------------------------- matching
