@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import C_LIGHT, EPS_0, MU_0
-from .numerics import RealInterval, elliptic_k, find_root
+from .numerics import RealInterval, elliptic_k
 
 __all__ = [
     "CpwGeometry",
@@ -104,24 +104,49 @@ def characteristic_impedance(trace_width: float, gap: float,
 
 
 def solve_gap_for_impedance(trace_width: float, eps_eff: float,
-                            z_target: float,
-                            bracket: RealInterval | None = None) -> float:
+                            z_target: float) -> float:
     """Gap that realizes a target impedance at fixed trace width.
 
-    Bisection on the monotone map gap -> Z0.  The default bracket spans
-    gaps from w/100 to 100 w, which covers any practical target; a
-    target outside the achievable range raises the bracket error from
-    the root finder.
+    Closed-form inverse of characteristic_impedance.  The target fixes
+    tau = K(k0')/K(k0), and the Jacobi nome q = exp(-pi tau) gives
+    k0 = theta2(q)^2 / theta3(q)^2 and k0' = theta4(q)^2 / theta3(q)^2
+    (DLMF 22.2).  The series run at q = exp(-pi min(tau, 1/tau)) <= e^-pi,
+    where five terms reach double precision; for tau < 1 that is the
+    nome of the complementary modulus, so k0 and k0' swap.  The gap is
+    w k0'^2 / (2 k0 (1 + k0)), which does not cancel as k0 -> 1.  Gaps
+    from w/100 to 100 w are accepted; a target outside the impedances
+    they reach raises ValueError naming that range.
     """
-    if z_target <= 0.0:
-        raise ValueError("target impedance must be positive")
-    if bracket is None:
-        bracket = RealInterval(1e-2 * trace_width, 100.0 * trace_width)
-
-    def residual(s: float) -> float:
-        return characteristic_impedance(trace_width, s, eps_eff) - z_target
-
-    return find_root(residual, bracket, tol=1e-15 * bracket.hi)
+    if trace_width <= 0.0:
+        raise ValueError("trace_width must be positive")
+    if eps_eff < 1.0:
+        raise ValueError("eps_eff must be >= 1")
+    if not 0.0 < z_target < math.inf:
+        raise ValueError("target impedance must be positive and finite")
+    scale = math.sqrt(MU_0 / (16.0 * EPS_0 * eps_eff))
+    tau = z_target / scale
+    q = math.exp(-math.pi * (tau if tau >= 1.0 else scale / z_target))
+    theta2 = 2.0 * q ** 0.25 * (1.0 + q ** 2 + q ** 6 + q ** 12 + q ** 20)
+    theta3 = 1.0 + 2.0 * (q + q ** 4 + q ** 9 + q ** 16 + q ** 25)
+    theta4 = 1.0 + 2.0 * (-q + q ** 4 - q ** 9 + q ** 16 - q ** 25)
+    k0 = (theta2 / theta3) ** 2
+    k0p = (theta4 / theta3) ** 2
+    if tau < 1.0:
+        k0, k0p = k0p, k0
+    lo, hi = 1e-2 * trace_width, 100.0 * trace_width
+    # far above the range q underflows to 0, and k0 with it
+    gap = trace_width * k0p * k0p / (2.0 * k0 * (1.0 + k0)) if k0 > 0.0 \
+        else math.inf
+    if lo <= gap <= hi:
+        return gap
+    z_lo = characteristic_impedance(trace_width, lo, eps_eff)
+    z_hi = characteristic_impedance(trace_width, hi, eps_eff)
+    if z_lo <= z_target <= z_hi:  # a range end, missed by rounding
+        return min(max(gap, lo), hi)
+    raise ValueError(
+        f"target impedance {z_target:g} ohm is out of reach: gaps from "
+        f"w/100 to 100 w give {z_lo:.6g} to {z_hi:.6g} ohm at "
+        f"eps_eff {eps_eff:g}")
 
 
 def phase_velocity(eps_eff: float) -> float:

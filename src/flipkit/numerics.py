@@ -1,8 +1,10 @@
 """Small scalar kernels: an interval type, the AGM, elliptic K, bisection.
 
 These serve impedance design (complete elliptic integrals through the
-arithmetic-geometric mean) and gap synthesis (bisection on a bracketing
-interval).  Matrix work lives with its callers: the charge-basis
+arithmetic-geometric mean) and root finding on a bracketing interval.
+Gap synthesis is no root search: cpw inverts K'/K in closed form
+through the Jacobi nome (DLMF 22.2), and the tests keep bisection as
+its oracle.  Matrix work lives with its callers: the charge-basis
 spectrum runs on numpy's LAPACK eigensolver, and the two-mode
 hybridization is a closed form.
 """

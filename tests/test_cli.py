@@ -110,6 +110,27 @@ def test_cpw_gap_synthesis(capsys):
     assert doc["gap_m"] == pytest.approx(5.806e-6, rel=0.04)
 
 
+@pytest.mark.parametrize("extra,name", [
+    ([], "cpw_synth.txt"),
+    (["--json"], "cpw_synth.json"),
+], ids=["text", "json"])
+def test_cpw_gap_synthesis_matches_reference_bytes(capsys, extra, name):
+    code, out, _ = run(capsys, "cpw", "--w", "10um", "--z0", "50",
+                       "--eps-sub", "11.9", *extra)
+    assert code == 0
+    assert out == (TEST_REFERENCE / name).read_text(encoding="utf-8")
+
+
+def test_cpw_unreachable_target_names_the_range(capsys):
+    code, out, err = run(capsys, "cpw", "--w", "10um", "--z0", "1e4",
+                         "--eps-sub", "11.9")
+    assert code == 1
+    assert out == ""
+    assert err == ("flipkit: target impedance 10000 ohm is out of reach: "
+                   "gaps from w/100 to 100 w give 19.4128 to 157.932 ohm "
+                   "at eps_eff 6.45\n")
+
+
 # ------------------------------------------------------------- transmon
 
 def test_transmon_energy_report(capsys):

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flipkit import cpw
-from flipkit.constants import C_LIGHT
-from flipkit.numerics import RealInterval
+from flipkit.constants import C_LIGHT, EPS_0, MU_0
+from flipkit.numerics import RealInterval, find_root
 
 # silicon below, vacuum above
 EPS_EFF = 6.45
@@ -94,6 +94,12 @@ def test_impedance_domain():
         cpw.characteristic_impedance(W, 0.0, EPS_EFF)
 
 
+def impedance_range(w, eps_eff):
+    """Z0 reached by the accepted gaps, w/100 to 100 w."""
+    return (cpw.characteristic_impedance(w, 1e-2 * w, eps_eff),
+            cpw.characteristic_impedance(w, 100.0 * w, eps_eff))
+
+
 def test_gap_synthesis_near_paper_value():
     s = cpw.solve_gap_for_impedance(W, EPS_EFF, 50.0)
     assert s == pytest.approx(5.806e-6, rel=0.04)
@@ -102,14 +108,14 @@ def test_gap_synthesis_near_paper_value():
 def test_gap_synthesis_round_trip():
     s = cpw.solve_gap_for_impedance(W, EPS_EFF, 50.0)
     assert cpw.characteristic_impedance(W, s, EPS_EFF) == \
-        pytest.approx(50.0, abs=1e-4)
+        pytest.approx(50.0, rel=1e-12)
 
 
 @given(st.floats(min_value=30.0, max_value=120.0))
 def test_gap_synthesis_round_trip_any_target(z_target):
     s = cpw.solve_gap_for_impedance(W, EPS_EFF, z_target)
     assert cpw.characteristic_impedance(W, s, EPS_EFF) == \
-        pytest.approx(z_target, abs=1e-4)
+        pytest.approx(z_target, rel=1e-12)
 
 
 def test_gap_synthesis_monotone():
@@ -119,8 +125,80 @@ def test_gap_synthesis_monotone():
 
 
 def test_gap_synthesis_unreachable_target():
+    # q = exp(-pi tau) underflows to 0 at all four, for k0 or for k0'
+    z_lo, z_hi = impedance_range(W, EPS_EFF)
+    for z_target in (1e4, 1e300, 1e-3, 5e-324):
+        with pytest.raises(ValueError) as err:
+            cpw.solve_gap_for_impedance(W, EPS_EFF, z_target)
+        assert f"{z_target:g} ohm is out of reach" in str(err.value)
+        assert f"give {z_lo:.6g} to {z_hi:.6g} ohm at eps_eff 6.45" in \
+            str(err.value)
+
+
+# ------------------------------------- gap synthesis against bisection
+
+def bisected_gap(w, eps_eff, z_target):
+    """Independent oracle: bisect the forward map gap -> Z0."""
+    return find_root(
+        lambda s: cpw.characteristic_impedance(w, s, eps_eff) - z_target,
+        RealInterval(1e-2 * w, 100.0 * w), tol=1e-16 * w)
+
+
+def assert_synthesis_matches_oracle(w, eps_eff, z_target):
+    s = cpw.solve_gap_for_impedance(w, eps_eff, z_target)
+    assert s == pytest.approx(bisected_gap(w, eps_eff, z_target), rel=1e-11)
+    assert cpw.characteristic_impedance(w, s, eps_eff) == \
+        pytest.approx(z_target, rel=1e-12)
+    return s
+
+
+@given(st.floats(min_value=1e-6, max_value=50e-6),
+       st.floats(min_value=1.0, max_value=12.0),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_gap_synthesis_matches_bisection(w, eps_eff, fraction):
+    z_lo, z_hi = impedance_range(w, eps_eff)
+    z_target = min(z_lo + fraction * (z_hi - z_lo), z_hi)
+    assert_synthesis_matches_oracle(w, eps_eff, z_target)
+
+
+def tau_one_impedance(eps_eff):
+    """Z0 at K(k0') = K(k0), where the nome series switch modulus."""
+    return math.sqrt(MU_0 / (16.0 * EPS_0 * eps_eff))
+
+
+@pytest.mark.parametrize("tau", [1.0 - 1e-12, 1.0 - 1e-6, 1.0,
+                                 1.0 + 1e-6, 1.0 + 1e-12])
+def test_gap_synthesis_across_tau_one(tau):
+    assert_synthesis_matches_oracle(W, EPS_EFF,
+                                    tau * tau_one_impedance(EPS_EFF))
+
+
+def test_gap_synthesis_at_tau_one_is_exact():
+    # k0 = 1/sqrt(2) at tau = 1, so the gap is w (sqrt(2) - 1) / 2
+    s = cpw.solve_gap_for_impedance(W, EPS_EFF, tau_one_impedance(EPS_EFF))
+    assert s == pytest.approx(W * (math.sqrt(2.0) - 1.0) / 2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("eps_eff", [1.0, EPS_EFF, 12.0])
+def test_gap_synthesis_at_range_ends(eps_eff):
+    z_lo, z_hi = impedance_range(W, eps_eff)
+    s_lo = assert_synthesis_matches_oracle(W, eps_eff, z_lo)
+    s_hi = assert_synthesis_matches_oracle(W, eps_eff, z_hi)
+    assert s_lo == pytest.approx(1e-2 * W, rel=1e-11)
+    assert s_hi == pytest.approx(100.0 * W, rel=1e-11)
+    for z_out in (z_lo * (1.0 - 1e-9), z_hi * (1.0 + 1e-9)):
+        with pytest.raises(ValueError, match="out of reach"):
+            cpw.solve_gap_for_impedance(W, eps_eff, z_out)
+
+
+@pytest.mark.parametrize("w,eps_eff,z_target", [
+    (0.0, EPS_EFF, 50.0), (-W, EPS_EFF, 50.0), (W, 0.99, 50.0),
+    (W, EPS_EFF, 0.0), (W, EPS_EFF, -50.0), (W, EPS_EFF, math.inf),
+    (W, EPS_EFF, math.nan),
+])
+def test_gap_synthesis_domain(w, eps_eff, z_target):
     with pytest.raises(ValueError):
-        cpw.solve_gap_for_impedance(W, EPS_EFF, 1e4)
+        cpw.solve_gap_for_impedance(w, eps_eff, z_target)
 
 
 def test_phase_velocity():
