@@ -63,12 +63,15 @@ class ChipSpec:
     g_qr: float | None = None
 
     def __post_init__(self):
-        if self.coupling_q <= 0.0:
-            raise ValueError("readout coupling Q must be positive")
-        if self.baseline_q is not None and self.baseline_q <= 0.0:
-            raise ValueError("qubit baseline Q must be positive")
-        if self.g_qr is not None and self.g_qr <= 0.0:
-            raise ValueError("readout g must be positive when given")
+        errors = [f"chip.{self.name}.{key} must be positive"
+                  for key, value in (
+                      ("readout.coupling_q", self.coupling_q),
+                      ("cpw.substrate_thickness", self.substrate_thickness),
+                      ("transmon.baseline_q", self.baseline_q),
+                      ("readout.g_qr", self.g_qr))
+                  if value is not None and value <= 0.0]
+        if errors:
+            raise ConfigError(errors)
 
 
 @dataclass(frozen=True)
@@ -88,27 +91,26 @@ class DeviceSpec:
     fieldsolve_box_factor: float = 10.0
 
     def __post_init__(self):
-        if self.interlayer_thickness <= 0.0:
-            raise ValueError("interlayer thickness must be positive")
+        errors = [f"{key} must be positive" for key, value in (
+            ("stack.interlayer_thickness", self.interlayer_thickness),
+            ("coupling.pad_overlap_area", self.pad_overlap_area),
+            ("coupling.f_bottom", self.coupling_f_bottom),
+            ("coupling.f_top", self.coupling_f_top),
+            ("fieldsolve.cell", self.fieldsolve_cell))
+            if value is not None and value <= 0.0]
         if self.interlayer_eps_r < 1.0:
-            raise ValueError("interlayer eps_r must be >= 1")
+            errors.append("stack.interlayer_eps_r must be >= 1")
         if self.interlayer_tan_delta < 0.0:
-            raise ValueError("loss tangent must be >= 0")
-        if self.pad_overlap_area <= 0.0:
-            raise ValueError("pad overlap area must be positive")
-        if self.participation is not None:
-            total = 0.0
-            for name, p in self.participation.items():
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(
-                        f"participation of {name!r} outside [0, 1]")
-                total += p
-            if total > 1.0 + 1e-9:
-                raise ValueError("participations sum past 1")
-        if self.fieldsolve_cell <= 0.0:
-            raise ValueError("fieldsolve cell must be positive")
+            errors.append("stack.interlayer_tan_delta must be >= 0")
+        for name, p in (self.participation or {}).items():
+            if not 0.0 <= p <= 1.0:
+                errors.append(f"loss.participation.{name} must be in [0, 1]")
+        if sum((self.participation or {}).values()) > 1.0 + 1e-9:
+            errors.append("loss.participation values sum past 1")
         if self.fieldsolve_box_factor < 10.0:
-            raise ValueError("fieldsolve box factor must be >= 10")
+            errors.append("fieldsolve.box_factor must be >= 10")
+        if errors:
+            raise ConfigError(errors)
 
 
 # configuration schema: key -> (dimension in units.UNITS, required)
@@ -160,7 +162,7 @@ def _parse_entries(text: str) -> tuple[dict[str, float], list[str]]:
         if "=" not in line:
             errors.append(f"line {lineno}: expected 'key = value'")
             continue
-        key, rhs = (part.strip() for part in line.split("=", 1))
+        key, rhs = map(str.strip, line.split("=", 1))
         if key not in _SCHEMA:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
@@ -181,85 +183,80 @@ def _parse_entries(text: str) -> tuple[dict[str, float], list[str]]:
 
 
 def parse_config(text: str) -> DeviceSpec:
-    """Parse and validate a device config; every problem is reported."""
+    """Parse and validate a device config; every problem is reported.
+
+    Records get only the keys the config sets.  A failed record goes on
+    as None, so the record holding it is still checked; a record that
+    lacks a required key is not built.
+    """
     entries, errors = _parse_entries(text)
-    for key, (_, required) in _SCHEMA.items():
-        if required and key not in entries:
-            errors.append(f"missing required key {key!r}")
-    if errors:
-        raise ConfigError(errors)
+    errors += [f"missing required key {key!r}"
+               for key, (_, required) in _SCHEMA.items()
+               if required and key not in entries]
 
-    def build_chip(side: str) -> ChipSpec:
+    def build(prefix: str, make):
+        try:
+            return make()
+        except ConfigError as exc:  # ChipSpec and DeviceSpec name their keys
+            errors.extend(exc.errors)
+        except ValueError as exc:
+            errors.append(f"{prefix}: {exc}")
+        except KeyError:  # a required key, already reported missing
+            pass
+        return None
+
+    def given(**keys: str) -> dict[str, float]:
+        """Field -> value of each optional key that the config sets."""
+        return {field: entries[key] for field, key in keys.items()
+                if key in entries}
+
+    def build_chip(side: str) -> ChipSpec | None:
         p = f"chip.{side}"
-        geometry = cpw.CpwGeometry(
-            trace_width=entries[f"{p}.cpw.trace_width"],
-            gap=entries[f"{p}.cpw.trace_gap"],
-            eps_substrate=entries[f"{p}.cpw.substrate_eps_r"],
-            eps_superstrate=entries["stack.interlayer_eps_r"])
-        eps_eff = cpw.effective_permittivity(geometry.eps_substrate,
-                                             geometry.eps_superstrate)
-        resonator = cpw.ResonatorSpec(
-            physical_length=entries[f"{p}.resonator.length"],
-            pocket_extension=entries[f"{p}.resonator.pocket_extension"],
-            eps_eff=eps_eff)
-        pars = transmon.TransmonParams(
-            c_junction=entries[f"{p}.transmon.junction_capacitance"],
-            c_shunt=entries[f"{p}.transmon.shunt_capacitance"],
-            l_junction=entries[f"{p}.transmon.junction_inductance"],
-            c_eff=entries.get(f"{p}.transmon.c_eff"))
-        return ChipSpec(
-            name=side, geometry=geometry, resonator=resonator,
-            transmon=pars,
-            coupling_q=entries[f"{p}.readout.coupling_q"],
-            substrate_thickness=entries.get(f"{p}.cpw.substrate_thickness"),
-            flux_bias=entries.get(f"{p}.transmon.flux_bias", 0.0),
-            baseline_q=entries.get(f"{p}.transmon.baseline_q"),
-            g_qr=entries.get(f"{p}.readout.g_qr"))
 
-    participation = None
-    p_sub = entries.get("loss.participation.substrate")
-    p_int = entries.get("loss.participation.interlayer")
-    if (p_sub is None) != (p_int is None):
+        def parts():
+            eps = (entries[f"{p}.cpw.substrate_eps_r"],
+                   entries["stack.interlayer_eps_r"])
+            return (
+                cpw.CpwGeometry(entries[f"{p}.cpw.trace_width"],
+                                entries[f"{p}.cpw.trace_gap"], *eps),
+                cpw.ResonatorSpec(entries[f"{p}.resonator.length"],
+                                  entries[f"{p}.resonator.pocket_extension"],
+                                  cpw.effective_permittivity(*eps)),
+                transmon.TransmonParams(
+                    c_junction=entries[f"{p}.transmon.junction_capacitance"],
+                    c_shunt=entries[f"{p}.transmon.shunt_capacitance"],
+                    l_junction=entries[f"{p}.transmon.junction_inductance"],
+                    **given(c_eff=f"{p}.transmon.c_eff")))
+
+        geometry, resonator, pars = build(p, parts) or (None,) * 3
+        return build(p, lambda: ChipSpec(
+            name=side, geometry=geometry, resonator=resonator, transmon=pars,
+            coupling_q=entries[f"{p}.readout.coupling_q"],
+            **given(substrate_thickness=f"{p}.cpw.substrate_thickness",
+                    flux_bias=f"{p}.transmon.flux_bias",
+                    baseline_q=f"{p}.transmon.baseline_q",
+                    g_qr=f"{p}.readout.g_qr")))
+
+    participation = given(substrate="loss.participation.substrate",
+                          interlayer="loss.participation.interlayer") or None
+    if participation is not None and len(participation) == 1:
         errors.append("loss.participation needs both substrate and "
                       "interlayer, or neither")
-    elif p_sub is not None:
-        participation = {"substrate": p_sub, "interlayer": p_int}
-
-    chips = {}
-    for side in ("bottom", "top"):
-        try:
-            chips[side] = build_chip(side)
-        except ValueError as exc:
-            errors.append(f"chip.{side}: {exc}")
-
-    # path-qualified scalar checks so stack problems aggregate with chip
-    # ones; DeviceSpec's own validation stays as the backstop
-    if entries["stack.interlayer_thickness"] <= 0.0:
-        errors.append("stack.interlayer_thickness must be positive")
-    if entries["stack.interlayer_eps_r"] < 1.0:
-        errors.append("stack.interlayer_eps_r must be >= 1")
-    if entries.get("stack.interlayer_tan_delta", 0.0) < 0.0:
-        errors.append("stack.interlayer_tan_delta must be >= 0")
-    if entries["coupling.pad_overlap_area"] <= 0.0:
-        errors.append("coupling.pad_overlap_area must be positive")
+    bottom, top = build_chip("bottom"), build_chip("top")
+    spec = build("stack", lambda: DeviceSpec(
+        bottom=bottom, top=top,
+        interlayer_thickness=entries["stack.interlayer_thickness"],
+        interlayer_eps_r=entries["stack.interlayer_eps_r"],
+        pad_overlap_area=entries["coupling.pad_overlap_area"],
+        participation=participation,
+        **given(interlayer_tan_delta="stack.interlayer_tan_delta",
+                coupling_f_bottom="coupling.f_bottom",
+                coupling_f_top="coupling.f_top",
+                fieldsolve_cell="fieldsolve.cell",
+                fieldsolve_box_factor="fieldsolve.box_factor")))
     if errors:
         raise ConfigError(errors)
-
-    try:
-        return DeviceSpec(
-            bottom=chips["bottom"], top=chips["top"],
-            interlayer_thickness=entries["stack.interlayer_thickness"],
-            interlayer_eps_r=entries["stack.interlayer_eps_r"],
-            interlayer_tan_delta=entries.get("stack.interlayer_tan_delta",
-                                             0.0),
-            pad_overlap_area=entries["coupling.pad_overlap_area"],
-            coupling_f_bottom=entries.get("coupling.f_bottom"),
-            coupling_f_top=entries.get("coupling.f_top"),
-            participation=participation,
-            fieldsolve_cell=entries.get("fieldsolve.cell", 1e-6),
-            fieldsolve_box_factor=entries.get("fieldsolve.box_factor", 10.0))
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
+    return spec
 
 
 def load_config(path: str) -> DeviceSpec:
@@ -536,11 +533,10 @@ def sweep(spec: DeviceSpec, parameter: str, values) -> SweepTable:
     elif parameter == "loss_tangent":
         if min(values) < 0.0:
             raise ValueError("loss tangents must be >= 0")
-        for chip in chips:
-            if chip.baseline_q is None:
-                raise ConfigError(
-                    [f"chip.{chip.name}.transmon.baseline_q is required for "
-                     "a loss_tangent sweep"])
+        missing = [f"chip.{c.name}.transmon.baseline_q is required for a "
+                   "loss_tangent sweep" for c in chips if c.baseline_q is None]
+        if missing:
+            raise ConfigError(missing)
         participation, _ = resolve_participation(spec)
         budgets = {chip.name: _loss_budget(0.0, chip.baseline_q,
                                            qubits[chip.name], participation)

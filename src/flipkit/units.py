@@ -9,6 +9,7 @@ printed number is rounded to 12 significant digits.
 from __future__ import annotations
 
 import re
+from math import isfinite
 
 UNITS: dict[str, dict[str, float]] = {
     "length": {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9},
@@ -26,18 +27,20 @@ _QUANTITY_GRAMMAR = re.compile(
 def parse_quantity(text: str, dimension: str) -> tuple[float, bool]:
     """(SI value, whether a unit was given) of a quantity of dimension.
 
-    Raises ValueError when the text is not a number, or its unit is not
-    one of the dimension's.
+    Raises ValueError when the text is not a number, its unit is not one
+    of the dimension's, or the value is not finite (1e400 overflows).
     """
     m = _QUANTITY_GRAMMAR.fullmatch(text.strip())
     if not m:
         raise ValueError(f"cannot parse {dimension} value {text!r}")
-    value, unit = float(m.group(1)), m.group(2)
-    if unit is None:
-        return value, False
-    if unit not in UNITS[dimension]:
+    number, unit = m.groups()
+    factors = UNITS[dimension]
+    if unit is not None and unit not in factors:
         raise ValueError(f"{dimension} has no unit {unit!r}")
-    return value * UNITS[dimension][unit], True
+    value = float(number) * factors.get(unit, 1.0)
+    if not isfinite(value):
+        raise ValueError(f"{dimension} value {text!r} is not finite")
+    return value, unit is not None
 
 
 def round12(x: float) -> float:

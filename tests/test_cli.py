@@ -298,6 +298,27 @@ def test_analyze_out_file_matches_stdout(capsys, tmp_path):
     assert path.read_text() == out
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["analyze"], "preset_analyze.txt"),
+    (["analyze", "--json", "--config",
+      str(TEST_REFERENCE / "closed_form_lossy.cfg")],
+     "closed_form_lossy_analyze.json"),
+], ids=["preset-text", "closed-form-json"])
+def test_analyze_matches_reference_bytes(capsys, argv, name):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (TEST_REFERENCE / name).read_text(encoding="utf-8")
+
+
+def test_analyze_names_the_bad_key(capsys, tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_text(device.default_config_text().replace(
+        "coupling.f_top = 5.75 GHz", "coupling.f_top = 0 GHz"))
+    code, out, err = run(capsys, "analyze", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert "coupling.f_top must be positive" in err
+
+
 # ------------------------------------------------- half a flux quantum
 
 HALF_FLUX_COMMANDS = {

@@ -102,6 +102,84 @@ def test_errors_are_aggregated_not_first_only():
     assert len(e.value.errors) >= 2
 
 
+def config_errors(edits, extra=""):
+    """Errors of the preset with each (line, replacement) edit applied."""
+    text = device.default_config_text()
+    for line, replacement in edits:
+        assert line in text
+        text = text.replace(line, replacement)
+    with pytest.raises(ConfigError) as e:
+        parse_config(text + extra)
+    return e.value.errors
+
+
+def test_every_problem_is_reported():
+    errors = config_errors([
+        ("fieldsolve.cell = 0.5 um", "fieldsolve.cell = -1 um"),
+        ("fieldsolve.box_factor = 10", "fieldsolve.box_factor = 3"),
+        ("loss.participation.interlayer = 0.077519",
+         "loss.participation.interlayer = 1.5"),
+        ("chip.top.transmon.junction_inductance = 7 nH",
+         "chip.top.transmon.junction_inductance = 0 nH"),
+        ("chip.bottom.transmon.baseline_q = 1.43512e6",
+         "chip.bottom.transmon.baseline_q = -1"),
+    ], extra="chip.bottom.readout.g_qr = -5 MHz\n")
+    assert sorted(errors) == sorted([
+        "fieldsolve.cell must be positive",
+        "fieldsolve.box_factor must be >= 10",
+        "loss.participation.interlayer must be in [0, 1]",
+        "loss.participation values sum past 1",
+        "chip.top: junction inductance must be positive",
+        "chip.bottom.transmon.baseline_q must be positive",
+        "chip.bottom.readout.g_qr must be positive",
+    ])
+
+
+@pytest.mark.parametrize("line,replacement,want", [
+    ("stack.interlayer_thickness = 0.5 mm",
+     "stack.interlayer_thickness = -1 mm",
+     ["stack.interlayer_thickness must be positive"]),
+    ("stack.interlayer_eps_r = 1.0", "stack.interlayer_eps_r = 0.5",
+     ["chip.bottom: relative permittivities must be >= 1",
+      "chip.top: relative permittivities must be >= 1",
+      "stack.interlayer_eps_r must be >= 1"]),
+    ("stack.interlayer_tan_delta = 0.0", "stack.interlayer_tan_delta = -1e-6",
+     ["stack.interlayer_tan_delta must be >= 0"]),
+    ("coupling.pad_overlap_area = 0.1034481 mm2",
+     "coupling.pad_overlap_area = 0 mm2",
+     ["coupling.pad_overlap_area must be positive"]),
+    ("coupling.f_bottom = 5.16 GHz", "coupling.f_bottom = 0 GHz",
+     ["coupling.f_bottom must be positive"]),
+    ("coupling.f_top = 5.75 GHz", "coupling.f_top = -5.75 GHz",
+     ["coupling.f_top must be positive"]),
+    ("chip.top.cpw.substrate_thickness = 0.75 mm",
+     "chip.top.cpw.substrate_thickness = 0 mm",
+     ["chip.top.cpw.substrate_thickness must be positive"]),
+    ("chip.bottom.readout.coupling_q = 6618.16",
+     "chip.bottom.readout.coupling_q = 0",
+     ["chip.bottom.readout.coupling_q must be positive"]),
+], ids=["thickness", "eps_r", "tan_delta", "pad_area", "f_bottom", "f_top",
+        "substrate_thickness", "coupling_q"])
+def test_out_of_range_value_names_its_key(line, replacement, want):
+    assert config_errors([(line, replacement)]) == want
+
+
+def test_line_and_missing_key_errors_join_the_value_errors():
+    errors = config_errors([
+        ("chip.top.readout.coupling_q = 5782.30\n", ""),
+        ("stack.interlayer_thickness = 0.5 mm",
+         "stack.interlayer_thickness = -1 mm"),
+        ("chip.bottom.transmon.baseline_q = 1.43512e6",
+         "chip.bottom.transmon.baseline_q = 0"),
+    ], extra="chip.bottom.readout.g_qr = 5 parsec\n")
+    assert len(errors) == 4
+    assert errors[0].startswith("line ") and "parsec" in errors[0]
+    assert errors[1:] == [
+        "missing required key 'chip.top.readout.coupling_q'",
+        "chip.bottom.transmon.baseline_q must be positive",
+        "stack.interlayer_thickness must be positive"]
+
+
 def test_participation_both_or_neither():
     text = device.default_config_text().replace(
         "loss.participation.interlayer = 0.077519\n", "")
@@ -226,11 +304,19 @@ def test_sweep_unknown_parameter(spec):
 
 
 def test_loss_sweep_requires_baseline_q(spec):
-    text = device.default_config_text().replace(
-        "chip.bottom.transmon.baseline_q = 1.43512e6\n", "")
-    stripped = parse_config(text)
-    with pytest.raises(ConfigError):
-        device.sweep(stripped, "loss_tangent", [1e-6])
+    # one error names every chip without a baseline Q
+    text, without = device.default_config_text(), []
+    for side, line in (("bottom", "chip.bottom.transmon.baseline_q = "
+                                  "1.43512e6\n"),
+                       ("top", "chip.top.transmon.baseline_q = 754259\n")):
+        assert line in text
+        text, without = text.replace(line, ""), without + [side]
+        stripped = parse_config(text)
+        with pytest.raises(ConfigError) as e:
+            device.sweep(stripped, "loss_tangent", [1e-6])
+        assert e.value.errors == [
+            f"chip.{s}.transmon.baseline_q is required for a loss_tangent "
+            "sweep" for s in without]
 
 
 @pytest.fixture

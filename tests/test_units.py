@@ -31,7 +31,8 @@ def cli_width(text, capsys):
 
 @pytest.mark.parametrize("text,want", [
     ("5um", 5e-6), ("5 um", 5e-6), (".5e-2 mm", 5e-6), ("5µm", 5e-6),
-    ("5 parsec", None), ("5um2", None), ("5 3", None), ("abc", None)])
+    ("5 parsec", None), ("5um2", None), ("5 3", None), ("abc", None),
+    ("1e400 um", None)])
 def test_config_and_cli_share_the_grammar(text, want, capsys):
     if want is None:
         with pytest.raises(ConfigError):
@@ -58,3 +59,6 @@ def test_parse_quantity_reports_unit_and_dimension():
         parse_quantity("8fF", "inductance")
     with pytest.raises(ValueError, match="scalar has no unit 'um'"):
         parse_quantity("5um", "scalar")
+    # a finite number can overflow once its unit scales it to SI
+    with pytest.raises(ValueError, match="'1e300 GHz' is not finite"):
+        parse_quantity("1e300 GHz", "frequency")
