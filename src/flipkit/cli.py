@@ -223,7 +223,11 @@ def _cmd_smatrix(args) -> dict:
 def _cmd_match(args) -> dict:
     if args.zstep <= 0.0:
         raise _UsageError("--zstep must be positive")
-    n = int(round((args.zmax - args.zmin) / args.zstep)) + 1
+    steps = (args.zmax - args.zmin) / args.zstep
+    if abs(steps - round(steps)) > 1e-9:
+        raise _UsageError(f"--zstep {args.zstep:g} does not divide the range "
+                          f"{args.zmin:g} to {args.zmax:g} ohm")
+    n = round(steps) + 1
     if n < 2:
         raise _UsageError("impedance range needs at least 2 points")
     table = SweepTable(param_name="z_port_ohm")

@@ -210,25 +210,26 @@ def parse_config(text: str) -> DeviceSpec:
         return {field: entries[key] for field, key in keys.items()
                 if key in entries}
 
+    def borrowed_eps(key: str) -> float:  # below 1, its owner reports it
+        return max(entries[key], 1.0)
+
     def build_chip(side: str) -> ChipSpec | None:
         p = f"chip.{side}"
-
-        def parts():
-            eps = (entries[f"{p}.cpw.substrate_eps_r"],
-                   entries["stack.interlayer_eps_r"])
-            return (
-                cpw.CpwGeometry(entries[f"{p}.cpw.trace_width"],
-                                entries[f"{p}.cpw.trace_gap"], *eps),
-                cpw.ResonatorSpec(entries[f"{p}.resonator.length"],
-                                  entries[f"{p}.resonator.pocket_extension"],
-                                  cpw.effective_permittivity(*eps)),
-                transmon.TransmonParams(
-                    c_junction=entries[f"{p}.transmon.junction_capacitance"],
-                    c_shunt=entries[f"{p}.transmon.shunt_capacitance"],
-                    l_junction=entries[f"{p}.transmon.junction_inductance"],
-                    **given(c_eff=f"{p}.transmon.c_eff")))
-
-        geometry, resonator, pars = build(p, parts) or (None,) * 3
+        geometry = build(p, lambda: cpw.CpwGeometry(
+            entries[f"{p}.cpw.trace_width"], entries[f"{p}.cpw.trace_gap"],
+            entries[f"{p}.cpw.substrate_eps_r"],
+            borrowed_eps("stack.interlayer_eps_r")))
+        resonator = build(p, lambda: cpw.ResonatorSpec(
+            entries[f"{p}.resonator.length"],
+            entries[f"{p}.resonator.pocket_extension"],
+            cpw.effective_permittivity(
+                borrowed_eps(f"{p}.cpw.substrate_eps_r"),
+                borrowed_eps("stack.interlayer_eps_r"))))
+        pars = build(p, lambda: transmon.TransmonParams(
+            c_junction=entries[f"{p}.transmon.junction_capacitance"],
+            c_shunt=entries[f"{p}.transmon.shunt_capacitance"],
+            l_junction=entries[f"{p}.transmon.junction_inductance"],
+            **given(c_eff=f"{p}.transmon.c_eff")))
         return build(p, lambda: ChipSpec(
             name=side, geometry=geometry, resonator=resonator, transmon=pars,
             coupling_q=entries[f"{p}.readout.coupling_q"],
@@ -291,10 +292,6 @@ class DeviceReport:
 
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeviceReport":
-        return cls(data=json.loads(text))
 
 
 def resolve_participation(spec: DeviceSpec) -> tuple[dict[str, float], str]:

@@ -27,7 +27,7 @@ which kill fringing where a closed form is the reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -674,12 +674,8 @@ def extract_eps_eff_and_z0(section: CrossSection, tol: float = DEFAULT_TOL,
         section, tol=tol, max_sweeps=max_sweeps)
     c_actual = capacitance_per_length(sol)
 
-    vac_regions = [DielectricRegion(r.name, r.rect, 1.0)
-                   for r in section.regions]
-    vac = CrossSection(width=section.width, height=section.height,
-                       nx=section.nx, ny=section.ny, regions=vac_regions,
-                       conductors=section.conductors, origin=section.origin,
-                       x_bc=section.x_bc, y_bc=section.y_bc)
+    vac = replace(section, regions=[replace(r, eps_r=1.0)
+                                    for r in section.regions])
     sol_vac = _solve(_Problem(vac), sol.potential, tol, max_sweeps)
     c_vac = capacitance_per_length(sol_vac)
     eps_eff = c_actual / c_vac
@@ -687,7 +683,7 @@ def extract_eps_eff_and_z0(section: CrossSection, tol: float = DEFAULT_TOL,
     return eps_eff, z0
 
 
-def cpw_cross_section(geometry: CpwGeometry, cell: float = 0.25e-6,
+def cpw_cross_section(geometry: CpwGeometry, cell: float,
                       box_factor: float = 10.0,
                       interlayer_thickness: float | None = None
                       ) -> CrossSection:

@@ -196,13 +196,35 @@ def test_smatrix_plot_deterministic(capsys, tmp_path):
 
 # ---------------------------------------------------------------- match
 
-def test_match_finds_line_impedance(capsys):
-    code, out, _ = run(capsys, "match", "--line-z0", "49.53",
-                       "--band", "4GHz:8GHz", "--zmin", "45", "--zmax", "55",
-                       "--zstep", "0.5", "--points", "501", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert abs(doc["best_z_port_ohm"] - 49.53) <= 0.5
+def test_match_finds_line_impedance(capsys, tmp_path):
+    code, out, _ = run(capsys, *CPW_ARGS, "--json")
+    z0 = json.loads(out)["z0_ohm"]
+    scan = tmp_path / "match_scan.csv"
+    for flags, ports in (
+            (["--zmin", "45", "--zmax", "55", "--zstep", "0.5",
+              "--points", "501"], 21),
+            # the README's port-match recipe, on the default 0.1 ohm grid
+            (["--line-length", "3mm", "--eps-eff", "6.45",
+              "--points", "2001"], 201)):
+        code, out, _ = run(capsys, "match", "--line-z0", repr(z0),
+                           "--band", "4GHz:8GHz", *flags, "--out", str(scan),
+                           "--json")
+        assert code == 0, flags
+        doc = json.loads(out)
+        assert doc["grid_points"] == ports
+        assert abs(doc["best_z_port_ohm"] - z0) <= 0.5, flags
+        rows = scan.read_bytes().split(b"\n")
+        assert rows[0] == b"z_port_ohm,worst_s11_db" and rows[-1] == b""
+        assert len(rows) == ports + 2, flags
+
+
+def test_match_step_must_divide_the_range(capsys):
+    code, out, err = run(capsys, "match", "--line-z0", "49.53",
+                         "--band", "4GHz:8GHz", "--zmin", "40", "--zmax",
+                         "60", "--zstep", "0.3")
+    assert (code, out) == (1, "")
+    assert err == ("flipkit: --zstep 0.3 does not divide the range "
+                   "40 to 60 ohm\n")
 
 
 # ------------------------------------------------------------ fieldsolve

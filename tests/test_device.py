@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from flipkit import cli, device, transmon
+from flipkit import cli, coupling, cpw, device, transmon
 from flipkit.device import ConfigError, DeviceReport, analyze, parse_config
 from flipkit.units import round12
 
@@ -102,14 +102,18 @@ def test_errors_are_aggregated_not_first_only():
     assert len(e.value.errors) >= 2
 
 
-def config_errors(edits, extra=""):
-    """Errors of the preset with each (line, replacement) edit applied."""
+def edited_preset(edits, extra=""):
+    """Preset text with each (line, replacement) edit applied."""
     text = device.default_config_text()
     for line, replacement in edits:
         assert line in text
         text = text.replace(line, replacement)
+    return text + extra
+
+
+def config_errors(edits, extra=""):
     with pytest.raises(ConfigError) as e:
-        parse_config(text + extra)
+        parse_config(edited_preset(edits, extra))
     return e.value.errors
 
 
@@ -140,9 +144,7 @@ def test_every_problem_is_reported():
      "stack.interlayer_thickness = -1 mm",
      ["stack.interlayer_thickness must be positive"]),
     ("stack.interlayer_eps_r = 1.0", "stack.interlayer_eps_r = 0.5",
-     ["chip.bottom: relative permittivities must be >= 1",
-      "chip.top: relative permittivities must be >= 1",
-      "stack.interlayer_eps_r must be >= 1"]),
+     ["stack.interlayer_eps_r must be >= 1"]),
     ("stack.interlayer_tan_delta = 0.0", "stack.interlayer_tan_delta = -1e-6",
      ["stack.interlayer_tan_delta must be >= 0"]),
     ("coupling.pad_overlap_area = 0.1034481 mm2",
@@ -162,6 +164,30 @@ def test_every_problem_is_reported():
         "substrate_thickness", "coupling_q"])
 def test_out_of_range_value_names_its_key(line, replacement, want):
     assert config_errors([(line, replacement)]) == want
+
+
+GAP_0 = ("chip.top.cpw.trace_gap = 5.806 um", "chip.top.cpw.trace_gap = 0 um")
+LENGTH_0 = ("chip.top.resonator.length = 4.0481 mm",
+            "chip.top.resonator.length = 0 mm")
+LJ_0 = ("chip.top.transmon.junction_inductance = 7 nH",
+        "chip.top.transmon.junction_inductance = 0 nH")
+EPS_SUB = ("chip.top.cpw.substrate_eps_r = 11.9",
+           "chip.top.cpw.substrate_eps_r = 0.5")
+
+
+@pytest.mark.parametrize("edits,want", [
+    ([GAP_0, LJ_0], ["chip.top: gap must be positive",
+                     "chip.top: junction inductance must be positive"]),
+    ([LENGTH_0, LJ_0], ["chip.top: physical_length must be positive",
+                        "chip.top: junction inductance must be positive"]),
+    # the resonator borrows the substrate eps_r and leaves it to the CPW
+    ([EPS_SUB, LENGTH_0], ["chip.top: relative permittivities must be >= 1",
+                           "chip.top: physical_length must be positive"]),
+    ([EPS_SUB], ["chip.top: relative permittivities must be >= 1"]),
+], ids=["gap_and_inductance", "length_and_inductance",
+        "substrate_eps_and_length", "substrate_eps"])
+def test_no_chip_record_hides_another(edits, want):
+    assert config_errors(edits) == want
 
 
 def test_line_and_missing_key_errors_join_the_value_errors():
@@ -261,7 +287,7 @@ def test_analyze_deterministic_bytes(spec):
 
 def test_report_json_round_trip(report):
     text = report.to_json()
-    again = DeviceReport.from_json(text)
+    again = DeviceReport(json.loads(text))
     assert again.to_json() == text
     assert json.loads(text)["schema"] == report.data["schema"]
 
@@ -376,6 +402,50 @@ def test_participation_resolution_prefers_config(spec):
     assert src.startswith("config")
     assert p["substrate"] == pytest.approx(0.922481, abs=1e-6)
     assert sum(p.values()) == pytest.approx(1.0, abs=1e-6)
+
+
+def analyze_preset(edits, extra=""):
+    return analyze(parse_config(edited_preset(edits, extra)))
+
+
+def test_participation_is_field_solved_when_not_configured():
+    solved = analyze_preset([
+        ("loss.participation.substrate = 0.922481\n", ""),
+        ("loss.participation.interlayer = 0.077519\n", ""),
+        ("fieldsolve.cell = 0.5 um", "fieldsolve.cell = 2 um")])
+    for row in solved.data["modes"]:
+        shares = row["participation"]
+        assert {p["by"] for p in shares.values()} == {
+            "fieldsolve.energy_participation"}, row["name"]
+        # the facing ground at 0.5 mm is outside the box, so the two
+        # half-spaces split the energy in proportion to their eps_r
+        assert val(shares["substrate"]) == pytest.approx(11.9 / 12.9,
+                                                         abs=1e-12)
+
+
+def test_dispersive_shift_with_g_qr(spec):
+    row = mode(analyze_preset([], extra="chip.bottom.readout.g_qr = 50 MHz\n"),
+               "bottom_qubit")
+    chip = spec.bottom
+    nums = transmon.qubit_numbers(chip.transmon, chip.flux_bias)
+    detuning = nums["frequency"] - cpw.resonator_interval(
+        chip.resonator).midpoint
+    assert row["chi_hz"] == {
+        "value": round12(coupling.dispersive_shift(
+            50e6, detuning, nums["anharmonicity"])),
+        "by": "coupling.dispersive_shift"}
+
+
+def test_qubit_loss_not_computed_without_baseline_q(report):
+    bare = analyze_preset([("chip.bottom.transmon.baseline_q = 1.43512e6\n",
+                            "")])
+    row = mode(bare, "bottom_qubit")
+    for key in ("q_total", "t1_upper_s", "gamma_cap_per_s"):
+        assert row[key] == {
+            "value": None,
+            "by": "not computed: transmon.baseline_q not configured"}, key
+    for name in ("bottom_resonator", "top_resonator"):
+        assert mode(bare, name) == mode(report, name)
 
 
 def test_report_rows_agree_with_sweep_rows():

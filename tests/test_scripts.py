@@ -27,8 +27,7 @@ def test_analyze_device(capsys):
     ("loss_tangent_sweep", ["--points", "5"],
      ["loss_tangent_sweep.csv", "q_vs_tan_delta.svg",
       "t1_vs_tan_delta.svg"]),
-    ("match_ports", ["--step", "1"], ["match_scan.csv"]),
-], ids=["thickness_sweep", "loss_tangent_sweep", "match_ports"])
+], ids=["thickness_sweep", "loss_tangent_sweep"])
 def test_study_writes_its_files(name, argv, files, tmp_path, capsys):
     assert load(name).main(argv + ["--out", str(tmp_path)]) == 0
     for file in files:
