@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERIC = 2
 
+# the most port impedances `match` evaluates, each a full band sweep
+_MAX_PORT_POINTS = 100_001
+
+
 class _UsageError(ValueError):
     pass
 
@@ -178,7 +182,7 @@ def _cmd_transmon(args) -> dict:
         "c_total_f": pars.c_total,
         "ec_hz": ec / PLANCK_H,
         "ej_hz": ej / PLANCK_H,
-        "ej_over_ec": ej / ec,
+        "ej_over_ec": transmon.ej_ec_ratio(ec, ej),
         "frequency_hz": nums["frequency"],
         "frequency_cpb_hz": nums["frequency_cpb"],
         "anharmonicity_hz": nums["anharmonicity"],
@@ -224,6 +228,10 @@ def _cmd_match(args) -> dict:
     if args.zstep <= 0.0:
         raise _UsageError("--zstep must be positive")
     steps = (args.zmax - args.zmin) / args.zstep
+    if not steps < _MAX_PORT_POINTS - 0.5:  # also an infinite count
+        raise _UsageError(f"--zstep {args.zstep!r} over the range "
+                          f"{args.zmin:g} to {args.zmax:g} ohm gives more "
+                          f"than {_MAX_PORT_POINTS} port points")
     if abs(steps - round(steps)) > 1e-9:
         raise _UsageError(f"--zstep {args.zstep:g} does not divide the range "
                           f"{args.zmin:g} to {args.zmax:g} ohm")

@@ -46,8 +46,9 @@ class CpwGeometry:
             raise ValueError("trace_width must be positive")
         if self.gap <= 0.0:
             raise ValueError("gap must be positive")
-        if self.eps_substrate < 1.0 or self.eps_superstrate < 1.0:
-            raise ValueError("relative permittivities must be >= 1")
+        for name in ("eps_substrate", "eps_superstrate"):
+            if getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,8 @@ class ResonatorSpec:
             raise ValueError("physical_length must be positive")
         if not 0.0 <= self.pocket_extension < self.physical_length:
             raise ValueError(
-                "pocket_extension must be >= 0 and shorter than the line")
+                "pocket_extension must be >= 0 and shorter than "
+                "physical_length")
         if self.eps_eff < 1.0:
             raise ValueError("eps_eff must be >= 1")
 

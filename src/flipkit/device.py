@@ -15,6 +15,7 @@ came from).  Reports serialize to JSON with stable key order and
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -136,6 +137,20 @@ def _chip_schema(side: str) -> dict[str, tuple[str, bool]]:
     }
 
 
+# the key under chip.<side> that sets each CpwGeometry, ResonatorSpec and
+# TransmonParams field; those records' messages name the field
+_RECORD_KEYS = {
+    "trace_width": "cpw.trace_width",
+    "gap": "cpw.trace_gap",
+    "eps_substrate": "cpw.substrate_eps_r",
+    "physical_length": "resonator.length",
+    "pocket_extension": "resonator.pocket_extension",
+    "c_junction": "transmon.junction_capacitance",
+    "c_shunt": "transmon.shunt_capacitance",
+    "l_junction": "transmon.junction_inductance",
+    "c_eff": "transmon.c_eff",
+}
+
 _SCHEMA: dict[str, tuple[str, bool]] = {
     **_chip_schema("bottom"),
     **_chip_schema("top"),
@@ -194,13 +209,15 @@ def parse_config(text: str) -> DeviceSpec:
                for key, (_, required) in _SCHEMA.items()
                if required and key not in entries]
 
-    def build(prefix: str, make):
+    def build(make, keys: dict[str, str]):
+        """make(), or None once its problems are in errors."""
         try:
             return make()
         except ConfigError as exc:  # ChipSpec and DeviceSpec name their keys
             errors.extend(exc.errors)
-        except ValueError as exc:
-            errors.append(f"{prefix}: {exc}")
+        except ValueError as exc:  # the other records name fields: map them
+            errors.append(re.sub(r"\w+", lambda m: keys.get(m[0], m[0]),
+                                 str(exc)))
         except KeyError:  # a required key, already reported missing
             pass
         return None
@@ -215,28 +232,27 @@ def parse_config(text: str) -> DeviceSpec:
 
     def build_chip(side: str) -> ChipSpec | None:
         p = f"chip.{side}"
-        geometry = build(p, lambda: cpw.CpwGeometry(
-            entries[f"{p}.cpw.trace_width"], entries[f"{p}.cpw.trace_gap"],
-            entries[f"{p}.cpw.substrate_eps_r"],
-            borrowed_eps("stack.interlayer_eps_r")))
-        resonator = build(p, lambda: cpw.ResonatorSpec(
-            entries[f"{p}.resonator.length"],
-            entries[f"{p}.resonator.pocket_extension"],
+        keys = {field: f"{p}.{key}" for field, key in _RECORD_KEYS.items()}
+        value = {field: entries[key] for field, key in keys.items()
+                 if key in entries}
+        geometry = build(lambda: cpw.CpwGeometry(
+            value["trace_width"], value["gap"], value["eps_substrate"],
+            borrowed_eps("stack.interlayer_eps_r")), keys)
+        resonator = build(lambda: cpw.ResonatorSpec(
+            value["physical_length"], value["pocket_extension"],
             cpw.effective_permittivity(
                 borrowed_eps(f"{p}.cpw.substrate_eps_r"),
-                borrowed_eps("stack.interlayer_eps_r"))))
-        pars = build(p, lambda: transmon.TransmonParams(
-            c_junction=entries[f"{p}.transmon.junction_capacitance"],
-            c_shunt=entries[f"{p}.transmon.shunt_capacitance"],
-            l_junction=entries[f"{p}.transmon.junction_inductance"],
-            **given(c_eff=f"{p}.transmon.c_eff")))
-        return build(p, lambda: ChipSpec(
+                borrowed_eps("stack.interlayer_eps_r"))), keys)
+        pars = build(lambda: transmon.TransmonParams(
+            value["c_junction"], value["c_shunt"], value["l_junction"],
+            value.get("c_eff")), keys)
+        return build(lambda: ChipSpec(
             name=side, geometry=geometry, resonator=resonator, transmon=pars,
             coupling_q=entries[f"{p}.readout.coupling_q"],
             **given(substrate_thickness=f"{p}.cpw.substrate_thickness",
                     flux_bias=f"{p}.transmon.flux_bias",
                     baseline_q=f"{p}.transmon.baseline_q",
-                    g_qr=f"{p}.readout.g_qr")))
+                    g_qr=f"{p}.readout.g_qr")), keys)
 
     participation = given(substrate="loss.participation.substrate",
                           interlayer="loss.participation.interlayer") or None
@@ -244,7 +260,7 @@ def parse_config(text: str) -> DeviceSpec:
         errors.append("loss.participation needs both substrate and "
                       "interlayer, or neither")
     bottom, top = build_chip("bottom"), build_chip("top")
-    spec = build("stack", lambda: DeviceSpec(
+    spec = build(lambda: DeviceSpec(
         bottom=bottom, top=top,
         interlayer_thickness=entries["stack.interlayer_thickness"],
         interlayer_eps_r=entries["stack.interlayer_eps_r"],
@@ -254,7 +270,7 @@ def parse_config(text: str) -> DeviceSpec:
                 coupling_f_bottom="coupling.f_bottom",
                 coupling_f_top="coupling.f_top",
                 fieldsolve_cell="fieldsolve.cell",
-                fieldsolve_box_factor="fieldsolve.box_factor")))
+                fieldsolve_box_factor="fieldsolve.box_factor")), {})
     if errors:
         raise ConfigError(errors)
     return spec

@@ -1,5 +1,5 @@
 """Deterministic SVG line charts of sweep tables, for the CLI's --plot
-options and the study scripts."""
+options."""
 
 from __future__ import annotations
 

@@ -58,12 +58,13 @@ class TransmonParams:
     c_eff: float | None = None
 
     def __post_init__(self):
-        if self.c_junction < 0.0 or self.c_shunt < 0.0:
-            raise ValueError("capacitances must be >= 0")
+        for name in ("c_junction", "c_shunt"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
         if self.c_junction + self.c_shunt <= 0.0:
-            raise ValueError("total capacitance must be positive")
+            raise ValueError("c_junction + c_shunt must be positive")
         if self.l_junction <= 0.0:
-            raise ValueError("junction inductance must be positive")
+            raise ValueError("l_junction must be positive")
         if self.c_eff is not None and self.c_eff <= 0.0:
             raise ValueError("c_eff must be positive when given")
 

@@ -227,6 +227,17 @@ def test_match_step_must_divide_the_range(capsys):
                    "40 to 60 ohm\n")
 
 
+@pytest.mark.parametrize("zstep", ["1e-12", "1e-320"])
+def test_match_caps_the_port_points(capsys, zstep):
+    # 2e13 points, and a count too large for a float to hold: both are
+    # refused before any grid is built
+    code, out, err = run(capsys, "match", "--line-z0", "49.53",
+                         "--band", "4GHz:8GHz", "--zstep", zstep)
+    assert (code, out) == (1, "")
+    assert err == (f"flipkit: --zstep {zstep} over the range 40 to 60 ohm "
+                   "gives more than 100001 port points\n")
+
+
 # ------------------------------------------------------------ fieldsolve
 
 def test_fieldsolve_coarse_cpw(capsys):
@@ -389,6 +400,22 @@ def test_output_matches_reference_bytes(capsys, argv, name):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (REFERENCE / name).read_text(encoding="utf-8")
+
+
+# the paper's two headline figures, drawn by the README's study commands
+@pytest.mark.parametrize("argv,name", [
+    (["--param", "interlayer_thickness", "--grid", "0.1mm:4mm:log40",
+      "--y", "g_hz"], "g_vs_thickness.svg"),
+    (["--param", "loss_tangent", "--grid", "1e-4:1e-2:log25",
+      "--y", "q_total_bottom,q_total_top"], "q_vs_tan_delta.svg"),
+], ids=["thickness", "loss-tangent"])
+def test_study_plot_matches_reference_bytes(capsys, tmp_path, argv, name):
+    svg = tmp_path / name
+    code, out, _ = run(capsys, "sweep", *argv, "--out",
+                       str(tmp_path / "sweep.csv"), "--plot", str(svg),
+                       "--logx", "--logy")
+    assert (code, out) == (0, "")
+    assert svg.read_bytes() == (TEST_REFERENCE / name).read_bytes()
 
 
 # ----------------------------------------------------------------- sweep

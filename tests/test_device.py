@@ -133,7 +133,7 @@ def test_every_problem_is_reported():
         "fieldsolve.box_factor must be >= 10",
         "loss.participation.interlayer must be in [0, 1]",
         "loss.participation values sum past 1",
-        "chip.top: junction inductance must be positive",
+        "chip.top.transmon.junction_inductance must be positive",
         "chip.bottom.transmon.baseline_q must be positive",
         "chip.bottom.readout.g_qr must be positive",
     ])
@@ -160,8 +160,38 @@ def test_every_problem_is_reported():
     ("chip.bottom.readout.coupling_q = 6618.16",
      "chip.bottom.readout.coupling_q = 0",
      ["chip.bottom.readout.coupling_q must be positive"]),
+    # the CPW, resonator and transmon records name their fields, mapped
+    # here to the keys; a rule over two keys names both
+    ("chip.top.cpw.trace_width = 10 um", "chip.top.cpw.trace_width = 0 um",
+     ["chip.top.cpw.trace_width must be positive"]),
+    ("chip.top.cpw.trace_gap = 5.806 um", "chip.top.cpw.trace_gap = 0 um",
+     ["chip.top.cpw.trace_gap must be positive"]),
+    ("chip.bottom.resonator.length = 4.2956 mm",
+     "chip.bottom.resonator.length = 0 mm",
+     ["chip.bottom.resonator.length must be positive"]),
+    ("chip.top.resonator.pocket_extension = 0.25 mm",
+     "chip.top.resonator.pocket_extension = 5 mm",
+     ["chip.top.resonator.pocket_extension must be >= 0 and shorter than "
+      "chip.top.resonator.length"]),
+    ("chip.top.transmon.junction_capacitance = 8 fF",
+     "chip.top.transmon.junction_capacitance = -8 fF",
+     ["chip.top.transmon.junction_capacitance must be >= 0"]),
+    ("chip.top.transmon.junction_capacitance = 8 fF\n"
+     "chip.top.transmon.shunt_capacitance = 81 fF",
+     "chip.top.transmon.junction_capacitance = 0 fF\n"
+     "chip.top.transmon.shunt_capacitance = 0 fF",
+     ["chip.top.transmon.junction_capacitance + "
+      "chip.top.transmon.shunt_capacitance must be positive"]),
+    ("chip.top.transmon.junction_inductance = 7 nH",
+     "chip.top.transmon.junction_inductance = 0 nH",
+     ["chip.top.transmon.junction_inductance must be positive"]),
+    ("chip.bottom.transmon.c_eff = 115 fF",
+     "chip.bottom.transmon.c_eff = 0 fF",
+     ["chip.bottom.transmon.c_eff must be positive when given"]),
 ], ids=["thickness", "eps_r", "tan_delta", "pad_area", "f_bottom", "f_top",
-        "substrate_thickness", "coupling_q"])
+        "substrate_thickness", "coupling_q", "trace_width", "trace_gap",
+        "resonator_length", "pocket_extension", "junction_capacitance",
+        "total_capacitance", "junction_inductance", "c_eff"])
 def test_out_of_range_value_names_its_key(line, replacement, want):
     assert config_errors([(line, replacement)]) == want
 
@@ -176,16 +206,23 @@ EPS_SUB = ("chip.top.cpw.substrate_eps_r = 11.9",
 
 
 @pytest.mark.parametrize("edits,want", [
-    ([GAP_0, LJ_0], ["chip.top: gap must be positive",
-                     "chip.top: junction inductance must be positive"]),
-    ([LENGTH_0, LJ_0], ["chip.top: physical_length must be positive",
-                        "chip.top: junction inductance must be positive"]),
+    ([GAP_0, LJ_0], [
+        "chip.top.cpw.trace_gap must be positive",
+        "chip.top.transmon.junction_inductance must be positive"]),
+    ([LENGTH_0, LJ_0], [
+        "chip.top.resonator.length must be positive",
+        "chip.top.transmon.junction_inductance must be positive"]),
     # the resonator borrows the substrate eps_r and leaves it to the CPW
-    ([EPS_SUB, LENGTH_0], ["chip.top: relative permittivities must be >= 1",
-                           "chip.top: physical_length must be positive"]),
-    ([EPS_SUB], ["chip.top: relative permittivities must be >= 1"]),
+    ([EPS_SUB, LENGTH_0], ["chip.top.cpw.substrate_eps_r must be >= 1",
+                           "chip.top.resonator.length must be positive"]),
+    ([EPS_SUB], ["chip.top.cpw.substrate_eps_r must be >= 1"]),
+    # a sub-record failure and a ChipSpec one on the same chip
+    ([GAP_0, ("chip.top.readout.coupling_q = 5782.30",
+              "chip.top.readout.coupling_q = 0")],
+     ["chip.top.cpw.trace_gap must be positive",
+      "chip.top.readout.coupling_q must be positive"]),
 ], ids=["gap_and_inductance", "length_and_inductance",
-        "substrate_eps_and_length", "substrate_eps"])
+        "substrate_eps_and_length", "substrate_eps", "gap_and_coupling_q"])
 def test_no_chip_record_hides_another(edits, want):
     assert config_errors(edits) == want
 
