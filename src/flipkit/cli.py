@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -29,8 +30,24 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERIC = 2
 
-# the most port impedances `match` evaluates, each a full band sweep
+# the most port impedances `match` evaluates, one table row each
 _MAX_PORT_POINTS = 100_001
+
+# library field -> the flag that feeds it, so that an error names the flag
+_FIELD_FLAGS = {
+    "trace_width": "--w",
+    "gap": "--s",
+    "eps_substrate": "--eps-sub",
+    "eps_superstrate": "--eps-sup",
+    "c_junction": "--cj",
+    "c_shunt": "--cs",
+    "l_junction": "--lj",
+    "c_eff": "--c-eff",
+    "eps_eff": "--eps-eff",
+    "line_z0": "--line-z0",
+    "points": "--points",
+    "cutoff": "--cutoff",
+}
 
 
 class _UsageError(ValueError):
@@ -145,6 +162,17 @@ def _emit(payload: dict, as_json: bool):
         lines: list[str] = []
         _flat_lines("", payload, lines)
         print("\n".join(lines))
+
+
+def _name_flags(message: str, args) -> str:
+    """message with each library field that a flag of this command feeds
+    replaced by that flag."""
+    def flag(m):
+        name = _FIELD_FLAGS.get(m[0])
+        fed = name is not None and name[2:].replace("-", "_") in vars(args)
+        return name if fed else m[0]
+
+    return re.sub(r"\w+", flag, message)
 
 
 def _write_text(path: str, text: str):
@@ -404,7 +432,7 @@ def build_parser() -> _Parser:
     p.add_argument("--zmax", type=float, default=60.0)
     p.add_argument("--zstep", type=float, default=0.1)
     p.add_argument("--points", type=int, default=201,
-                   help="frequency samples per impedance point")
+                   help="frequency samples across the band")
     p.add_argument("--out", help="write the study as CSV")
     p.add_argument("--plot", help="write the study as SVG")
     p.set_defaults(func=_cmd_match)
@@ -483,8 +511,11 @@ def _main(argv) -> int:
         return EXIT_NUMERIC
     except BrokenPipeError:  # a closed stdout is main's to handle
         raise
-    except (ValueError, KeyError, OSError) as exc:
+    except _UsageError as exc:  # already names its flag
         print(f"flipkit: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (ValueError, KeyError, OSError) as exc:
+        print(f"flipkit: {_name_flags(str(exc), args)}", file=sys.stderr)
         return EXIT_INVALID
     if payload is not None:
         _emit(payload, as_json=args.json)

@@ -78,15 +78,19 @@ class ResonatorSpec:
 def effective_permittivity(eps_substrate: float,
                            eps_superstrate: float = 1.0) -> float:
     """Half/half average seen by a CPW between two dielectric half-spaces."""
-    if eps_substrate < 1.0 or eps_superstrate < 1.0:
-        raise ValueError("relative permittivities must be >= 1")
+    for name, eps in (("eps_substrate", eps_substrate),
+                      ("eps_superstrate", eps_superstrate)):
+        if eps < 1.0:
+            raise ValueError(f"{name} must be >= 1")
     return 0.5 * (eps_substrate + eps_superstrate)
 
 
 def modulus_k0(trace_width: float, gap: float) -> float:
     """Conformal-mapping modulus k0 = w / (w + 2s)."""
-    if trace_width <= 0.0 or gap <= 0.0:
-        raise ValueError("width and gap must be positive")
+    if trace_width <= 0.0:
+        raise ValueError("trace_width must be positive")
+    if gap <= 0.0:
+        raise ValueError("gap must be positive")
     return trace_width / (trace_width + 2.0 * gap)
 
 

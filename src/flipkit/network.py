@@ -13,6 +13,7 @@ Magnitudes in dB are 20 log10 |S|, floored at 1e-30.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,7 +110,7 @@ class FrequencyResponse:
 def frequency_grid(band: RealInterval,
                    points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     if points < 2:
-        raise ValueError("need at least two grid points")
+        raise ValueError("points must be >= 2")
     return np.linspace(band.lo, band.hi, points)
 
 
@@ -178,23 +179,36 @@ def worst_case_reflection(line_z0: float, z_port: float,
                           points: int = DEFAULT_GRID_POINTS) -> float:
     """Max in-band |S11| in dB of a lossless line between z_port ports.
 
-    Sweeps the band on a uniform grid, forms S11 of the line at
-    reference z_port, and returns the worst magnitude.  At z_port equal
-    to the line impedance the result is reflectionless down to
-    rounding, well below -100 dB.
+    The band is sampled on a uniform grid.  With a = z0/z_port -
+    z_port/z0 and s = sin(beta l), the line's ABCD matrix gives
+    |S11|^2 = s^2 a^2 / (4 + s^2 a^2), since (z0/z_port + z_port/z0)^2
+    = a^2 + 4 and cos^2 + sin^2 = 1.  That rises with s^2, so the worst
+    sample is the one with the largest sin^2(beta l).  That depends on
+    the grid, length and eps_eff but on neither impedance, so it is
+    found once and shared by every port of a study.  At z_port
+    equal to the line impedance a = 0 and the result is the -600 dB
+    floor.
     """
-    if line_z0 <= 0.0 or z_port <= 0.0:
-        raise ValueError("impedances must be positive")
+    for name, z in (("line_z0", line_z0), ("z_port", z_port)):
+        if not 0.0 < z < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     if line_length <= 0.0:
         raise ValueError("line length must be positive")
+    if not eps_eff >= 1.0:
+        raise ValueError("eps_eff must be >= 1")
+    a2 = (line_z0 / z_port - z_port / line_z0) ** 2
+    m = _max_sin2(band, points, line_length, eps_eff)
+    s11 = math.sqrt(m * a2 / (4.0 + m * a2))
+    return 20.0 * math.log10(max(s11, _DB_FLOOR))
+
+
+@functools.lru_cache(maxsize=64)
+def _max_sin2(band: RealInterval, points: int, line_length: float,
+              eps_eff: float) -> float:
+    # largest sin^2(beta l) over the band's grid, shared by every port
     f = frequency_grid(band, points)
     beta_l = 2.0 * math.pi * f * math.sqrt(eps_eff) * line_length / C_LIGHT
-    cos_bl = np.cos(beta_l)
-    sin_bl = np.sin(beta_l)
-    # S11 of [cos, j z0 sin; j sin / z0, cos] at reference z_port
-    num = 1j * sin_bl * (line_z0 / z_port - z_port / line_z0)
-    den = 2.0 * cos_bl + 1j * sin_bl * (line_z0 / z_port + z_port / line_z0)
-    return float(np.max(_db(num / den)))
+    return float(np.max(np.sin(beta_l) ** 2))
 
 
 def _shunt_admittance(res: NotchResonator, f: np.ndarray,
@@ -226,6 +240,8 @@ def crosstalk_dip(bridge_capacitance: float, near: NotchResonator,
     """
     if bridge_capacitance < 0.0:
         raise ValueError("bridge capacitance must be >= 0")
+    if not eps_eff >= 1.0:
+        raise ValueError("eps_eff must be >= 1")
     if bridge_capacitance == 0.0:
         return 0.0
 

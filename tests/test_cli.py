@@ -64,6 +64,40 @@ def test_bad_length_unit_keeps_its_message(capsys):
     assert "length has no unit 'parsec'" in err
 
 
+# a library check names the flag that fed the field, not the field
+@pytest.mark.parametrize("argv,message", [
+    (["fieldsolve", "--w", "10um", "--s", "0um", "--eps-sub", "11.9"],
+     "--s must be positive"),
+    (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "0.5"],
+     "--eps-sub must be >= 1"),
+    (["cpw", "--w", "0um", "--s", "5um", "--eps-sub", "11.9"],
+     "--w must be positive"),
+    (["cpw", "--w", "10um", "--z0", "50", "--eps-sub", "11.9",
+      "--eps-sup", "0.5"], "--eps-sup must be >= 1"),
+    (["transmon", "--cj", "0fF", "--cs", "0fF", "--lj", "8nH"],
+     "--cj + --cs must be positive"),
+    (["transmon", "--cj", "8fF", "--cs", "81fF", "--lj", "8nH",
+      "--cutoff", "0"], "--cutoff must be >= 1"),
+    (["match", "--line-z0", "49.53", "--band", "4GHz:8GHz", "--points", "1"],
+     "--points must be >= 2"),
+    # at 0 every port read as reflectionless, and below 0 sqrt failed
+    (["match", "--line-z0", "49.53", "--band", "4GHz:8GHz", "--eps-eff", "0"],
+     "--eps-eff must be >= 1"),
+    (["match", "--line-z0", "49.53", "--band", "4GHz:8GHz",
+      "--eps-eff", "-1"], "--eps-eff must be >= 1"),
+    # a NaN line impedance printed NaN into the JSON and exited 0
+    (["match", "--line-z0", "nan", "--band", "4GHz:8GHz"],
+     "--line-z0 must be positive and finite"),
+    (["smatrix", "--fr", "7GHz", "--ql", "1000", "--qc", "2000",
+      "--points", "1"], "--points must be >= 2"),
+], ids=["fieldsolve-s", "fieldsolve-eps-sub", "cpw-w", "cpw-eps-sup",
+        "transmon-c", "transmon-cutoff", "match-points", "match-eps-eff-0",
+        "match-eps-eff-negative", "match-line-z0-nan", "smatrix-points"])
+def test_library_error_names_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"flipkit: {message}\n")
+
+
 def test_numeric_failure_exit_2(capsys):
     # cutoff too small for this ratio -> CutoffError -> 2
     code, _, err = run(capsys, "transmon", "--cj", "8fF", "--cs", "81fF",
@@ -236,6 +270,21 @@ def test_match_caps_the_port_points(capsys, zstep):
     assert (code, out) == (1, "")
     assert err == (f"flipkit: --zstep {zstep} over the range 40 to 60 ohm "
                    "gives more than 100001 port points\n")
+
+
+# the README's port-match recipe, on the line Z0 that `flipkit cpw` gives
+MATCH_ARGS = ["match", "--line-z0", "49.5329732423", "--band", "4GHz:8GHz",
+              "--line-length", "3mm", "--eps-eff", "6.45", "--points", "2001"]
+
+
+def test_match_matches_reference_bytes(capsys, tmp_path):
+    csv_path = tmp_path / "match_scan.csv"
+    code, _, _ = run(capsys, *MATCH_ARGS, "--out", str(csv_path))
+    assert code == 0
+    assert csv_path.read_bytes() == (TEST_REFERENCE / "match.csv").read_bytes()
+    code, out, _ = run(capsys, *MATCH_ARGS, "--json")
+    assert code == 0
+    assert out == (TEST_REFERENCE / "match.json").read_text(encoding="utf-8")
 
 
 # ------------------------------------------------------------ fieldsolve

@@ -173,8 +173,94 @@ def test_worst_case_reflection_validation():
     band = RealInterval(4e9, 8e9)
     with pytest.raises(ValueError):
         worst_case_reflection(-1.0, 50.0, band, 2e-3, EPS_EFF)
+    for z in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^line_z0 must be positive"):
+            worst_case_reflection(z, 50.0, band, 2e-3, EPS_EFF)
+        with pytest.raises(ValueError, match="^z_port must be positive"):
+            worst_case_reflection(50.0, z, band, 2e-3, EPS_EFF)
     with pytest.raises(ValueError):
         worst_case_reflection(50.0, 50.0, band, 0.0, EPS_EFF)
+    # at 0 every port read as reflectionless; below 0 sqrt failed
+    for eps_eff in (0.0, -1.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match="^eps_eff must be >= 1$"):
+            worst_case_reflection(49.53, 50.0, band, 2e-3, eps_eff)
+
+
+def abcd_worst_db(line_z0, z_port, band, length, eps_eff, points):
+    """Oracle: S11 of [cos, j z0 sin; j sin / z0, cos] at reference z_port,
+    formed at every grid point, worst magnitude in dB."""
+    f = frequency_grid(band, points)
+    beta_l = 2.0 * math.pi * f * math.sqrt(eps_eff) * length / C_LIGHT
+    cos_bl, sin_bl = np.cos(beta_l), np.sin(beta_l)
+    num = 1j * sin_bl * (line_z0 / z_port - z_port / line_z0)
+    den = 2.0 * cos_bl + 1j * sin_bl * (line_z0 / z_port + z_port / line_z0)
+    return float(np.max(20.0 * np.log10(np.maximum(np.abs(num / den),
+                                                   1e-30))))
+
+
+def seeded_bands(rng, length, eps_eff):
+    """A band that straddles the quarter wave and two that miss it."""
+    f_qw = C_LIGHT / (4.0 * length * math.sqrt(eps_eff))
+    lo = rng.uniform(0.3, 0.9)
+    yield RealInterval(lo * f_qw, rng.uniform(1.1, 1.7) * f_qw)
+    yield RealInterval(lo * 0.5 * f_qw, lo * f_qw)
+    yield RealInterval(rng.uniform(1.05, 1.4) * f_qw,
+                       rng.uniform(1.5, 1.95) * f_qw)
+
+
+@pytest.mark.parametrize("points", [2, 201, 2001])
+def test_worst_case_reflection_matches_abcd_oracle(points):
+    rng = np.random.default_rng(points)
+    for _ in range(10):
+        length = rng.uniform(1e-3, 6e-3)
+        eps_eff = rng.uniform(1.0, 12.0)
+        for band in seeded_bands(rng, length, eps_eff):
+            z_line, z_port = rng.uniform(20.0, 100.0, size=2)
+            got = worst_case_reflection(z_line, z_port, band, length,
+                                        eps_eff, points)
+            want = abcd_worst_db(z_line, z_port, band, length, eps_eff,
+                                 points)
+            # compare |S11|, not dB, at 1e-12 relative
+            assert 10.0 ** ((got - want) / 20.0) == pytest.approx(
+                1.0, rel=1e-12, abs=0.0), (band, length, eps_eff)
+
+
+def test_worst_case_reflection_argmin_matches_oracle():
+    rng = np.random.default_rng(7)
+    ports = np.linspace(40.0, 60.0, 201)
+    for _ in range(5):
+        length = rng.uniform(1e-3, 6e-3)
+        eps_eff = rng.uniform(1.0, 12.0)
+        z_line = rng.uniform(42.0, 58.0)
+        for band in seeded_bands(rng, length, eps_eff):
+            got = [worst_case_reflection(z_line, float(z), band, length,
+                                         eps_eff, 201) for z in ports]
+            want = [abcd_worst_db(z_line, float(z), band, length, eps_eff,
+                                  201) for z in ports]
+            assert np.argmin(got) == np.argmin(want)
+
+
+def test_worst_case_reflection_cache_keeps_inputs_apart():
+    band = RealInterval(4e9, 8e9)
+    cases = [
+        (band, 3e-3, EPS_EFF),
+        (RealInterval(5e9, 9e9), 3e-3, EPS_EFF),  # another band
+        (band, 2e-3, EPS_EFF),                    # another length
+        (band, 3e-3, 11.9),                       # another eps_eff
+    ]
+    first = []
+    for case in cases:
+        network._max_sin2.cache_clear()
+        first.append(worst_case_reflection(49.53, 45.0, *case, 201))
+    assert len(set(first)) == len(first)
+    network._max_sin2.cache_clear()
+    for _ in range(3):
+        for case in (cases[0], cases[1], cases[0], cases[2], cases[0],
+                     cases[3]):
+            got = worst_case_reflection(49.53, 45.0, *case, 201)
+            assert got == first[cases.index(case)]
+    with pytest.raises(ValueError, match="^points must be >= 2$"):
+        worst_case_reflection(49.53, 45.0, band, 3e-3, EPS_EFF, 1)
 
 
 # ---------------------------------------------------------- crosstalk
@@ -203,6 +289,16 @@ def test_crosstalk_negative_bridge_rejected():
     near, far = make_pair()
     with pytest.raises(ValueError):
         crosstalk_dip(-1e-18, near, far, RealInterval(7.0e9, 7.2e9))
+
+
+@pytest.mark.parametrize("bridge", [0.0, 1e-18])
+@pytest.mark.parametrize("eps_eff", [0.0, -1.0, 0.5, math.nan])
+def test_crosstalk_rejects_eps_eff_below_one(bridge, eps_eff):
+    # checked before the zero-bridge shortcut too
+    near, far = make_pair()
+    with pytest.raises(ValueError, match="^eps_eff must be >= 1$"):
+        crosstalk_dip(bridge, near, far, RealInterval(7.0e9, 7.2e9),
+                      eps_eff=eps_eff)
 
 
 def test_frequency_grid():
