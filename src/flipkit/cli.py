@@ -55,6 +55,12 @@ class _UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-1fF" and "-1e-3" are values that reach their flag's type
+        # check; before Python 3.13 argparse took them for flags
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with status 2 on bad flags; here 2 means a
     # numerical failure, so route usage problems through exit code 1
     def error(self, message):
@@ -74,6 +80,7 @@ def _quantity(dimension: str):
     return parse
 
 
+_scalar = _quantity("scalar")
 _length = _quantity("length")
 _capacitance = _quantity("capacitance")
 _inductance = _quantity("inductance")
@@ -90,17 +97,21 @@ def _band(text: str) -> RealInterval:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_grid(text: str, value):
-    """Sweep grid: "start:stop:N", "start:stop:logN" or "a,b,c".
+def _parse_grid(text: str, dimension: str) -> list[float]:
+    """Sweep grid of quantities: "start:stop:N", "start:stop:logN" or
+    "a,b,c"; ValueError says what is wrong with it.
 
     A log grid starting at 0 keeps the zero point and log-spaces the
     rest over the four decades below the stop, which is the useful
     range for loss tangents.
     """
+    def value(token: str) -> float:
+        return parse_quantity(token, dimension)[0]
+
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise _UsageError(f"grid must be start:stop:count, got {text!r}")
+            raise ValueError(f"must be start:stop:count, got {text!r}")
         start, stop = value(parts[0]), value(parts[1])
         count = parts[2].strip()
         is_log = count.startswith("log")
@@ -108,21 +119,21 @@ def _parse_grid(text: str, value):
             count = count[3:]
         try:
             n = int(count)
-        except ValueError as exc:
-            raise _UsageError(f"bad grid count {parts[2]!r}") from exc
+        except ValueError:
+            raise ValueError(f"bad count {parts[2]!r}") from None
         if n < 2:
-            raise _UsageError("grid needs at least 2 points")
+            raise ValueError("needs at least 2 points")
         if not is_log:
             return [float(x) for x in np.linspace(start, stop, n)]
         if start < 0.0 or stop <= 0.0 or start >= stop:
-            raise _UsageError("log grid needs 0 <= start < stop, stop > 0")
+            raise ValueError("a log grid needs 0 <= start < stop, stop > 0")
         if start == 0.0:
             tail = np.geomspace(1e-4 * stop, stop, n - 1)
             return [0.0] + [float(x) for x in tail]
         return [float(x) for x in np.geomspace(start, stop, n)]
     points = [value(tok) for tok in text.split(",") if tok.strip()]
     if not points:
-        raise _UsageError("empty grid")
+        raise ValueError("has no values")
     return points
 
 
@@ -253,6 +264,8 @@ def _cmd_smatrix(args) -> dict:
 
 
 def _cmd_match(args) -> dict:
+    if args.zmin <= 0.0:
+        raise _UsageError("--zmin must be positive")
     if args.zstep <= 0.0:
         raise _UsageError("--zstep must be positive")
     steps = (args.zmax - args.zmin) / args.zstep
@@ -347,8 +360,11 @@ def _cmd_analyze(args) -> dict:
 
 def _cmd_sweep(args) -> None:
     spec = _resolve_config(args.config)
-    value = _length if args.param == "interlayer_thickness" else float
-    grid = _parse_grid(args.grid, value)
+    dimension = "length" if args.param == "interlayer_thickness" else "scalar"
+    try:
+        grid = _parse_grid(args.grid, dimension)
+    except ValueError as exc:
+        raise _UsageError(f"--grid: {exc}") from None
     table = device.sweep(spec, args.param, grid)
     csv_text = table.to_csv()
     if args.out:
@@ -382,10 +398,10 @@ def build_parser() -> _Parser:
     p.add_argument("--w", type=_length, required=True,
                    help="trace width, e.g. 10um")
     p.add_argument("--s", type=_length, help="gap; omit when giving --z0")
-    p.add_argument("--z0", type=float,
+    p.add_argument("--z0", type=_scalar,
                    help="target impedance (ohm) to synthesize the gap for")
-    p.add_argument("--eps-sub", type=float, required=True)
-    p.add_argument("--eps-sup", type=float, default=1.0)
+    p.add_argument("--eps-sub", type=_scalar, required=True)
+    p.add_argument("--eps-sup", type=_scalar, default=1.0)
     p.set_defaults(func=_cmd_cpw)
 
     p = sub.add_parser("transmon", help="transmon energies and levels")
@@ -397,17 +413,17 @@ def build_parser() -> _Parser:
                    help="junction inductance, e.g. 8.75nH")
     p.add_argument("--c-eff", type=_capacitance, default=None,
                    help="report an extra frequency at this capacitance")
-    p.add_argument("--flux", type=float, default=0.0,
+    p.add_argument("--flux", type=_scalar, default=0.0,
                    help="SQUID flux bias in units of Phi0")
-    p.add_argument("--ng", type=float, default=0.0)
+    p.add_argument("--ng", type=_scalar, default=0.0)
     p.add_argument("--cutoff", type=int, default=transmon.DEFAULT_CUTOFF)
     p.set_defaults(func=_cmd_transmon)
 
     p = sub.add_parser("smatrix", help="notch-resonator S21 and Q recovery")
     p.add_argument("--fr", type=_frequency, required=True,
                    help="resonance frequency, e.g. 7.1GHz")
-    p.add_argument("--ql", type=float, required=True, help="loaded Q")
-    p.add_argument("--qc", type=float, required=True, help="coupling Q")
+    p.add_argument("--ql", type=_scalar, required=True, help="loaded Q")
+    p.add_argument("--qc", type=_scalar, required=True, help="coupling Q")
     p.add_argument("--chi", type=_frequency, default=0.0,
                    help="dispersive shift for dressed states")
     p.add_argument("--state", type=int, choices=(0, 1), default=0)
@@ -422,15 +438,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_smatrix)
 
     p = sub.add_parser("match", help="worst-case reflection vs port Z")
-    p.add_argument("--line-z0", type=float, required=True,
+    p.add_argument("--line-z0", type=_scalar, required=True,
                    help="impedance of the line under test (ohm)")
     p.add_argument("--band", type=_band, required=True,
                    help="frequency band lo:hi, e.g. 4GHz:8GHz")
     p.add_argument("--line-length", type=_length, default=2e-3)
-    p.add_argument("--eps-eff", type=float, default=6.45)
-    p.add_argument("--zmin", type=float, default=40.0)
-    p.add_argument("--zmax", type=float, default=60.0)
-    p.add_argument("--zstep", type=float, default=0.1)
+    p.add_argument("--eps-eff", type=_scalar, default=6.45)
+    p.add_argument("--zmin", type=_scalar, default=40.0)
+    p.add_argument("--zmax", type=_scalar, default=60.0)
+    p.add_argument("--zstep", type=_scalar, default=0.1)
     p.add_argument("--points", type=int, default=201,
                    help="frequency samples across the band")
     p.add_argument("--out", help="write the study as CSV")
@@ -440,13 +456,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fieldsolve", help="solve a CPW cross-section")
     p.add_argument("--w", type=_length, required=True)
     p.add_argument("--s", type=_length, required=True)
-    p.add_argument("--eps-sub", type=float, required=True)
-    p.add_argument("--eps-sup", type=float, default=1.0)
+    p.add_argument("--eps-sub", type=_scalar, required=True)
+    p.add_argument("--eps-sup", type=_scalar, default=1.0)
     p.add_argument("--cell", type=_length, default=0.5e-6)
-    p.add_argument("--box-factor", type=float, default=10.0)
+    p.add_argument("--box-factor", type=_scalar, default=10.0)
     p.add_argument("--interlayer", type=_length, default=None,
                    help="facing-chip ground height above the trace")
-    p.add_argument("--tol", type=float, default=fieldsolve.DEFAULT_TOL,
+    p.add_argument("--tol", type=_scalar, default=fieldsolve.DEFAULT_TOL,
                    help="stop once the relative residual |b - Av| / |b| "
                         "is at most this")
     p.add_argument("--max-sweeps", type=int,

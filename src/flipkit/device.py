@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from math import isfinite
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 from . import coupling as coupling_mod
@@ -64,13 +65,9 @@ class ChipSpec:
     g_qr: float | None = None
 
     def __post_init__(self):
-        errors = [f"chip.{self.name}.{key} must be positive"
-                  for key, value in (
-                      ("readout.coupling_q", self.coupling_q),
-                      ("cpw.substrate_thickness", self.substrate_thickness),
-                      ("transmon.baseline_q", self.baseline_q),
-                      ("readout.g_qr", self.g_qr))
-                  if value is not None and value <= 0.0]
+        errors = [f"{name} must be positive" for name in (
+            "coupling_q", "substrate_thickness", "baseline_q", "g_qr")
+            if getattr(self, name) is not None and getattr(self, name) <= 0.0]
         if errors:
             raise ConfigError(errors)
 
@@ -92,79 +89,78 @@ class DeviceSpec:
     fieldsolve_box_factor: float = 10.0
 
     def __post_init__(self):
-        errors = [f"{key} must be positive" for key, value in (
-            ("stack.interlayer_thickness", self.interlayer_thickness),
-            ("coupling.pad_overlap_area", self.pad_overlap_area),
-            ("coupling.f_bottom", self.coupling_f_bottom),
-            ("coupling.f_top", self.coupling_f_top),
-            ("fieldsolve.cell", self.fieldsolve_cell))
-            if value is not None and value <= 0.0]
+        errors = [f"{name} must be positive" for name in (
+            "interlayer_thickness", "pad_overlap_area", "coupling_f_bottom",
+            "coupling_f_top", "fieldsolve_cell")
+            if getattr(self, name) is not None and getattr(self, name) <= 0.0]
         if self.interlayer_eps_r < 1.0:
-            errors.append("stack.interlayer_eps_r must be >= 1")
+            errors.append("interlayer_eps_r must be >= 1")
         if self.interlayer_tan_delta < 0.0:
-            errors.append("stack.interlayer_tan_delta must be >= 0")
-        for name, p in (self.participation or {}).items():
-            if not 0.0 <= p <= 1.0:
-                errors.append(f"loss.participation.{name} must be in [0, 1]")
-        if sum((self.participation or {}).values()) > 1.0 + 1e-9:
-            errors.append("loss.participation values sum past 1")
+            errors.append("interlayer_tan_delta must be >= 0")
+        shares = self.participation or {}
+        errors += [f"participation.{name} must be in [0, 1]"
+                   for name, p in shares.items() if not 0.0 <= p <= 1.0]
+        if sum(shares.values()) > 1.0 + 1e-9:
+            errors.append("participation values sum past 1")
         if self.fieldsolve_box_factor < 10.0:
-            errors.append("fieldsolve.box_factor must be >= 10")
+            errors.append("fieldsolve_box_factor must be >= 10")
         if errors:
             raise ConfigError(errors)
 
 
-# configuration schema: key -> (dimension in units.UNITS, required)
-
-
-def _chip_schema(side: str) -> dict[str, tuple[str, bool]]:
-    p = f"chip.{side}"
-    return {
-        f"{p}.cpw.trace_width": ("length", True),
-        f"{p}.cpw.trace_gap": ("length", True),
-        f"{p}.cpw.substrate_eps_r": ("scalar", True),
-        f"{p}.cpw.substrate_thickness": ("length", False),
-        f"{p}.resonator.length": ("length", True),
-        f"{p}.resonator.pocket_extension": ("length", True),
-        f"{p}.transmon.junction_capacitance": ("capacitance", True),
-        f"{p}.transmon.shunt_capacitance": ("capacitance", True),
-        f"{p}.transmon.junction_inductance": ("inductance", True),
-        f"{p}.transmon.c_eff": ("capacitance", False),
-        f"{p}.transmon.flux_bias": ("scalar", False),
-        f"{p}.transmon.baseline_q": ("scalar", False),
-        f"{p}.readout.coupling_q": ("scalar", True),
-        f"{p}.readout.g_qr": ("frequency", False),
-    }
-
-
-# the key under chip.<side> that sets each CpwGeometry, ResonatorSpec and
-# TransmonParams field; those records' messages name the field
-_RECORD_KEYS = {
-    "trace_width": "cpw.trace_width",
-    "gap": "cpw.trace_gap",
-    "eps_substrate": "cpw.substrate_eps_r",
-    "physical_length": "resonator.length",
-    "pocket_extension": "resonator.pocket_extension",
-    "c_junction": "transmon.junction_capacitance",
-    "c_shunt": "transmon.shunt_capacitance",
-    "l_junction": "transmon.junction_inductance",
-    "c_eff": "transmon.c_eff",
+# every config key -> (record field, dimension in units.UNITS); the chip
+# keys sit under chip.<side>, and a dotted field is one entry of a dict
+# field.  A key is required when its record field has no default.
+_CHIP_KEYS = {
+    "cpw.trace_width": ("trace_width", "length"),
+    "cpw.trace_gap": ("gap", "length"),
+    "cpw.substrate_eps_r": ("eps_substrate", "scalar"),
+    "cpw.substrate_thickness": ("substrate_thickness", "length"),
+    "resonator.length": ("physical_length", "length"),
+    "resonator.pocket_extension": ("pocket_extension", "length"),
+    "transmon.junction_capacitance": ("c_junction", "capacitance"),
+    "transmon.shunt_capacitance": ("c_shunt", "capacitance"),
+    "transmon.junction_inductance": ("l_junction", "inductance"),
+    "transmon.c_eff": ("c_eff", "capacitance"),
+    "transmon.flux_bias": ("flux_bias", "scalar"),
+    "transmon.baseline_q": ("baseline_q", "scalar"),
+    "readout.coupling_q": ("coupling_q", "scalar"),
+    "readout.g_qr": ("g_qr", "frequency"),
+}
+_KEYS = {
+    **{f"chip.{side}.{key}": entry for side in ("bottom", "top")
+       for key, entry in _CHIP_KEYS.items()},
+    "stack.interlayer_thickness": ("interlayer_thickness", "length"),
+    "stack.interlayer_eps_r": ("interlayer_eps_r", "scalar"),
+    "stack.interlayer_tan_delta": ("interlayer_tan_delta", "scalar"),
+    "coupling.pad_overlap_area": ("pad_overlap_area", "area"),
+    "coupling.f_bottom": ("coupling_f_bottom", "frequency"),
+    "coupling.f_top": ("coupling_f_top", "frequency"),
+    "loss.participation.substrate": ("participation.substrate", "scalar"),
+    "loss.participation.interlayer": ("participation.interlayer", "scalar"),
+    "fieldsolve.cell": ("fieldsolve_cell", "length"),
+    "fieldsolve.box_factor": ("fieldsolve_box_factor", "scalar"),
 }
 
-_SCHEMA: dict[str, tuple[str, bool]] = {
-    **_chip_schema("bottom"),
-    **_chip_schema("top"),
-    "stack.interlayer_thickness": ("length", True),
-    "stack.interlayer_eps_r": ("scalar", True),
-    "stack.interlayer_tan_delta": ("scalar", False),
-    "coupling.pad_overlap_area": ("area", True),
-    "coupling.f_bottom": ("frequency", False),
-    "coupling.f_top": ("frequency", False),
-    "loss.participation.substrate": ("scalar", False),
-    "loss.participation.interlayer": ("scalar", False),
-    "fieldsolve.cell": ("length", False),
-    "fieldsolve.box_factor": ("scalar", False),
-}
+# record -> {field: whether it has no default}
+_FIELDS = {record: {f.name: f.default is MISSING for f in fields(record)}
+           for record in (cpw.CpwGeometry, cpw.ResonatorSpec,
+                          transmon.TransmonParams, ChipSpec, DeviceSpec)}
+_REQUIRED = [key for key, (field, _) in _KEYS.items()
+             if any(f.get(field.split(".")[0]) for f in _FIELDS.values())]
+# scope (a chip side, or None for the stack) -> {record field: key}
+_SCOPES = {scope: {field: key for key, (field, _) in _KEYS.items()
+                   if key.startswith(f"chip.{scope}.")
+                   or scope is None and not key.startswith("chip.")}
+           for scope in ("bottom", "top", None)}
+
+
+def _name_keys(message: str, scope: str | None) -> str:
+    """message with each record field of scope replaced by its key, and
+    a dict field (participation) by its keys' common head."""
+    names = {field.split(".")[0]: key.rsplit(".", field.count("."))[0]
+             for field, key in _SCOPES[scope].items()}
+    return re.sub(r"\w+", lambda m: names.get(m[0], m[0]), message)
 
 
 def _parse_entries(text: str) -> tuple[dict[str, float], list[str]]:
@@ -178,13 +174,13 @@ def _parse_entries(text: str) -> tuple[dict[str, float], list[str]]:
             errors.append(f"line {lineno}: expected 'key = value'")
             continue
         key, rhs = map(str.strip, line.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in entries:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        dimension, _ = _SCHEMA[key]
+        _, dimension = _KEYS[key]
         try:
             value, has_unit = parse_quantity(rhs, dimension)
         except ValueError as exc:
@@ -202,75 +198,56 @@ def parse_config(text: str) -> DeviceSpec:
 
     Records get only the keys the config sets.  A failed record goes on
     as None, so the record holding it is still checked; a record that
-    lacks a required key is not built.
+    lacks a required key is not built.  A permittivity that a record
+    borrows counts as at least 1, missing or not: the key it comes from
+    reports its own problem.
     """
     entries, errors = _parse_entries(text)
-    errors += [f"missing required key {key!r}"
-               for key, (_, required) in _SCHEMA.items()
-               if required and key not in entries]
+    errors += [f"missing required key {key!r}" for key in _REQUIRED
+               if key not in entries]
 
-    def build(make, keys: dict[str, str]):
-        """make(), or None once its problems are in errors."""
+    def given(scope: str | None) -> dict:
+        """Field -> value of each key of scope that the config sets."""
+        values: dict = {}
+        for field, key in _SCOPES[scope].items():
+            if key in entries:
+                name, _, entry = field.partition(".")
+                if entry:
+                    values.setdefault(name, {})[entry] = entries[key]
+                else:
+                    values[name] = entries[key]
+        return values
+
+    def build(record, scope: str | None, values: dict):
+        """record from values, or None once its problems are in errors."""
         try:
-            return make()
-        except ConfigError as exc:  # ChipSpec and DeviceSpec name their keys
-            errors.extend(exc.errors)
-        except ValueError as exc:  # the other records name fields: map them
-            errors.append(re.sub(r"\w+", lambda m: keys.get(m[0], m[0]),
-                                 str(exc)))
+            return record(**{name: values[name] for name, needed
+                             in _FIELDS[record].items()
+                             if needed or name in values})
+        except ValueError as exc:  # records name fields: name their keys
+            errors.extend(_name_keys(str(exc), scope).split("\n"))
         except KeyError:  # a required key, already reported missing
             pass
         return None
 
-    def given(**keys: str) -> dict[str, float]:
-        """Field -> value of each optional key that the config sets."""
-        return {field: entries[key] for field, key in keys.items()
-                if key in entries}
-
-    def borrowed_eps(key: str) -> float:  # below 1, its owner reports it
-        return max(entries[key], 1.0)
+    stack = given(None)
+    if len(stack.get("participation", ())) == 1:
+        errors.append(_name_keys("participation needs both substrate and "
+                                 "interlayer, or neither", None))
 
     def build_chip(side: str) -> ChipSpec | None:
-        p = f"chip.{side}"
-        keys = {field: f"{p}.{key}" for field, key in _RECORD_KEYS.items()}
-        value = {field: entries[key] for field, key in keys.items()
-                 if key in entries}
-        geometry = build(lambda: cpw.CpwGeometry(
-            value["trace_width"], value["gap"], value["eps_substrate"],
-            borrowed_eps("stack.interlayer_eps_r")), keys)
-        resonator = build(lambda: cpw.ResonatorSpec(
-            value["physical_length"], value["pocket_extension"],
-            cpw.effective_permittivity(
-                borrowed_eps(f"{p}.cpw.substrate_eps_r"),
-                borrowed_eps("stack.interlayer_eps_r"))), keys)
-        pars = build(lambda: transmon.TransmonParams(
-            value["c_junction"], value["c_shunt"], value["l_junction"],
-            value.get("c_eff")), keys)
-        return build(lambda: ChipSpec(
-            name=side, geometry=geometry, resonator=resonator, transmon=pars,
-            coupling_q=entries[f"{p}.readout.coupling_q"],
-            **given(substrate_thickness=f"{p}.cpw.substrate_thickness",
-                    flux_bias=f"{p}.transmon.flux_bias",
-                    baseline_q=f"{p}.transmon.baseline_q",
-                    g_qr=f"{p}.readout.g_qr")), keys)
+        chip = given(side)
+        chip["eps_superstrate"] = max(stack.get("interlayer_eps_r", 1.0), 1.0)
+        chip["eps_eff"] = cpw.effective_permittivity(
+            max(chip.get("eps_substrate", 1.0), 1.0), chip["eps_superstrate"])
+        return build(ChipSpec, side, {
+            **chip, "name": side,
+            "geometry": build(cpw.CpwGeometry, side, chip),
+            "resonator": build(cpw.ResonatorSpec, side, chip),
+            "transmon": build(transmon.TransmonParams, side, chip)})
 
-    participation = given(substrate="loss.participation.substrate",
-                          interlayer="loss.participation.interlayer") or None
-    if participation is not None and len(participation) == 1:
-        errors.append("loss.participation needs both substrate and "
-                      "interlayer, or neither")
     bottom, top = build_chip("bottom"), build_chip("top")
-    spec = build(lambda: DeviceSpec(
-        bottom=bottom, top=top,
-        interlayer_thickness=entries["stack.interlayer_thickness"],
-        interlayer_eps_r=entries["stack.interlayer_eps_r"],
-        pad_overlap_area=entries["coupling.pad_overlap_area"],
-        participation=participation,
-        **given(interlayer_tan_delta="stack.interlayer_tan_delta",
-                coupling_f_bottom="coupling.f_bottom",
-                coupling_f_top="coupling.f_top",
-                fieldsolve_cell="fieldsolve.cell",
-                fieldsolve_box_factor="fieldsolve.box_factor")), {})
+    spec = build(DeviceSpec, None, {**stack, "bottom": bottom, "top": top})
     if errors:
         raise ConfigError(errors)
     return spec
@@ -529,6 +506,8 @@ def sweep(spec: DeviceSpec, parameter: str, values) -> SweepTable:
     values = [float(x) for x in values]
     if not values:
         raise ValueError("empty sweep grid")
+    if not all(map(isfinite, values)):
+        raise ValueError("sweep values must be finite")
     chips = (spec.bottom, spec.top)
     qubits = {chip.name: _qubit_frequency(chip) for chip in chips}
     if parameter == "interlayer_thickness":
@@ -546,8 +525,9 @@ def sweep(spec: DeviceSpec, parameter: str, values) -> SweepTable:
     elif parameter == "loss_tangent":
         if min(values) < 0.0:
             raise ValueError("loss tangents must be >= 0")
-        missing = [f"chip.{c.name}.transmon.baseline_q is required for a "
-                   "loss_tangent sweep" for c in chips if c.baseline_q is None]
+        missing = [_name_keys("baseline_q is required for a loss_tangent "
+                              "sweep", c.name)
+                   for c in chips if c.baseline_q is None]
         if missing:
             raise ConfigError(missing)
         participation, _ = resolve_participation(spec)

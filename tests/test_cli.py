@@ -85,17 +85,72 @@ def test_bad_length_unit_keeps_its_message(capsys):
      "--eps-eff must be >= 1"),
     (["match", "--line-z0", "49.53", "--band", "4GHz:8GHz",
       "--eps-eff", "-1"], "--eps-eff must be >= 1"),
-    # a NaN line impedance printed NaN into the JSON and exited 0
+    # a NaN line impedance printed NaN into the JSON and exited 0; the
+    # quantity grammar now refuses it before the library sees it
     (["match", "--line-z0", "nan", "--band", "4GHz:8GHz"],
-     "--line-z0 must be positive and finite"),
+     "argument --line-z0: cannot parse scalar value 'nan'"),
+    # a value that starts with "-" reaches its check, not argparse's
+    # "expected one argument"
+    (["transmon", "--cj", "-1fF", "--cs", "70fF", "--lj", "8nH"],
+     "--cj must be >= 0"),
     (["smatrix", "--fr", "7GHz", "--ql", "1000", "--qc", "2000",
       "--points", "1"], "--points must be >= 2"),
 ], ids=["fieldsolve-s", "fieldsolve-eps-sub", "cpw-w", "cpw-eps-sup",
         "transmon-c", "transmon-cutoff", "match-points", "match-eps-eff-0",
-        "match-eps-eff-negative", "match-line-z0-nan", "smatrix-points"])
+        "match-eps-eff-negative", "match-line-z0-nan", "transmon-cj-negative",
+        "smatrix-points"])
 def test_library_error_names_the_flag(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"flipkit: {message}\n")
+
+
+# every real-valued flag, with arguments that are valid without it
+SCALAR_FLAG_COMMANDS = {
+    "cpw": ["cpw", "--w", "10um", "--s", "5um", "--eps-sub", "11.9"],
+    "transmon": ["transmon", "--cj", "8fF", "--cs", "81fF", "--lj", "8.75nH"],
+    "smatrix": ["smatrix", "--fr", "7GHz", "--ql", "1000", "--qc", "2000"],
+    "match": ["match", "--line-z0", "49.53", "--band", "4GHz:8GHz"],
+    "fieldsolve": ["fieldsolve", "--w", "10um", "--s", "5um",
+                   "--eps-sub", "11.9"],
+}
+SUBCOMMANDS = next(action.choices for action in cli.build_parser()._actions
+                   if action.dest == "command")
+SCALAR_FLAGS = [(command, flag) for command, sub in SUBCOMMANDS.items()
+                for action in sub._actions if action.type is cli._scalar
+                for flag in action.option_strings]
+
+
+def test_no_flag_parses_with_float():
+    # every real number on the command line goes through the quantity
+    # grammar of units.parse_quantity
+    for sub in SUBCOMMANDS.values():
+        assert all(action.type is not float for action in sub._actions)
+    assert len(SCALAR_FLAGS) == 16
+
+
+@pytest.mark.parametrize("value,message", [
+    ("nan", "cannot parse scalar value 'nan'"),
+    ("inf", "cannot parse scalar value 'inf'"),
+    ("1e400", "scalar value '1e400' is not finite"),
+], ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize("command,flag", SCALAR_FLAGS,
+                         ids=[f"{c}{f}" for c, f in SCALAR_FLAGS])
+def test_scalar_flag_rejects_non_finite(capsys, command, flag, value,
+                                        message):
+    code, out, err = run(capsys, *SCALAR_FLAG_COMMANDS[command], flag, value)
+    assert (code, out, err) == (1, "", f"flipkit: argument {flag}: {message}\n")
+
+
+def test_negative_exponent_flag_reaches_the_calculator(capsys):
+    # "-1e-3" is a value, not a flag; the flux dependence is even in the
+    # bias, so it must give the bytes of +1e-3 and differ from zero bias
+    outs = []
+    for flux in ("-1e-3", "1e-3", "0"):
+        code, out, err = run(capsys, *SCALAR_FLAG_COMMANDS["transmon"],
+                             "--flux", flux, "--json")
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1] != outs[2]
 
 
 def test_numeric_failure_exit_2(capsys):
@@ -261,6 +316,18 @@ def test_match_step_must_divide_the_range(capsys):
                    "40 to 60 ohm\n")
 
 
+@pytest.mark.parametrize("zmin,message", [
+    ("-5", "--zmin must be positive"),
+    ("0", "--zmin must be positive"),
+    # NaN once claimed "more than 100001 port points"
+    ("nan", "argument --zmin: cannot parse scalar value 'nan'"),
+], ids=["negative", "zero", "nan"])
+def test_match_zmin_must_be_positive(capsys, zmin, message):
+    code, out, err = run(capsys, "match", "--line-z0", "49.53",
+                         "--band", "4GHz:8GHz", "--zmin", zmin)
+    assert (code, out, err) == (1, "", f"flipkit: {message}\n")
+
+
 @pytest.mark.parametrize("zstep", ["1e-12", "1e-320"])
 def test_match_caps_the_port_points(capsys, zstep):
     # 2e13 points, and a count too large for a float to hold: both are
@@ -392,6 +459,16 @@ def test_analyze_matches_reference_bytes(capsys, argv, name):
     assert out == (TEST_REFERENCE / name).read_text(encoding="utf-8")
 
 
+def test_bad_config_reports_every_error(capsys):
+    # one error of each kind; the golden was written before the config
+    # keys moved into one table
+    code, out, err = run(capsys, "analyze", "--config",
+                         str(TEST_REFERENCE / "bad_config.cfg"))
+    assert (code, out) == (1, "")
+    assert err == (TEST_REFERENCE / "bad_config.stderr").read_text(
+        encoding="utf-8")
+
+
 def test_analyze_names_the_bad_key(capsys, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text(device.default_config_text().replace(
@@ -516,6 +593,18 @@ def test_sweep_plot_unknown_column_fails(capsys, tmp_path):
                      "--param", "loss_tangent", "--grid", "1e-6:1e-2:log5",
                      "--plot", str(tmp_path / "x.svg"), "--y", "no_such")
     assert code == 1
+
+
+@pytest.mark.parametrize("param,grid,message", [
+    ("interlayer_thickness", "1fF,2fF", "length has no unit 'fF'"),
+    ("interlayer_thickness", "0.1mm:nan:3", "cannot parse length value 'nan'"),
+    # a NaN loss tangent once printed NaN rows and exited 0
+    ("loss_tangent", "nan,1e-3", "cannot parse scalar value 'nan'"),
+    ("loss_tangent", "0:1e400:log5", "scalar value '1e400' is not finite"),
+], ids=["thickness-unit", "thickness-nan", "loss-nan", "loss-overflow"])
+def test_sweep_grid_value_errors_name_the_flag(capsys, param, grid, message):
+    code, out, err = run(capsys, "sweep", "--param", param, "--grid", grid)
+    assert (code, out, err) == (1, "", f"flipkit: --grid: {message}\n")
 
 
 def test_sweep_bad_grid_syntax(capsys):

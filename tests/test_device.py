@@ -1,5 +1,6 @@
 """Config parsing, the assembled analysis report, and parametric sweeps."""
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -48,12 +49,20 @@ def test_default_config_text_round_trips(spec):
 
 
 def test_empty_config_lists_missing_keys():
+    # a key is required exactly when its record field has no default
     with pytest.raises(ConfigError) as e:
         parse_config("")
-    msg = str(e.value)
-    assert "chip.bottom.cpw.trace_width" in msg
-    assert "stack.interlayer_thickness" in msg
-    assert len(e.value.errors) > 10
+    chip_keys = ["cpw.trace_width", "cpw.trace_gap", "cpw.substrate_eps_r",
+                 "resonator.length", "resonator.pocket_extension",
+                 "transmon.junction_capacitance",
+                 "transmon.shunt_capacitance",
+                 "transmon.junction_inductance", "readout.coupling_q"]
+    assert e.value.errors == [
+        f"missing required key {key!r}" for key in [
+            *(f"chip.{side}.{key}" for side in ("bottom", "top")
+              for key in chip_keys),
+            "stack.interlayer_thickness", "stack.interlayer_eps_r",
+            "coupling.pad_overlap_area"]]
 
 
 def test_unknown_key_reported_with_line():
@@ -221,10 +230,34 @@ EPS_SUB = ("chip.top.cpw.substrate_eps_r = 11.9",
               "chip.top.readout.coupling_q = 0")],
      ["chip.top.cpw.trace_gap must be positive",
       "chip.top.readout.coupling_q must be positive"]),
+    # a missing permittivity counts as 1 where it is borrowed, so the
+    # records that borrow it are still checked
+    ([("stack.interlayer_eps_r = 1.0\n", ""), GAP_0, LENGTH_0],
+     ["missing required key 'stack.interlayer_eps_r'",
+      "chip.top.cpw.trace_gap must be positive",
+      "chip.top.resonator.length must be positive"]),
+    ([("chip.top.cpw.substrate_eps_r = 11.9\n", ""), LENGTH_0],
+     ["missing required key 'chip.top.cpw.substrate_eps_r'",
+      "chip.top.resonator.length must be positive"]),
 ], ids=["gap_and_inductance", "length_and_inductance",
-        "substrate_eps_and_length", "substrate_eps", "gap_and_coupling_q"])
+        "substrate_eps_and_length", "substrate_eps", "gap_and_coupling_q",
+        "missing_eps_r", "missing_substrate_eps"])
 def test_no_chip_record_hides_another(edits, want):
     assert config_errors(edits) == want
+
+
+def test_records_name_their_fields(spec):
+    # outside a config, ChipSpec and DeviceSpec name the record field
+    with pytest.raises(ConfigError) as e:
+        dataclasses.replace(spec.top, coupling_q=0.0, g_qr=-1.0)
+    assert e.value.errors == ["coupling_q must be positive",
+                              "g_qr must be positive"]
+    with pytest.raises(ConfigError) as e:
+        dataclasses.replace(spec, interlayer_eps_r=0.5,
+                            participation={"substrate": 0.5,
+                                           "interlayer": 0.6})
+    assert e.value.errors == ["interlayer_eps_r must be >= 1",
+                              "participation values sum past 1"]
 
 
 def test_line_and_missing_key_errors_join_the_value_errors():
@@ -359,6 +392,18 @@ def test_loss_sweep_trends(spec):
     assert gam[0] == 0.0
     # linear in the tangent: the two top decades scale by exactly 100
     assert gam[-1] == pytest.approx(100.0 * gam[-3], rel=1e-9)
+
+
+@pytest.mark.parametrize("parameter,values", [
+    ("interlayer_thickness", [math.nan]),
+    ("interlayer_thickness", [1e-3, math.inf]),
+    ("loss_tangent", [math.nan, 1e-3]),
+    ("loss_tangent", [0.0, math.inf]),
+], ids=["thickness-nan", "thickness-inf", "loss-nan", "loss-inf"])
+def test_sweep_rejects_non_finite_values(spec, parameter, values):
+    # NaN passed the range checks and gave NaN rows
+    with pytest.raises(ValueError, match="^sweep values must be finite$"):
+        device.sweep(spec, parameter, values)
 
 
 def test_sweep_unknown_parameter(spec):
