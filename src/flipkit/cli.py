@@ -47,6 +47,7 @@ _FIELD_FLAGS = {
     "line_z0": "--line-z0",
     "points": "--points",
     "cutoff": "--cutoff",
+    "tol": "--tol",
 }
 
 
@@ -92,9 +93,13 @@ def _band(text: str) -> RealInterval:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"band must be lo:hi, got {text!r}")
     try:
-        return RealInterval(_frequency(parts[0]), _frequency(parts[1]))
+        band = RealInterval(_frequency(parts[0]), _frequency(parts[1]))
     except ValueError as exc:  # argparse would drop the message
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if band.lo <= 0.0:
+        raise argparse.ArgumentTypeError(
+            f"band must lie above 0 Hz, got {text!r}")
+    return band
 
 
 def _parse_grid(text: str, dimension: str) -> list[float]:

@@ -473,11 +473,10 @@ def _notch_for(chip: ChipSpec) -> network.NotchResonator:
 
 
 def _thickness_row(spec: DeviceSpec, d: float, f1: float, f2: float,
-                   notches: tuple[network.NotchResonator,
-                                  network.NotchResonator],
-                   band: RealInterval, qubits: dict[str, float]) -> dict:
+                   qubits: dict[str, float]) -> dict:
+    # crosstalk_db holds its column's place; sweep fills it for all rows
     row = _coupling(spec, d, f1, f2)
-    row["crosstalk_db"] = network.crosstalk_dip(row["cg_f"], *notches, band)
+    row["crosstalk_db"] = None
     row["qubit_bottom_hz"] = qubits["bottom"]
     row["qubit_top_hz"] = qubits["top"]
     return row
@@ -501,7 +500,9 @@ def sweep(spec: DeviceSpec, parameter: str, values) -> SweepTable:
     What does not depend on the swept value is computed once: the
     closed-form qubit frequencies and, for thickness, the coupling
     frequencies, the two readout notches and the crosstalk band; for
-    loss tangent, the two interlayer budgets.  Rows follow the grid order.
+    loss tangent, the two interlayer budgets.  A thickness sweep's
+    crosstalk column comes from one crosstalk_dip call with every row's
+    bridge capacitance.  Rows follow the grid order.
     """
     values = [float(x) for x in values]
     if not values:
@@ -517,11 +518,13 @@ def sweep(spec: DeviceSpec, parameter: str, values) -> SweepTable:
         near = _notch_for(spec.bottom)
         halfspan = 10.0 * near.f_r / near.q_loaded
         band = RealInterval(near.f_r - halfspan, near.f_r + halfspan)
-        notches = (near, _notch_for(spec.top))
+        rows = [_thickness_row(spec, d, f1, f2, qubits) for d in values]
+        dips = network.crosstalk_dip([row["cg_f"] for row in rows], near,
+                                     _notch_for(spec.top), band)
         table = SweepTable(param_name="interlayer_thickness_m")
-        for d in values:
-            table.add_row(d, **_thickness_row(spec, d, f1, f2, notches, band,
-                                              qubits))
+        for d, row, dip in zip(values, rows, dips):
+            row["crosstalk_db"] = dip
+            table.add_row(d, **row)
     elif parameter == "loss_tangent":
         if min(values) < 0.0:
             raise ValueError("loss tangents must be >= 0")

@@ -546,6 +546,8 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
     one that already meets the tolerance is returned untouched.  The
     residual is the fine level's r, which the preconditioner reads.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     fine = _Level(prob.diag, prob.fx, prob.fy)
     b, x, p = fine.split(prob.b), np.zeros_like(fine.x), np.zeros_like(fine.x)
     if start is not None:

@@ -226,24 +226,31 @@ def _shunt_admittance(res: NotchResonator, f: np.ndarray,
     return (2.0 / z0) * q / den
 
 
-def crosstalk_dip(bridge_capacitance: float, near: NotchResonator,
+def crosstalk_dip(bridge_capacitances, near: NotchResonator,
                   far: NotchResonator, band: RealInterval, z0: float = 50.0,
                   line_length: float = 2e-3, eps_eff: float = 6.45,
-                  points: int = DEFAULT_GRID_POINTS) -> float:
-    """Far-side transmission dip (dB, >= 0) caused by a bridging capacitor.
+                  points: int = DEFAULT_GRID_POINTS) -> list[float]:
+    """Far-side transmission dips (dB, >= 0), one per bridge capacitance.
 
     Lumped model of the two feedlines: each is split at its midpoint
-    where its notch resonator loads it, and the bridge capacitance ties
-    the two midpoints together.  The returned number is the depth of
-    the dip that the near line's resonance carves into the far line's
-    transmission, max over the band.  Zero bridge gives exactly zero.
+    where its notch resonator loads it, and a bridge capacitance ties
+    the two midpoints together.  A dip is the depth of the notch that
+    the near line's resonance carves into the far line's transmission,
+    max over the band.  Zero bridge gives exactly zero.
+
+    A sweep passes all its bridges at once: the grid and the line and
+    notch admittances are formed once, and each bridge redoes only the
+    nodal solve.  It keeps the dense 6x6 solve's arithmetic and LAPACK
+    matrices, so the dips are bit-identical to it; a reordered solve
+    moves them by up to 5e-9 relative, past the stored sweep's 1e-9.
     """
-    if bridge_capacitance < 0.0:
+    bridges = list(bridge_capacitances)
+    if any(c < 0.0 for c in bridges):
         raise ValueError("bridge capacitance must be >= 0")
     if not eps_eff >= 1.0:
         raise ValueError("eps_eff must be >= 1")
-    if bridge_capacitance == 0.0:
-        return 0.0
+    if not any(bridges):
+        return [0.0] * len(bridges)
 
     f = frequency_grid(band, points)
     w = 2.0 * math.pi * f
@@ -257,36 +264,29 @@ def crosstalk_dip(bridge_capacitance: float, near: NotchResonator,
     y_self = cos_bl / (1j * z0 * sin_bl)
     y_mut = -1.0 / (1j * z0 * sin_bl)
 
-    y_near = _shunt_admittance(near, f, z0)
-    y_far = _shunt_admittance(far, f, z0)
-    y_bridge = 1j * w * bridge_capacitance
-    g0 = 1.0 / z0
-
-    n = f.size
-    yfull = np.zeros((n, 6, 6), dtype=complex)
-    # node order: p1, p2, p3, p4, m_near, m_far
-    for a_node, b_node in ((0, 4), (1, 4), (2, 5), (3, 5)):
-        yfull[:, a_node, a_node] += y_self
-        yfull[:, b_node, b_node] += y_self
-        yfull[:, a_node, b_node] += y_mut
-        yfull[:, b_node, a_node] += y_mut
-    yfull[:, 4, 4] += y_near
-    yfull[:, 5, 5] += y_far
-    yfull[:, 4, 4] += y_bridge
-    yfull[:, 5, 5] += y_bridge
-    yfull[:, 4, 5] -= y_bridge
-    yfull[:, 5, 4] -= y_bridge
-
-    # reduce the two internal nodes, then form S at z0 on ports 1-4
-    ypp = yfull[:, :4, :4]
-    ypi = yfull[:, :4, 4:]
-    yip = yfull[:, 4:, :4]
-    yii = yfull[:, 4:, 4:]
-    yred = ypp - ypi @ np.linalg.solve(yii, yip)
-
+    # nodes p1, p2, p3, p4, m_near, m_far; p1, p2 join m_near and p3, p4
+    # m_far.  Sums start at 0.0, as the zeroed 6x6 matrix did.
+    y_port = 0.0 + y_self
+    y_mid = [y_port + y_self + _shunt_admittance(notch, f, z0)
+             for notch in (near, far)]
+    yip = np.zeros((f.size, 2, 2), dtype=complex)  # distinct Y_ip columns
+    yip[:, 0, 0] = yip[:, 1, 1] = 0.0 + y_mut
+    yii, yred = np.empty_like(yip), np.empty((f.size, 4, 4), dtype=complex)
     eye = np.eye(4)
-    s = np.linalg.solve(eye + z0 * yred, eye - z0 * yred)
 
-    db = _db(s[:, 3, 2])
-    baseline = float(db[0])
-    return max(baseline - float(db.min()), 0.0)
+    def dip(bridge: float) -> float:
+        y_bridge = 1j * w * bridge
+        yii[:, 0, 0] = y_mid[0] + y_bridge
+        yii[:, 1, 1] = y_mid[1] + y_bridge
+        yii[:, 0, 1] = yii[:, 1, 0] = 0.0 - y_bridge
+        # Y_red = Y_pp - Y_pi Y_ii^-1 Y_ip; row i of Y_pi is y_mut at i // 2
+        p = y_mut * np.linalg.solve(yii, yip).transpose(1, 2, 0)
+        for i, j in np.ndindex(4, 4):
+            yred[:, i, j] = (y_port if i == j else 0.0) - p[i // 2, j // 2]
+        # S = (I + z0 Y_red)^-1 (I - z0 Y_red) on ports 1-4; read S43
+        zy = z0 * yred
+        s = np.linalg.solve(eye + zy, (eye[2] - zy[:, :, 2])[:, :, None])
+        db = _db(s[:, 3, 0])
+        return max(float(db[0]) - float(db.min()), 0.0)
+
+    return [0.0 if bridge == 0.0 else dip(bridge) for bridge in bridges]

@@ -89,6 +89,16 @@ def test_bad_length_unit_keeps_its_message(capsys):
     # quantity grammar now refuses it before the library sees it
     (["match", "--line-z0", "nan", "--band", "4GHz:8GHz"],
      "argument --line-z0: cannot parse scalar value 'nan'"),
+    # a tol <= 0 ran --max-sweeps iterations and exited 2
+    (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
+      "--cell", "2um", "--tol", "-1"], "--tol must be positive and finite"),
+    (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
+      "--cell", "2um", "--tol", "0"], "--tol must be positive and finite"),
+    # a band reaching down to or below 0 Hz printed a negative band_lo_hz
+    (["match", "--line-z0", "49.53", "--band", "-4GHz:8GHz", "--json"],
+     "argument --band: band must lie above 0 Hz, got '-4GHz:8GHz'"),
+    (["match", "--line-z0", "49.53", "--band", "0:8GHz", "--json"],
+     "argument --band: band must lie above 0 Hz, got '0:8GHz'"),
     # a value that starts with "-" reaches its check, not argparse's
     # "expected one argument"
     (["transmon", "--cj", "-1fF", "--cs", "70fF", "--lj", "8nH"],
@@ -97,8 +107,9 @@ def test_bad_length_unit_keeps_its_message(capsys):
       "--points", "1"], "--points must be >= 2"),
 ], ids=["fieldsolve-s", "fieldsolve-eps-sub", "cpw-w", "cpw-eps-sup",
         "transmon-c", "transmon-cutoff", "match-points", "match-eps-eff-0",
-        "match-eps-eff-negative", "match-line-z0-nan", "transmon-cj-negative",
-        "smatrix-points"])
+        "match-eps-eff-negative", "match-line-z0-nan",
+        "fieldsolve-tol-negative", "fieldsolve-tol-0", "match-band-negative",
+        "match-band-0", "transmon-cj-negative", "smatrix-points"])
 def test_library_error_names_the_flag(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"flipkit: {message}\n")

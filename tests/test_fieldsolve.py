@@ -4,6 +4,8 @@ Grids here are kept coarse so the whole file runs in seconds; the
 acceptance suite re-runs the CPW extraction at production resolution.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,19 @@ def test_convergence_error_carries_state():
     sec = cpw_cross_section(GEOM, cell=2e-6)
     with pytest.raises(ConvergenceError):
         solve_potential(sec, tol=1e-14, max_sweeps=5)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_bad_tol_rejected(tol):
+    # tol <= 0 ran max_sweeps iterations and then failed to converge;
+    # tol = inf returned the unsolved start (0 iterations, residual 1)
+    sec = cpw_cross_section(GEOM, cell=4e-6)
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        solve_potential(sec, tol=tol)
+    sol = solve_potential(sec)
+    for solution in (None, sol):
+        with pytest.raises(ValueError, match="^tol must be positive"):
+            extract_eps_eff_and_z0(sec, tol=tol, solution=solution)
 
 
 def test_solution_reuse_identity_guard():

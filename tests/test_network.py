@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from flipkit import network
+from flipkit import device, network
 from flipkit.constants import C_LIGHT
 from flipkit.network import (AmbiguousDipError, ExtractionError,
                              FrequencyResponse, NotchResonator, crosstalk_dip,
@@ -271,24 +271,143 @@ def make_pair():
     return near, far
 
 
+def dense_crosstalk_dip(bridge_capacitance, near, far, band, z0=50.0,
+                        line_length=2e-3, eps_eff=6.45, points=2001):
+    """Oracle: the dense 6-node nodal solve for one bridge, assembled
+    and reduced as written, which crosstalk_dip must match bit for bit."""
+    if bridge_capacitance < 0.0:
+        raise ValueError("bridge capacitance must be >= 0")
+    if not eps_eff >= 1.0:
+        raise ValueError("eps_eff must be >= 1")
+    if bridge_capacitance == 0.0:
+        return 0.0
+
+    f = frequency_grid(band, points)
+    w = 2.0 * math.pi * f
+    beta_l = w * math.sqrt(eps_eff) * (0.5 * line_length) / C_LIGHT
+    sin_bl = np.sin(beta_l)
+    if np.any(np.abs(sin_bl) < 1e-12):
+        raise ZeroDivisionError("half-line is a multiple of a half wave")
+    cos_bl = np.cos(beta_l)
+
+    # nodal admittance entries of one half-line (lossless, unimodular)
+    y_self = cos_bl / (1j * z0 * sin_bl)
+    y_mut = -1.0 / (1j * z0 * sin_bl)
+
+    y_near = network._shunt_admittance(near, f, z0)
+    y_far = network._shunt_admittance(far, f, z0)
+    y_bridge = 1j * w * bridge_capacitance
+
+    n = f.size
+    yfull = np.zeros((n, 6, 6), dtype=complex)
+    # node order: p1, p2, p3, p4, m_near, m_far
+    for a_node, b_node in ((0, 4), (1, 4), (2, 5), (3, 5)):
+        yfull[:, a_node, a_node] += y_self
+        yfull[:, b_node, b_node] += y_self
+        yfull[:, a_node, b_node] += y_mut
+        yfull[:, b_node, a_node] += y_mut
+    yfull[:, 4, 4] += y_near
+    yfull[:, 5, 5] += y_far
+    yfull[:, 4, 4] += y_bridge
+    yfull[:, 5, 5] += y_bridge
+    yfull[:, 4, 5] -= y_bridge
+    yfull[:, 5, 4] -= y_bridge
+
+    # reduce the two internal nodes, then form S at z0 on ports 1-4
+    ypp = yfull[:, :4, :4]
+    ypi = yfull[:, :4, 4:]
+    yip = yfull[:, 4:, :4]
+    yii = yfull[:, 4:, 4:]
+    yred = ypp - ypi @ np.linalg.solve(yii, yip)
+
+    eye = np.eye(4)
+    s = np.linalg.solve(eye + z0 * yred, eye - z0 * yred)
+
+    db = network._db(s[:, 3, 2])
+    baseline = float(db[0])
+    return max(baseline - float(db.min()), 0.0)
+
+
+def preset_sweep_case(top_length="4.0481 mm"):
+    """Bridges, notches and band of the preset's 25-point thickness
+    sweep, plus the sweep's own crosstalk_db column."""
+    text = device.default_config_text().replace(
+        "chip.top.resonator.length = 4.0481 mm",
+        f"chip.top.resonator.length = {top_length}")
+    spec = device.parse_config(text)
+    table = device.sweep(spec, "interlayer_thickness",
+                         np.geomspace(0.1e-3, 4e-3, 25))
+    near = device._notch_for(spec.bottom)
+    halfspan = 10.0 * near.f_r / near.q_loaded
+    band = RealInterval(near.f_r - halfspan, near.f_r + halfspan)
+    return (table.column("cg_f"), near, device._notch_for(spec.top), band,
+            {}), table.column("crosstalk_db")
+
+
+def lossless_on_resonance_case():
+    # Qc = Ql and f_r on a grid point: the far shunt's denominator is
+    # exactly 0 there, so _shunt_admittance's 1e-9 floor sets it
+    near, _ = make_pair()
+    far = NotchResonator(f_r=7.1e9, q_loaded=5782.30, q_coupling=5782.30)
+    band = RealInterval(7.0e9, 7.2e9)
+    assert far.f_r in frequency_grid(band, 2001)
+    return [1e-18, 4e-18, 16e-18], near, far, band, {}
+
+
+CROSSTALK_CASES = {
+    "preset-thickness-grid": lambda: preset_sweep_case()[0],
+    "pair-wide-band": lambda: ([1e-18, 4e-18, 16e-18], *make_pair(),
+                               RealInterval(7.0e9, 7.2e9), {}),
+    "pair-narrow-band": lambda: ([1e-18, 4e-18, 16e-18], *make_pair(),
+                                 RealInterval(7.10e9, 7.13e9),
+                                 {"points": 501}),
+    "zeros-among-bridges": lambda: ([0.0, 1e-18, 0.0, 0.0, 4e-18, 0.0],
+                                    *make_pair(),
+                                    RealInterval(7.10e9, 7.13e9), {}),
+    "overlap-top-4.2956mm": lambda: preset_sweep_case("4.2956 mm")[0],
+    "lossless-far-on-resonance": lossless_on_resonance_case,
+}
+
+
+@pytest.mark.parametrize("case", CROSSTALK_CASES)
+def test_crosstalk_bit_identical_to_dense_oracle(case):
+    bridges, near, far, band, kw = CROSSTALK_CASES[case]()
+    want = [dense_crosstalk_dip(c, near, far, band, **kw) for c in bridges]
+    assert crosstalk_dip(bridges, near, far, band, **kw) == want
+
+
+def test_crosstalk_overlap_case_reads_the_far_notch():
+    # the known defect the overlap case pins: ~180 dB, not the bridge dip
+    bridges, near, far, band, _ = preset_sweep_case("4.2956 mm")[0]
+    assert min(crosstalk_dip(bridges, near, far, band)) > 170.0
+
+
+def test_thickness_sweep_fills_crosstalk_in_row_order():
+    # the sweep's column is the one call on its rows' bridges, which the
+    # preset case above holds to the oracle
+    (bridges, near, far, band, _), column = preset_sweep_case()
+    assert column == crosstalk_dip(bridges, near, far, band)
+    assert column == sorted(column, reverse=True)
+
+
 def test_crosstalk_zero_bridge():
     near, far = make_pair()
     band = RealInterval(7.0e9, 7.2e9)
-    assert crosstalk_dip(0.0, near, far, band) == 0.0
+    assert crosstalk_dip([0.0], near, far, band) == [0.0]
+    assert crosstalk_dip([], near, far, band) == []
 
 
 def test_crosstalk_monotone_in_bridge():
     near, far = make_pair()
     band = RealInterval(7.10e9, 7.13e9)
-    dips = [crosstalk_dip(cg, near, far, band, points=501)
-            for cg in (1e-18, 4e-18, 16e-18)]
+    dips = crosstalk_dip([1e-18, 4e-18, 16e-18], near, far, band, points=501)
     assert 0.0 < dips[0] < dips[1] < dips[2]
 
 
 def test_crosstalk_negative_bridge_rejected():
     near, far = make_pair()
     with pytest.raises(ValueError):
-        crosstalk_dip(-1e-18, near, far, RealInterval(7.0e9, 7.2e9))
+        crosstalk_dip([1e-18, -1e-18], near, far, RealInterval(7.0e9, 7.2e9))
 
 
 @pytest.mark.parametrize("bridge", [0.0, 1e-18])
@@ -297,7 +416,7 @@ def test_crosstalk_rejects_eps_eff_below_one(bridge, eps_eff):
     # checked before the zero-bridge shortcut too
     near, far = make_pair()
     with pytest.raises(ValueError, match="^eps_eff must be >= 1$"):
-        crosstalk_dip(bridge, near, far, RealInterval(7.0e9, 7.2e9),
+        crosstalk_dip([bridge], near, far, RealInterval(7.0e9, 7.2e9),
                       eps_eff=eps_eff)
 
 
