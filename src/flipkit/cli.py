@@ -30,9 +30,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERIC = 2
 
-# the most port impedances `match` evaluates, one table row each
-_MAX_PORT_POINTS = 100_001
-
 # library field -> the flag that feeds it, so that an error names the flag
 _FIELD_FLAGS = {
     "trace_width": "--w",
@@ -48,6 +45,14 @@ _FIELD_FLAGS = {
     "points": "--points",
     "cutoff": "--cutoff",
     "tol": "--tol",
+    "f_r": "--fr",
+    "q_loaded": "--ql",
+    "q_coupling": "--qc",
+    "line_length": "--line-length",
+    "cell": "--cell",
+    "box_factor": "--box-factor",
+    "interlayer_thickness": "--interlayer",
+    "z_target": "--z0",
 }
 
 
@@ -128,6 +133,8 @@ def _parse_grid(text: str, dimension: str) -> list[float]:
             raise ValueError(f"bad count {parts[2]!r}") from None
         if n < 2:
             raise ValueError("needs at least 2 points")
+        if n > network.MAX_GRID_POINTS:
+            raise ValueError(f"takes at most {network.MAX_GRID_POINTS} points")
         if not is_log:
             return [float(x) for x in np.linspace(start, stop, n)]
         if start < 0.0 or stop <= 0.0 or start >= stop:
@@ -240,6 +247,8 @@ def _cmd_transmon(args) -> dict:
 def _cmd_smatrix(args) -> dict:
     res = network.NotchResonator(f_r=args.fr, q_loaded=args.ql,
                                  q_coupling=args.qc, chi=args.chi)
+    if args.span is not None and args.span <= 0.0:
+        raise _UsageError("--span must be positive")
     span = args.span if args.span is not None else 20.0 * args.fr / args.ql
     band = RealInterval(args.fr - 0.5 * span, args.fr + 0.5 * span)
     grid = network.frequency_grid(band, args.points)
@@ -274,10 +283,10 @@ def _cmd_match(args) -> dict:
     if args.zstep <= 0.0:
         raise _UsageError("--zstep must be positive")
     steps = (args.zmax - args.zmin) / args.zstep
-    if not steps < _MAX_PORT_POINTS - 0.5:  # also an infinite count
+    if not steps < network.MAX_GRID_POINTS - 0.5:  # also an infinite count
         raise _UsageError(f"--zstep {args.zstep!r} over the range "
                           f"{args.zmin:g} to {args.zmax:g} ohm gives more "
-                          f"than {_MAX_PORT_POINTS} port points")
+                          f"than {network.MAX_GRID_POINTS} port points")
     if abs(steps - round(steps)) > 1e-9:
         raise _UsageError(f"--zstep {args.zstep:g} does not divide the range "
                           f"{args.zmin:g} to {args.zmax:g} ohm")

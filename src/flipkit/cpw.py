@@ -128,7 +128,7 @@ def solve_gap_for_impedance(trace_width: float, eps_eff: float,
     if eps_eff < 1.0:
         raise ValueError("eps_eff must be >= 1")
     if not 0.0 < z_target < math.inf:
-        raise ValueError("target impedance must be positive and finite")
+        raise ValueError("z_target must be positive and finite")
     scale = math.sqrt(MU_0 / (16.0 * EPS_0 * eps_eff))
     tau = z_target / scale
     q = math.exp(-math.pi * (tau if tau >= 1.0 else scale / z_target))

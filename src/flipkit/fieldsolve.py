@@ -4,14 +4,14 @@ Solves div(eps grad V) = 0 on a rectangular box of nx x ny cells with
 piecewise-constant permittivity, by conjugate gradients on the
 flux-conserving five-point stencil, preconditioned by one geometric
 multigrid W-cycle per iteration.  Unknowns sit at cell centers.
-Conductors are either blocks of fixed cells or zero-thickness
-horizontal strips on a face line.  The discrete system has two parts:
-couplings between neighbouring free cells, each carrying the harmonic
-mean of the two permittivities (the exact series composition for
-interfaces aligned with the grid), and pins, one per face where a free
-cell meets a fixed potential (a fixed cell, a grounded wall, or either
-side of a strip), which tie the cell to that potential across half a
-cell.  The solver and the energy extraction both read this one model.
+Conductors are zero-thickness horizontal strips on a face line, as
+thin-film metal is.  The discrete system has two parts: couplings
+between neighbouring cells, each carrying the harmonic mean of the two
+permittivities (the exact series composition for interfaces aligned
+with the grid), and pins, one per face where a cell meets a fixed
+potential (a grounded wall, or either side of a strip), which tie the
+cell to that potential across half a cell.  The solver and the energy
+extraction both read this one model.
 
 From a converged solution the module extracts per-unit-length
 capacitance via the discrete field energy (C = 2U/V^2), the effective
@@ -51,6 +51,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_SWEEPS = 100
+MAX_CELLS_PER_SIDE = 2048  # a CPW section takes ~300 B per cell
 
 
 class ConvergenceError(RuntimeError):
@@ -93,9 +94,16 @@ class DielectricRegion:
 
 @dataclass(frozen=True)
 class Conductor:
+    """A zero-thickness strip at a fixed potential: rect has no height."""
+
     name: str
     rect: Rect
     potential: float
+
+    def __post_init__(self):
+        if not self.rect.is_strip:
+            raise ValueError(f"conductor {self.name!r} must be a strip: "
+                             "its rect has height")
 
 
 @dataclass
@@ -150,7 +158,7 @@ class FieldSolution:
     """Converged potential with the assembled problem kept for reuse.
 
     iterations counts conjugate-gradient steps; residual is the final
-    |b - A v| / |b| over the free cells.
+    |b - A v| / |b| over the cells.
     """
 
     section: CrossSection
@@ -161,15 +169,15 @@ class FieldSolution:
 
 
 class _Problem:
-    """The section's discrete system: free-cell couplings plus pins.
+    """The section's discrete system: cell couplings plus pins.
 
-    fx and fy couple neighbouring free cells across interior x and y
-    faces; links lists each with the index of its cells on either side.
-    pin_cell (flat cell index), pin_coef and pin_val list every
-    face of a free cell that touches a fixed potential.  diag and b are
-    the operator diagonal and right-hand side, zero on fixed cells.
-    Couplings and pins are in units of EPS_0 and include the cell
-    aspect ratio.  This is the only place that reads the wall types.
+    fx and fy couple neighbouring cells across interior x and y faces,
+    zero across a strip; links lists each with the index of its cells on
+    either side.  pin_cell (flat cell index), pin_coef and pin_val list
+    every face of a cell that touches a grounded wall or a strip.  diag
+    and b are the operator diagonal and right-hand side.  Couplings and
+    pins are in units of EPS_0 and include the cell aspect ratio.  This
+    is the only place that reads the wall types.
     """
 
     def __init__(self, section: CrossSection):
@@ -199,93 +207,51 @@ class _Problem:
         self.region_id = region_id
         self.eps = eps
 
-        # electrodes: volume conductors pin cells, strips pin face lines
-        fixed = np.zeros((nx, ny), dtype=bool)
-        fixv = np.zeros((nx, ny))
-        owner = np.zeros((nx, ny), dtype=int)  # conductor index per cell
-        strips: list[tuple[str, np.ndarray, int, float]] = []
-        on_wall = np.zeros((nx, ny), dtype=bool)
-        if section.x_bc == "grounded":
-            on_wall[[0, -1], :] = True
-        if section.y_bc == "grounded":
-            on_wall[:, [0, -1]] = True
-        self.potentials: list[float] = []
-        for idx, cond in enumerate(section.conductors):
-            r = cond.rect
-            if r.is_strip:
-                fy = (r.y0 - section.origin[1]) / hy
-                m = round(fy)
-                if abs(fy - m) > 1e-6:
-                    raise ValueError(
-                        f"strip {cond.name!r} does not sit on a face line")
-                if not 1 <= m <= ny - 1:
-                    raise ValueError(
-                        f"strip {cond.name!r} lies on or outside the walls")
-                cols = (xs >= r.x0) & (xs <= r.x1)
-                if not cols.any():
-                    raise ValueError(f"strip {cond.name!r} covers no cells")
-                strips.append((cond.name, cols, int(m), cond.potential))
-            else:
-                inside = ((xg >= r.x0) & (xg <= r.x1) &
-                          (yg >= r.y0) & (yg <= r.y1))
-                if not inside.any():
-                    raise ValueError(
-                        f"conductor {cond.name!r} contains no cells")
-                clash = fixed & inside & (fixv != cond.potential)
-                if clash.any():
-                    raise ValueError(
-                        f"conductor {cond.name!r} overlaps another at a "
-                        "different potential")
-                if cond.potential != 0.0 and (inside & on_wall).any():
-                    raise ValueError(
-                        f"conductor {cond.name!r} at {cond.potential} V "
-                        "touches a grounded wall: the section is shorted")
-                fixed |= inside
-                fixv[inside] = cond.potential
-                owner[inside] = idx
-            self.potentials.append(cond.potential)
+        # electrodes: a strip cuts its face line, so no coupling crosses
+        # it, and pins the cell on either side
+        self.potentials = [cond.potential for cond in section.conductors]
         if section.x_bc == "grounded" or section.y_bc == "grounded":
             self.potentials.append(0.0)
-        # a strip cuts its face line: no coupling across, a pin either side
+        if not self.potentials:
+            raise ValueError("no electrodes in the section")
+        strips: list[tuple[np.ndarray, int, float]] = []
         cut = np.zeros((nx, ny - 1), dtype=bool)  # face below row m at m - 1
-        for name, cols, m, pot in strips:
-            sides = fixed[cols, m - 1:m + 1] & (fixv[cols, m - 1:m + 1] != pot)
-            if sides.any():
-                other = section.conductors[owner[cols, m - 1:m + 1][sides][0]]
+        for cond in section.conductors:
+            r = cond.rect
+            fy = (r.y0 - section.origin[1]) / hy
+            m = round(fy)
+            if abs(fy - m) > 1e-6:
                 raise ValueError(
-                    f"conductor {other.name!r} shares a face with strip "
-                    f"{name!r} at a different potential: the section is "
-                    "shorted")
+                    f"strip {cond.name!r} does not sit on a face line")
+            if not 1 <= m <= ny - 1:
+                raise ValueError(
+                    f"strip {cond.name!r} lies on or outside the walls")
+            cols = (xs >= r.x0) & (xs <= r.x1)
+            if not cols.any():
+                raise ValueError(f"strip {cond.name!r} covers no cells")
             if cut[cols, m - 1].any():
                 raise ValueError("strips overlap on a shared face")
             cut[cols, m - 1] = True
-        self.fixed = fixed
-        self.fixv = fixv
+            strips.append((cols, int(m), cond.potential))
 
-        free = ~fixed
         cells = np.arange(nx * ny).reshape(nx, ny)
         pins = []
 
-        def pin(at, ratio, value, where=True):
-            """Pin the free cells at index `at` to value across half a cell."""
-            sel = free[at] & where
-            pins.append((cells[at][sel], ratio * (2.0 * eps[at][sel]),
-                         np.broadcast_to(value, sel.shape)[sel]))
+        def pin(at, ratio, value):
+            """Pin the cells at index `at` to value across half a cell."""
+            coef = ratio * (2.0 * eps[at])
+            pins.append((cells[at], coef, np.full_like(coef, value)))
 
-        def couple(a, b, ratio, where=True):
-            """Harmonic-mean couplings between the free cells a and b; a
-            free cell facing a fixed one is pinned to it instead."""
-            pin(a, ratio, fixv[b], fixed[b] & where)
-            pin(b, ratio, fixv[a], fixed[a] & where)
+        def couple(a, b, ratio):
+            """Harmonic-mean couplings between the cells a and b."""
             ea, eb = eps[a], eps[b]
-            return np.where(free[a] & free[b] & where,
-                            ratio * (2.0 * ea * eb / (ea + eb)), 0.0)
+            return ratio * (2.0 * ea * eb / (ea + eb))
 
         every = slice(None)
         x_faces = ((slice(None, -1), every), (slice(1, None), every))
         y_faces = ((every, slice(None, -1)), (every, slice(1, None)))
         self.fx = couple(*x_faces, hy / hx)
-        self.fy = couple(*y_faces, hx / hy, ~cut)
+        self.fy = np.where(cut, 0.0, couple(*y_faces, hx / hy))
         self.links = [(self.fx, *x_faces), (self.fy, *y_faces)]
         if section.x_bc == "grounded":
             for i in (0, -1):
@@ -293,7 +259,7 @@ class _Problem:
         if section.y_bc == "grounded":
             for j in (0, -1):
                 pin((every, j), hx / hy, 0.0)
-        for _, cols, m, pot in strips:
+        for cols, m, pot in strips:
             for j in (m - 1, m):
                 pin((cols, j), hx / hy, pot)
         self.pin_cell, self.pin_coef, self.pin_val = (
@@ -307,14 +273,6 @@ class _Problem:
         for t, a, b in self.links:
             self.diag[a] += t
             self.diag[b] += t
-        if ((self.diag == 0.0) & free).any():
-            raise ValueError("isolated cells: no coupling to any potential")
-
-    def potential_span(self) -> float:
-        pots = self.potentials
-        if not pots:
-            raise ValueError("no electrodes in the section")
-        return max(pots) - min(pots)
 
 
 # neighbours west, east, south, north; quadrants of red, black cells
@@ -325,8 +283,8 @@ _QUADS = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
 class _Level:
     """One grid of the multigrid hierarchy: a five-point SPD operator.
 
-    diag, fx and fy are as in _Problem.  Inactive cells, fixed or
-    padding, have zero diagonal and couplings, so they stay at zero.
+    diag, fx and fy are as in _Problem.  Padding cells have zero
+    diagonal and couplings, so they stay at zero.
     Sides are padded to a multiple of 4, so that this grid and the
     coarse one split into whole quadrants.
     A vector holds cell (2i + a, 2j + b) at [a, b, i, j]; an iterate,
@@ -526,9 +484,9 @@ def solve_potential(section: CrossSection, tol: float = DEFAULT_TOL,
                     max_sweeps: int = DEFAULT_MAX_SWEEPS) -> FieldSolution:
     """Solve the section to a potential map.
 
-    Conjugate gradients on the flux-conserving system over the free
-    cells, preconditioned by one multigrid W-cycle, stop once the
-    relative residual |b - A v| / |b| is at most tol.  The iteration
+    Conjugate gradients on the flux-conserving system, preconditioned
+    by one multigrid W-cycle, stop once the relative residual
+    |b - A v| / |b| is at most tol.  The iteration
     count does not grow with the grid: at the default tol, CPW sections
     take 9-11 from 4 um down to 0.25 um cells.  Raises ConvergenceError
     when max_sweeps iterations do not get there.
@@ -538,7 +496,7 @@ def solve_potential(section: CrossSection, tol: float = DEFAULT_TOL,
 
 def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
            max_sweeps: int) -> FieldSolution:
-    """Multigrid-preconditioned conjugate gradients on the free cells.
+    """Multigrid-preconditioned conjugate gradients on the cells.
 
     Convergence is |b - A v| <= tol |b| in the 2-norm, confirmed on the
     recomputed residual so that drift in the recurrence cannot stop it
@@ -551,7 +509,7 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
     fine = _Level(prob.diag, prob.fx, prob.fy)
     b, x, p = fine.split(prob.b), np.zeros_like(fine.x), np.zeros_like(fine.x)
     if start is not None:
-        x[:, :, 1:-1, 1:-1] = fine.split(np.where(prob.fixed, 0.0, start))
+        x[:, :, 1:-1, 1:-1] = fine.split(start)
     bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:
         x[:] = 0.0
@@ -596,16 +554,14 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
             f"residual {rel:.3e} above tol {tol:.3e}; raise max_sweeps "
             "(--max-sweeps), loosen tol (--tol) or change the cell size "
             "(--cell)")
-    return FieldSolution(section=prob.section,
-                         potential=np.where(prob.fixed, prob.fixv,
-                                            fine.join(x)),
+    return FieldSolution(section=prob.section, potential=fine.join(x),
                          iterations=iterations, residual=rel, _problem=prob)
 
 
 def _face_energies(sol: FieldSolution):
     """Yield (energy, region_a, region_b, frac_a) per face group.
 
-    One group per coupling array, between the free cells a and b on its
+    One group per coupling array, between the cells a and b on its
     two sides, and one for the pins, whose energy is wholly their own
     cell's.  frac_a is the share of the face energy stored on side a;
     for two dielectrics in series across a face the drop splits
@@ -629,7 +585,8 @@ def _total_energy(sol: FieldSolution) -> float:
 
 def capacitance_per_length(sol: FieldSolution) -> float:
     """C' = 2 U / V^2 in F/m from the discrete field energy."""
-    span = sol._problem.potential_span()
+    pots = sol._problem.potentials
+    span = max(pots) - min(pots)
     if span <= 0.0:
         raise ValueError("electrodes span no potential difference")
     return 2.0 * _total_energy(sol) / (span * span)
@@ -697,20 +654,22 @@ def cpw_cross_section(geometry: CpwGeometry, cell: float,
     the names the device loss budget looks up.  The box is box_factor
     times the (w + 2s) aperture on a side; rectangle edges snap to the
     cell grid.  When interlayer_thickness puts the facing chip's ground
-    inside the box, a grounded strip is added at that height.
+    inside the box, a grounded strip is added at that height.  A box
+    more than MAX_CELLS_PER_SIDE cells wide is refused.
     """
     if cell <= 0.0:
-        raise ValueError("cell size must be positive")
+        raise ValueError("cell must be positive")
     if box_factor < 10.0:
         raise ValueError("box must be at least 10 apertures wide")
-    w = geometry.trace_width
-    s = geometry.gap
-    aperture = w + 2.0 * s
-    half_cells = math.ceil(0.5 * box_factor * aperture / cell)
-    nx = 2 * half_cells
-    ny = 2 * half_cells
+    w, s = geometry.trace_width, geometry.gap
+    reach = 0.5 * box_factor * (w + 2.0 * s) / cell  # half-width in cells
+    if not reach <= MAX_CELLS_PER_SIDE // 2:  # also NaN
+        raise ValueError(f"cell {cell:.6g} m makes the box {2.0 * reach:.6g} "
+                         f"cells wide, above {MAX_CELLS_PER_SIDE}: raise "
+                         "cell or lower box_factor")
+    half_cells = math.ceil(reach)
+    nx = ny = 2 * half_cells
     half = half_cells * cell
-    size = 2.0 * half
 
     def snap(x: float) -> float:
         return round(x / cell) * cell
@@ -718,7 +677,7 @@ def cpw_cross_section(geometry: CpwGeometry, cell: float,
     trace_half = snap(0.5 * w)
     ground_from = snap(0.5 * w + s)
     if not 0.0 < trace_half < ground_from < half:
-        raise ValueError("cell size too coarse for this geometry")
+        raise ValueError("cell too coarse for this geometry")
 
     regions = [
         DielectricRegion("substrate", Rect(-half, half, -half, 0.0),
@@ -733,12 +692,12 @@ def cpw_cross_section(geometry: CpwGeometry, cell: float,
     ]
     if interlayer_thickness is not None:
         if interlayer_thickness <= 0.0:
-            raise ValueError("interlayer thickness must be positive")
+            raise ValueError("interlayer_thickness must be positive")
         lid = snap(interlayer_thickness)
         if cell <= lid < half:
             conductors.append(
                 Conductor("facing_ground", Rect(-half, half, lid, lid), 0.0))
 
-    return CrossSection(width=size, height=size, nx=nx, ny=ny,
+    return CrossSection(width=2.0 * half, height=2.0 * half, nx=nx, ny=ny,
                         regions=regions, conductors=conductors,
                         origin=(-half, -half))

@@ -102,17 +102,14 @@ def t1_vs_loss_tangent(budget: LossBudget, tan_deltas) -> SweepTable:
     return table
 
 
-def gamma_linearity_check(budget: LossBudget, tan_deltas,
-                          participation_of=None) -> float:
+def gamma_linearity_check(budget: LossBudget, tan_deltas) -> float:
     """Worst relative deviation of the decay rate from m * tan_delta.
 
     Evaluates the decay-rate formula over the grid, least-squares fits
     a line through the origin and returns max |residual| / max |rate|.
-    The arithmetic runs on exact rationals, so a budget whose
-    participations do not move with the tangent comes back as exactly
-    0.0; any nonzero return measures real model nonlinearity.
-    participation_of maps region name -> callable(tan_delta) -> p for
-    studying tangent-dependent participation.
+    The arithmetic runs on exact rationals and a budget's participations
+    do not move with the tangent, so a linear decay-rate formula comes
+    back as exactly 0.0; any nonzero return measures nonlinearity in it.
     """
     grid = [float(t) for t in tan_deltas]
     if not grid:
@@ -122,15 +119,8 @@ def gamma_linearity_check(budget: LossBudget, tan_deltas,
     scale = Fraction(2.0 * math.pi) * Fraction(budget.mode_frequency)
 
     def rate(t: float) -> Fraction:
-        total = Fraction(0)
-        for name, (p, _) in budget.regions.items():
-            if participation_of and name in participation_of:
-                p = float(participation_of[name](t))
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(
-                        f"participation of {name!r} left [0, 1] at {t}")
-            total += Fraction(p) * Fraction(t)
-        return scale * total
+        return scale * sum(Fraction(p) * Fraction(t)
+                           for p, _ in budget.regions.values())
 
     ts = [Fraction(t) for t in grid]
     gammas = [rate(t) for t in grid]

@@ -36,6 +36,7 @@ __all__ = [
 
 # sweep density used when a caller gives only a band
 DEFAULT_GRID_POINTS = 2001
+MAX_GRID_POINTS = 100_001  # the most samples any grid or study takes
 
 _DB_FLOOR = 1e-30
 
@@ -63,12 +64,11 @@ class NotchResonator:
     chi: float = 0.0
 
     def __post_init__(self):
-        if self.f_r <= 0.0:
-            raise ValueError("resonance frequency must be positive")
-        if self.q_loaded <= 0.0 or self.q_coupling <= 0.0:
-            raise ValueError("quality factors must be positive")
+        for name in ("f_r", "q_loaded", "q_coupling"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.q_loaded > self.q_coupling * (1.0 + 1e-12):
-            raise ValueError("loaded Q cannot exceed coupling Q")
+            raise ValueError("q_loaded cannot exceed q_coupling")
 
     def dressed_frequency(self, qubit_state: int = 0) -> float:
         """Resonator frequency pulled by the qubit state (0 or 1)."""
@@ -111,6 +111,8 @@ def frequency_grid(band: RealInterval,
                    points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     if points < 2:
         raise ValueError("points must be >= 2")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"points must be <= {MAX_GRID_POINTS}")
     return np.linspace(band.lo, band.hi, points)
 
 
@@ -193,7 +195,7 @@ def worst_case_reflection(line_z0: float, z_port: float,
         if not 0.0 < z < math.inf:
             raise ValueError(f"{name} must be positive and finite")
     if line_length <= 0.0:
-        raise ValueError("line length must be positive")
+        raise ValueError("line_length must be positive")
     if not eps_eff >= 1.0:
         raise ValueError("eps_eff must be >= 1")
     a2 = (line_z0 / z_port - z_port / line_z0) ** 2

@@ -37,6 +37,7 @@ __all__ = [
 _BOUNDARY_WEIGHT_LIMIT = 1e-8
 
 DEFAULT_CUTOFF = 30
+MAX_CUTOFF = 500  # the Hamiltonian is a dense (2 cutoff + 1)^2 matrix
 
 
 class CutoffError(RuntimeError):
@@ -161,6 +162,8 @@ def cpb_spectrum(ec: float, ej: float, ng: float = 0.0,
         raise ValueError("Ec must be positive and Ej >= 0")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(f"cutoff must be <= {MAX_CUTOFF}")
     dim = 2 * cutoff + 1
     if not 1 <= n_levels <= dim:
         raise ValueError("n_levels out of range for this cutoff")

@@ -17,8 +17,10 @@ settings.load_profile("flipkit")
 def plate_section():
     """Builder of two full-width plates separated by gap_cells of dielectric.
 
-    Insulated side walls remove fringing entirely, so C' = eps W / d
-    holds exactly up to discretization.
+    The plates are strips on the face lines y_lo and y_hi.  Insulated
+    walls remove fringing entirely, so C' = eps W / d holds exactly up
+    to discretization, and the cells outside the plates hold their
+    plate's potential.
     """
 
     def build(eps_r=1.0, nx=64, ny=32, gap_cells=16):
@@ -29,8 +31,8 @@ def plate_section():
         return CrossSection(
             width=w, height=h, nx=nx, ny=ny,
             regions=[DielectricRegion("fill", Rect(0, w, 0, h), eps_r)],
-            conductors=[Conductor("top", Rect(0, w, y_hi, h), 1.0),
-                        Conductor("bottom", Rect(0, w, 0, y_lo), 0.0)],
+            conductors=[Conductor("top", Rect(0, w, y_hi, y_hi), 1.0),
+                        Conductor("bottom", Rect(0, w, y_lo, y_lo), 0.0)],
             x_bc="neumann", y_bc="neumann")
 
     return build

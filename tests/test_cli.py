@@ -105,11 +105,55 @@ def test_bad_length_unit_keeps_its_message(capsys):
      "--cj must be >= 0"),
     (["smatrix", "--fr", "7GHz", "--ql", "1000", "--qc", "2000",
       "--points", "1"], "--points must be >= 2"),
+    # messages that once named neither a field nor a flag
+    (["smatrix", "--fr", "-7GHz", "--ql", "1000", "--qc", "2000"],
+     "--fr must be positive"),
+    (["smatrix", "--fr", "7GHz", "--ql", "-1000", "--qc", "2000"],
+     "--ql must be positive"),
+    (["smatrix", "--fr", "7GHz", "--ql", "1000", "--qc", "-2000"],
+     "--qc must be positive"),
+    (["smatrix", "--fr", "7GHz", "--ql", "2000", "--qc", "1000"],
+     "--ql cannot exceed --qc"),
+    # a negative span printed "empty interval: [7000500000.0, ...]"
+    (["smatrix", "--fr", "7GHz", "--ql", "1000", "--qc", "2000",
+      "--span", "-1MHz"], "--span must be positive"),
+    (["smatrix", "--fr", "7GHz", "--ql", "1000", "--qc", "2000",
+      "--span", "0"], "--span must be positive"),
+    (["match", "--line-z0", "49.53", "--band", "4GHz:8GHz",
+      "--line-length", "-3mm"], "--line-length must be positive"),
+    (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
+      "--cell", "-1um"], "--cell must be positive"),
+    (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
+      "--cell", "30um"], "--cell too coarse for this geometry"),
+    (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
+      "--cell", "2um", "--interlayer", "-1um"],
+     "--interlayer must be positive"),
+    (["cpw", "--w", "10um", "--z0", "-50", "--eps-sub", "11.9"],
+     "--z0 must be positive and finite"),
+    # sizes from outside input, just past each bound: nothing is allocated
+    (["smatrix", "--fr", "7GHz", "--ql", "1000", "--qc", "2000",
+      "--points", "100002"], "--points must be <= 100001"),
+    (["match", "--line-z0", "49.53", "--band", "4GHz:8GHz",
+      "--points", "100002"], "--points must be <= 100001"),
+    (["transmon", "--cj", "8fF", "--cs", "81fF", "--lj", "8nH",
+      "--cutoff", "501"], "--cutoff must be <= 500"),
+    (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
+      "--cell", "97.6nm"], "--cell 9.76e-08 m makes the box 2049.18 cells "
+     "wide, above 2048: raise --cell or lower --box-factor"),
+    (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
+      "--cell", "1um", "--box-factor", "103"], "--cell 1e-06 m makes the "
+     "box 2060 cells wide, above 2048: raise --cell or lower --box-factor"),
 ], ids=["fieldsolve-s", "fieldsolve-eps-sub", "cpw-w", "cpw-eps-sup",
         "transmon-c", "transmon-cutoff", "match-points", "match-eps-eff-0",
         "match-eps-eff-negative", "match-line-z0-nan",
         "fieldsolve-tol-negative", "fieldsolve-tol-0", "match-band-negative",
-        "match-band-0", "transmon-cj-negative", "smatrix-points"])
+        "match-band-0", "transmon-cj-negative", "smatrix-points",
+        "smatrix-fr", "smatrix-ql", "smatrix-qc", "smatrix-ql-above-qc",
+        "smatrix-span-negative", "smatrix-span-0", "match-line-length",
+        "fieldsolve-cell", "fieldsolve-cell-coarse", "fieldsolve-interlayer",
+        "cpw-z0", "smatrix-points-cap", "match-points-cap",
+        "transmon-cutoff-cap", "fieldsolve-cell-cap",
+        "fieldsolve-box-factor-cap"])
 def test_library_error_names_the_flag(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"flipkit: {message}\n")
@@ -389,6 +433,17 @@ def test_fieldsolve_dump_potential(capsys, tmp_path):
     assert len(lines) > 100
 
 
+def test_fieldsolve_potential_matches_reference_bytes(capsys, tmp_path):
+    # the potential map itself, cell by cell, not only its integrals
+    dump = tmp_path / "v.csv"
+    code, _, _ = run(capsys, "fieldsolve", "--w", "4um", "--s", "2um",
+                     "--eps-sub", "11.9", "--cell", "2um",
+                     "--interlayer", "10um", "--dump-potential", str(dump))
+    assert code == 0
+    want = TEST_REFERENCE / "fieldsolve_potential.csv"
+    assert dump.read_bytes() == want.read_bytes()
+
+
 def test_fieldsolve_nonconvergence_exit_2(capsys):
     code, _, err = run(capsys, "fieldsolve", "--w", "10um", "--s", "5.806um",
                        "--eps-sub", "11.9", "--cell", "2um",
@@ -612,7 +667,11 @@ def test_sweep_plot_unknown_column_fails(capsys, tmp_path):
     # a NaN loss tangent once printed NaN rows and exited 0
     ("loss_tangent", "nan,1e-3", "cannot parse scalar value 'nan'"),
     ("loss_tangent", "0:1e400:log5", "scalar value '1e400' is not finite"),
-], ids=["thickness-unit", "thickness-nan", "loss-nan", "loss-overflow"])
+    # just past the cap on sample counts: nothing is allocated
+    ("loss_tangent", "0:1e-3:100002", "takes at most 100001 points"),
+    ("loss_tangent", "0:1e-3:log100002", "takes at most 100001 points"),
+], ids=["thickness-unit", "thickness-nan", "loss-nan", "loss-overflow",
+        "count-cap", "log-count-cap"])
 def test_sweep_grid_value_errors_name_the_flag(capsys, param, grid, message):
     code, out, err = run(capsys, "sweep", "--param", param, "--grid", grid)
     assert (code, out, err) == (1, "", f"flipkit: --grid: {message}\n")

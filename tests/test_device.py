@@ -505,6 +505,20 @@ def test_participation_is_field_solved_when_not_configured():
                                                          abs=1e-12)
 
 
+def test_field_solve_grid_is_capped(spec):
+    # a fine cell in a config without participation is refused before
+    # the section is built; 2049 cells a side is one past the cap
+    g = spec.bottom.geometry
+    cell = 10 * (g.trace_width + 2 * g.gap) / 2049
+    with pytest.raises(ValueError, match=r"^cell \S+ m makes the box 2049 "
+                                         "cells wide, above 2048: raise "
+                                         "cell or lower box_factor$"):
+        analyze_preset([
+            ("loss.participation.substrate = 0.922481\n", ""),
+            ("loss.participation.interlayer = 0.077519\n", ""),
+            ("fieldsolve.cell = 0.5 um", f"fieldsolve.cell = {cell!r} m")])
+
+
 def test_dispersive_shift_with_g_qr(spec):
     row = mode(analyze_preset([], extra="chip.bottom.readout.g_qr = 50 MHz\n"),
                "bottom_qubit")

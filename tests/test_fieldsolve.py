@@ -137,8 +137,8 @@ def test_participation_mirror_symmetric_split():
         width=w, height=h, nx=32, ny=32,
         regions=[DielectricRegion("left", Rect(0, w / 2, 0, h), 3.0),
                  DielectricRegion("right", Rect(w / 2, w, 0, h), 3.0)],
-        conductors=[Conductor("top", Rect(0, w, h - h / 32, h), 1.0),
-                    Conductor("bottom", Rect(0, w, 0, h / 32), 0.0)],
+        conductors=[Conductor("top", Rect(0, w, h - h / 32, h - h / 32), 1.0),
+                    Conductor("bottom", Rect(0, w, h / 32, h / 32), 0.0)],
         x_bc="neumann", y_bc="neumann")
     p = energy_participation(solve_potential(sec))
     assert p["left"] == pytest.approx(0.5, abs=1e-6)
@@ -199,6 +199,26 @@ def test_section_validation():
         DielectricRegion("flat", Rect(0, 1e-6, 0, 0), 1.0)
     with pytest.raises(ValueError):
         Rect(1e-6, 0, 0, 1e-6)
+    # insulated walls and no strip: nothing fixes the potential
+    bare = CrossSection(width=1e-6, height=1e-6, nx=4, ny=4,
+                        regions=[DielectricRegion(
+                            "a", Rect(0, 1e-6, 0, 1e-6), 1.0)],
+                        x_bc="neumann", y_bc="neumann")
+    with pytest.raises(ValueError, match="^no electrodes in the section$"):
+        solve_potential(bare)
+
+
+def test_cpw_section_caps_the_grid():
+    # a box just over MAX_CELLS_PER_SIDE is refused before any array is
+    # built: 10 apertures of 21.612 um over 2049 cells
+    cell = 10 * (10e-6 + 2 * 5.806e-6) / 2049
+    with pytest.raises(ValueError, match="^cell 1.05476e-07 m makes the box "
+                                         "2049 cells wide, above 2048: "
+                                         "raise cell or lower box_factor$"):
+        cpw_cross_section(GEOM, cell=cell)
+    with pytest.raises(ValueError, match="nan cells wide"):
+        cpw_cross_section(GEOM, cell=2e-6, box_factor=math.nan)
+    assert cpw_cross_section(GEOM, cell=2e-6, box_factor=189.0).nx == 2044
 
 
 def test_cpw_section_rejects_coarse_cell():
@@ -216,29 +236,14 @@ def box_section(conductors, x_bc="grounded", y_bc="grounded"):
         conductors=conductors)
 
 
-def test_rejects_conductor_shorted_to_grounded_wall():
-    corner = Rect(0, 2e-6, 0, 2e-6)
-    with pytest.raises(ValueError, match="'corner'.*grounded wall"):
-        solve_potential(box_section([Conductor("corner", corner, 1.0)]))
-    # no short: the same conductor grounded, or behind insulated walls
-    block = Conductor("block", Rect(4e-6, 6e-6, 4e-6, 6e-6), 1.0)
-    for sec in (box_section([Conductor("corner", corner, 0.0), block]),
-                box_section([Conductor("corner", corner, 1.0),
-                             Conductor("block", block.rect, 0.0)],
-                            x_bc="neumann", y_bc="neumann")):
-        assert 0.0 < capacitance_per_length(solve_potential(sec)) < 1e-9
-
-
-def test_rejects_conductor_shorted_to_strip():
-    lid = Conductor("lid", Rect(1e-6, 7e-6, 4e-6, 4e-6), 0.0)
-    below = Conductor("block", Rect(3e-6, 5e-6, 2e-6, 4e-6), 1.0)
-    above = Conductor("block", Rect(3e-6, 5e-6, 4e-6, 6e-6), 1.0)
-    for conductors in ([below, lid], [lid, above]):
-        with pytest.raises(ValueError, match="'block'.*strip 'lid'"):
-            solve_potential(box_section(conductors))
-    # at the strip's own potential the block and the strip are one body
-    live_lid = Conductor("lid", lid.rect, 1.0)
-    sec = box_section([below, live_lid])
+def test_rejects_conductor_with_height():
+    # metal is a zero-thickness strip; a block of fixed cells is not a
+    # conductor the solver models
+    with pytest.raises(ValueError,
+                       match="^conductor 'block' must be a strip: its rect "
+                             "has height$"):
+        Conductor("block", Rect(3e-6, 5e-6, 2e-6, 4e-6), 1.0)
+    sec = box_section([Conductor("lid", Rect(1e-6, 7e-6, 4e-6, 4e-6), 1.0)])
     assert 0.0 < capacitance_per_length(solve_potential(sec)) < 1e-9
 
 
@@ -248,45 +253,33 @@ def oracle_system(sec):
     """The flux-conserving system assembled cell by cell from the section.
 
     Independent of the solver's vectorized assembly: a face between two
-    free cells carries the harmonic-mean permittivity; a free cell next
-    to a fixed cell, a grounded wall or a strip is pinned across half a
-    cell (2 eps).  Returns (free cell list, links between free cells,
-    pins to fixed potentials, fixed-cell potentials); each link is
-    (a, b, t) and each pin (a, potential, t), t in units of EPS_0.
+    cells carries the harmonic-mean permittivity; a cell next to a
+    grounded wall or a strip is pinned across half a cell (2 eps).
+    Returns (cell list, links between cells, pins to fixed potentials);
+    each link is (a, b, t) and each pin (a, potential, t), t in units of
+    EPS_0.
     """
     xs, ys = sec.cell_centers()
     nx, ny, hx, hy = sec.nx, sec.ny, sec.hx, sec.hy
-    eps, fixed, strip_at = {}, {}, {}
+    eps, strip_at = {}, {}
     for i in range(nx):
         for j in range(ny):
             for reg in sec.regions:
                 if reg.rect.contains(xs[i], ys[j]):
                     eps[i, j] = reg.eps_r
-            for cond in sec.conductors:
-                if not cond.rect.is_strip and cond.rect.contains(xs[i], ys[j]):
-                    fixed[i, j] = cond.potential
     for cond in sec.conductors:
-        if cond.rect.is_strip:
-            m = round((cond.rect.y0 - sec.origin[1]) / hy)
-            for i in range(nx):
-                if cond.rect.x0 <= xs[i] <= cond.rect.x1:
-                    strip_at[i, m] = cond.potential  # face below row m
+        m = round((cond.rect.y0 - sec.origin[1]) / hy)
+        for i in range(nx):
+            if cond.rect.x0 <= xs[i] <= cond.rect.x1:
+                strip_at[i, m] = cond.potential  # face below row m
     links, pins = [], []
 
     def face(a, b, ratio):
-        if a in fixed and b in fixed:
-            return
-        if a in fixed:
-            a, b = b, a
-        if b in fixed:
-            pins.append((a, fixed[b], 2.0 * eps[a] * ratio))
-        else:
-            harm = 2.0 * eps[a] * eps[b] / (eps[a] + eps[b])
-            links.append((a, b, harm * ratio))
+        harm = 2.0 * eps[a] * eps[b] / (eps[a] + eps[b])
+        links.append((a, b, harm * ratio))
 
     def wall(a, ratio):
-        if a not in fixed:
-            pins.append((a, 0.0, 2.0 * eps[a] * ratio))
+        pins.append((a, 0.0, 2.0 * eps[a] * ratio))
 
     for i in range(nx):
         for j in range(ny):
@@ -297,23 +290,20 @@ def oracle_system(sec):
                 if (i, j + 1) in strip_at:
                     pot = strip_at[i, j + 1]
                     for c in (a, (i, j + 1)):
-                        if c not in fixed:
-                            pins.append((c, pot, 2.0 * eps[c] * hx / hy))
+                        pins.append((c, pot, 2.0 * eps[c] * hx / hy))
                 else:
                     face(a, (i, j + 1), hx / hy)
             if sec.x_bc == "grounded" and i in (0, nx - 1):
                 wall(a, hy / hx)
             if sec.y_bc == "grounded" and j in (0, ny - 1):
                 wall(a, hx / hy)
-    free = [(i, j) for i in range(nx) for j in range(ny)
-            if (i, j) not in fixed]
-    return free, links, pins, fixed
+    return list(np.ndindex(nx, ny)), links, pins
 
 
-def oracle_triplets(free, links, pins):
-    index = {c: k for k, c in enumerate(free)}
+def oracle_triplets(cells, links, pins):
+    index = {c: k for k, c in enumerate(cells)}
     rows, cols, vals = [], [], []
-    b = np.zeros(len(free))
+    b = np.zeros(len(cells))
     for a, c, t in links:
         ka, kc = index[a], index[c]
         rows += [ka, kc, ka, kc]
@@ -327,15 +317,6 @@ def oracle_triplets(free, links, pins):
     return np.array(rows), np.array(cols), np.array(vals), b
 
 
-def oracle_potential(sec, x, free, fixed):
-    v = np.zeros((sec.nx, sec.ny))
-    for k, c in enumerate(free):
-        v[c] = x[k]
-    for c, pot in fixed.items():
-        v[c] = pot
-    return v
-
-
 def oracle_capacitance(sec, v, links, pins):
     energy = 0.5 * (sum(t * (v[a] - v[c]) ** 2 for a, c, t in links) +
                     sum(t * (v[a] - pot) ** 2 for a, pot, t in pins))
@@ -347,11 +328,11 @@ def oracle_capacitance(sec, v, links, pins):
 
 
 def dense_oracle(sec):
-    free, links, pins, fixed = oracle_system(sec)
-    rows, cols, vals, b = oracle_triplets(free, links, pins)
-    a = np.zeros((len(free), len(free)))
+    cells, links, pins = oracle_system(sec)
+    rows, cols, vals, b = oracle_triplets(cells, links, pins)
+    a = np.zeros((len(cells), len(cells)))
     np.add.at(a, (rows, cols), vals)
-    v = oracle_potential(sec, np.linalg.solve(a, b), free, fixed)
+    v = np.linalg.solve(a, b).reshape(sec.nx, sec.ny)
     return v, links, pins
 
 
@@ -380,7 +361,7 @@ def oracle_participation(sec, v, links, pins):
 
 
 def layered_strip_section(nx, ny, x_bc, y_bc):
-    """Two dielectric layers, a 1 V strip over a 0.4 V buried block
+    """Two dielectric layers, a 1 V strip over a 0.4 V buried strip
     3 cells wide."""
     w, h = nx * 1e-6, ny * 1e-6
     y_face = (ny // 2) * 1e-6
@@ -392,7 +373,8 @@ def layered_strip_section(nx, ny, x_bc, y_bc):
         conductors=[
             Conductor("strip", Rect(mid - 2e-6, mid + 3e-6, y_face, y_face),
                       1.0),
-            Conductor("block", Rect(mid - 1e-6, mid + 2e-6, 1e-6, 3e-6), 0.4),
+            Conductor("buried", Rect(mid - 1e-6, mid + 2e-6, 2e-6, 2e-6),
+                      0.4),
             Conductor("ground", Rect(0, 3e-6, y_face, y_face), 0.0)])
 
 
@@ -403,8 +385,8 @@ def layered_strip_section(nx, ny, x_bc, y_bc):
     "plates",
 ], ids=["grounded", "neumann-x", "neumann-y", "plates"])
 def oracle_section(request, plate_section):
-    """Small sections for the dense oracle: every wall type, strips,
-    volume conductors, odd sizes."""
+    """Small sections for the dense oracle: every wall type, strips on
+    several face lines, odd sizes."""
     if request.param == "plates":
         return plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13)
     return layered_strip_section(*request.param)
@@ -440,10 +422,10 @@ def test_sparse_direct_solve_oracle_at_1um():
     geom = CpwGeometry(trace_width=10e-6, gap=5.806e-6, eps_substrate=11.9,
                        eps_superstrate=1.0)
     sec = cpw_cross_section(geom, cell=1e-6, interlayer_thickness=30e-6)
-    free, links, pins, fixed = oracle_system(sec)
-    rows, cols, vals, b = oracle_triplets(free, links, pins)
-    a = sparse.csc_matrix((vals, (rows, cols)), shape=(len(free),) * 2)
-    v = oracle_potential(sec, splinalg.spsolve(a, b), free, fixed)
+    cells, links, pins = oracle_system(sec)
+    rows, cols, vals, b = oracle_triplets(cells, links, pins)
+    a = sparse.csc_matrix((vals, (rows, cols)), shape=(len(cells),) * 2)
+    v = splinalg.spsolve(a, b).reshape(sec.nx, sec.ny)
     c_ref = oracle_capacitance(sec, v, links, pins)
     sol = solve_potential(sec)
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-9)
@@ -477,7 +459,7 @@ CYCLE_SECTIONS = {
 
 def multigrid(sec):
     """The solver's preconditioner for a section, as v -> M v on its
-    nx x ny grid, with the hierarchy and the free-cell mask."""
+    nx x ny grid, with the hierarchy."""
     prob = fieldsolve._Problem(sec)
     fine = fieldsolve._Level(prob.diag, prob.fx, prob.fy)
     mg = fieldsolve._Multigrid(fine)
@@ -486,16 +468,17 @@ def multigrid(sec):
         fine.r[...] = fine.split(v)
         return fine.join(mg())
 
-    return precondition, mg, ~prob.fixed
+    return precondition, mg
 
 
 @pytest.mark.parametrize("name", CYCLE_SECTIONS)
 def test_preconditioner_is_symmetric_positive_definite(name):
     # conjugate gradients needs M symmetric and positive definite on the
-    # free cells; one cycle applied to random a and b must show both
-    precondition, _, free = multigrid(CYCLE_SECTIONS[name]())
+    # cells; one cycle applied to random a and b must show both
+    sec = CYCLE_SECTIONS[name]()
+    precondition, _ = multigrid(sec)
     rng = np.random.default_rng(11)
-    a, b = (rng.standard_normal(free.shape) * free for _ in range(2))
+    a, b = (rng.standard_normal((sec.nx, sec.ny)) for _ in range(2))
     ma, mb = precondition(a), precondition(b)
     gap = abs(np.sum(ma * b) - np.sum(a * mb))
     assert gap <= 1e-12 * np.linalg.norm(ma) * np.linalg.norm(b)
@@ -523,7 +506,7 @@ def test_gauss_jordan_inverse_matches_lapack(name):
 def test_coarsest_inverse_matches_lapack(name):
     # the coarsest operator, column by column from the level's own
     # stencil, over its active cells in row-major order
-    _, mg, _ = multigrid(CYCLE_SECTIONS[name]())
+    _, mg = multigrid(CYCLE_SECTIONS[name]())
     last = mg.levels[-1]
     cells = np.flatnonzero(last.diag[:last.nx, :last.ny] > 0.0)
     u, au = np.zeros_like(last.x), np.zeros_like(last.r)

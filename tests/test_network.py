@@ -60,6 +60,14 @@ def test_notch_validation():
         notch_s21(res, [FR_BOTTOM], qubit_state=2)
 
 
+def test_frequency_grid_caps_the_points():
+    band = RealInterval(4e9, 8e9)
+    assert len(network.frequency_grid(band, network.MAX_GRID_POINTS)) == \
+        network.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="^points must be <= 100001$"):
+        network.frequency_grid(band, network.MAX_GRID_POINTS + 1)
+
+
 # --------------------------------------------------------- extraction
 
 @pytest.mark.parametrize("q_loaded", [5.48e3, 6.62e3, 7.5e5])

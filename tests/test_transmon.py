@@ -186,6 +186,9 @@ def test_cpb_input_validation():
         transmon.cpb_spectrum(EC, EC, cutoff=0)
     with pytest.raises(ValueError):
         transmon.cpb_spectrum(EC, EC, cutoff=3, n_levels=20)
+    # the dense Hamiltonian is (2 cutoff + 1)^2: refused before it is built
+    with pytest.raises(ValueError, match="^cutoff must be <= 500$"):
+        transmon.cpb_spectrum(EC, EC, cutoff=transmon.MAX_CUTOFF + 1)
 
 
 def test_params_container():
