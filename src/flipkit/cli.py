@@ -30,32 +30,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERIC = 2
 
-# library field -> the flag that feeds it, so that an error names the flag
-_FIELD_FLAGS = {
-    "trace_width": "--w",
-    "gap": "--s",
-    "eps_substrate": "--eps-sub",
-    "eps_superstrate": "--eps-sup",
-    "c_junction": "--cj",
-    "c_shunt": "--cs",
-    "l_junction": "--lj",
-    "c_eff": "--c-eff",
-    "eps_eff": "--eps-eff",
-    "line_z0": "--line-z0",
-    "points": "--points",
-    "cutoff": "--cutoff",
-    "tol": "--tol",
-    "f_r": "--fr",
-    "q_loaded": "--ql",
-    "q_coupling": "--qc",
-    "line_length": "--line-length",
-    "cell": "--cell",
-    "box_factor": "--box-factor",
-    "interlayer_thickness": "--interlayer",
-    "z_target": "--z0",
-}
-
-
 class _UsageError(ValueError):
     pass
 
@@ -190,12 +164,7 @@ def _emit(payload: dict, as_json: bool):
 def _name_flags(message: str, args) -> str:
     """message with each library field that a flag of this command feeds
     replaced by that flag."""
-    def flag(m):
-        name = _FIELD_FLAGS.get(m[0])
-        fed = name is not None and name[2:].replace("-", "_") in vars(args)
-        return name if fed else m[0]
-
-    return re.sub(r"\w+", flag, message)
+    return re.sub(r"\w+", lambda m: args.flags.get(m[0], m[0]), message)
 
 
 def _write_text(path: str, text: str):
@@ -207,27 +176,32 @@ def _write_text(path: str, text: str):
 
 
 def _cmd_cpw(args) -> dict:
-    eps_eff = cpw.effective_permittivity(args.eps_sub, args.eps_sup)
-    if (args.s is None) == (args.z0 is None):
+    eps_eff = cpw.effective_permittivity(args.eps_substrate,
+                                         args.eps_superstrate)
+    if (args.gap is None) == (args.z_target is None):
         raise _UsageError("give exactly one of --s (analyze) or "
                           "--z0 (synthesize the gap)")
-    if args.s is not None:
-        gap = args.s
+    if args.gap is not None:
+        gap = args.gap
     else:
-        gap = cpw.solve_gap_for_impedance(args.w, eps_eff, args.z0)
+        gap = cpw.solve_gap_for_impedance(args.trace_width, eps_eff,
+                                          args.z_target)
     return {
-        "trace_width_m": args.w,
+        "trace_width_m": args.trace_width,
         "gap_m": gap,
         "eps_eff": eps_eff,
-        "z0_ohm": cpw.characteristic_impedance(args.w, gap, eps_eff),
+        "z0_ohm": cpw.characteristic_impedance(args.trace_width, gap,
+                                               eps_eff),
         "phase_velocity_m_per_s": cpw.phase_velocity(eps_eff),
     }
 
 
 def _cmd_transmon(args) -> dict:
-    pars = transmon.TransmonParams(c_junction=args.cj, c_shunt=args.cs,
-                                   l_junction=args.lj, c_eff=args.c_eff)
-    nums = transmon.qubit_numbers(pars, args.flux, args.ng, args.cutoff)
+    pars = transmon.TransmonParams(c_junction=args.c_junction,
+                                   c_shunt=args.c_shunt,
+                                   l_junction=args.l_junction,
+                                   c_eff=args.c_eff)
+    nums = transmon.qubit_numbers(pars, args.flux_bias, args.ng, args.cutoff)
     ec, ej = nums["ec"], nums["ej"]
     out = {
         "c_total_f": pars.c_total,
@@ -245,12 +219,16 @@ def _cmd_transmon(args) -> dict:
 
 
 def _cmd_smatrix(args) -> dict:
-    res = network.NotchResonator(f_r=args.fr, q_loaded=args.ql,
-                                 q_coupling=args.qc, chi=args.chi)
-    if args.span is not None and args.span <= 0.0:
+    res = network.NotchResonator(f_r=args.f_r, q_loaded=args.q_loaded,
+                                 q_coupling=args.q_coupling, chi=args.chi)
+    span = 20.0 * res.f_r / res.q_loaded if args.span is None else args.span
+    if span <= 0.0:
         raise _UsageError("--span must be positive")
-    span = args.span if args.span is not None else 20.0 * args.fr / args.ql
-    band = RealInterval(args.fr - 0.5 * span, args.fr + 0.5 * span)
+    band = RealInterval(res.f_r - 0.5 * span, res.f_r + 0.5 * span)
+    if band.lo <= 0.0:
+        raise _UsageError(f"--span {span:.6g} Hz starts the grid at "
+                          f"{band.lo:.6g} Hz: it must lie above 0 Hz, so "
+                          "narrow --span")
     grid = network.frequency_grid(band, args.points)
     resp = network.notch_s21(res, grid, qubit_state=args.state)
     if args.out:
@@ -316,18 +294,18 @@ def _cmd_match(args) -> dict:
 
 
 def _cmd_fieldsolve(args) -> dict:
-    geometry = cpw.CpwGeometry(trace_width=args.w, gap=args.s,
-                               eps_substrate=args.eps_sub,
-                               eps_superstrate=args.eps_sup)
+    geometry = cpw.CpwGeometry(trace_width=args.trace_width, gap=args.gap,
+                               eps_substrate=args.eps_substrate,
+                               eps_superstrate=args.eps_superstrate)
     section = fieldsolve.cpw_cross_section(
         geometry, cell=args.cell, box_factor=args.box_factor,
-        interlayer_thickness=args.interlayer)
-    if args.interlayer is not None and not any(
+        interlayer_thickness=args.interlayer_thickness)
+    if args.interlayer_thickness is not None and not any(
             c.name == "facing_ground" for c in section.conductors):
         # the library leaves such a ground out; asked for here, it must fit
         raise _UsageError(
-            f"--interlayer {args.interlayer:.6g} m puts the facing ground "
-            f"outside the box: it must be at least one cell "
+            f"--interlayer {args.interlayer_thickness:.6g} m puts the facing "
+            f"ground outside the box: it must be at least one cell "
             f"({args.cell:.6g} m) and below the box half-height "
             f"({0.5 * section.height:.6g} m); change --interlayer, --cell "
             "or --box-factor")
@@ -409,35 +387,40 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cpw", help="CPW impedance analysis / gap synthesis")
-    p.add_argument("--w", type=_length, required=True,
+    p.add_argument("--w", dest="trace_width", type=_length, required=True,
                    help="trace width, e.g. 10um")
-    p.add_argument("--s", type=_length, help="gap; omit when giving --z0")
-    p.add_argument("--z0", type=_scalar,
+    p.add_argument("--s", dest="gap", type=_length,
+                   help="gap; omit when giving --z0")
+    p.add_argument("--z0", dest="z_target", type=_scalar,
                    help="target impedance (ohm) to synthesize the gap for")
-    p.add_argument("--eps-sub", type=_scalar, required=True)
-    p.add_argument("--eps-sup", type=_scalar, default=1.0)
+    p.add_argument("--eps-sub", dest="eps_substrate", type=_scalar,
+                   required=True)
+    p.add_argument("--eps-sup", dest="eps_superstrate", type=_scalar,
+                   default=1.0)
     p.set_defaults(func=_cmd_cpw)
 
     p = sub.add_parser("transmon", help="transmon energies and levels")
-    p.add_argument("--cj", type=_capacitance, required=True,
-                   help="junction capacitance, e.g. 8fF")
-    p.add_argument("--cs", type=_capacitance, required=True,
+    p.add_argument("--cj", dest="c_junction", type=_capacitance,
+                   required=True, help="junction capacitance, e.g. 8fF")
+    p.add_argument("--cs", dest="c_shunt", type=_capacitance, required=True,
                    help="shunt capacitance")
-    p.add_argument("--lj", type=_inductance, required=True,
-                   help="junction inductance, e.g. 8.75nH")
+    p.add_argument("--lj", dest="l_junction", type=_inductance,
+                   required=True, help="junction inductance, e.g. 8.75nH")
     p.add_argument("--c-eff", type=_capacitance, default=None,
                    help="report an extra frequency at this capacitance")
-    p.add_argument("--flux", type=_scalar, default=0.0,
+    p.add_argument("--flux", dest="flux_bias", type=_scalar, default=0.0,
                    help="SQUID flux bias in units of Phi0")
     p.add_argument("--ng", type=_scalar, default=0.0)
     p.add_argument("--cutoff", type=int, default=transmon.DEFAULT_CUTOFF)
     p.set_defaults(func=_cmd_transmon)
 
     p = sub.add_parser("smatrix", help="notch-resonator S21 and Q recovery")
-    p.add_argument("--fr", type=_frequency, required=True,
+    p.add_argument("--fr", dest="f_r", type=_frequency, required=True,
                    help="resonance frequency, e.g. 7.1GHz")
-    p.add_argument("--ql", type=_scalar, required=True, help="loaded Q")
-    p.add_argument("--qc", type=_scalar, required=True, help="coupling Q")
+    p.add_argument("--ql", dest="q_loaded", type=_scalar, required=True,
+                   help="loaded Q")
+    p.add_argument("--qc", dest="q_coupling", type=_scalar, required=True,
+                   help="coupling Q")
     p.add_argument("--chi", type=_frequency, default=0.0,
                    help="dispersive shift for dressed states")
     p.add_argument("--state", type=int, choices=(0, 1), default=0)
@@ -468,13 +451,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("fieldsolve", help="solve a CPW cross-section")
-    p.add_argument("--w", type=_length, required=True)
-    p.add_argument("--s", type=_length, required=True)
-    p.add_argument("--eps-sub", type=_scalar, required=True)
-    p.add_argument("--eps-sup", type=_scalar, default=1.0)
+    p.add_argument("--w", dest="trace_width", type=_length, required=True)
+    p.add_argument("--s", dest="gap", type=_length, required=True)
+    p.add_argument("--eps-sub", dest="eps_substrate", type=_scalar,
+                   required=True)
+    p.add_argument("--eps-sup", dest="eps_superstrate", type=_scalar,
+                   default=1.0)
     p.add_argument("--cell", type=_length, default=0.5e-6)
     p.add_argument("--box-factor", type=_scalar, default=10.0)
-    p.add_argument("--interlayer", type=_length, default=None,
+    p.add_argument("--interlayer", dest="interlayer_thickness", type=_length,
                    help="facing-chip ground height above the trace")
     p.add_argument("--tol", type=_scalar, default=fieldsolve.DEFAULT_TOL,
                    help="stop once the relative residual |b - Av| / |b| "
@@ -509,6 +494,10 @@ def build_parser() -> _Parser:
     for sp in sub.choices.values():
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output")
+        # library field -> the value flag that feeds it, so that an error
+        # names the flag; string flags stay out, their dests are words
+        sp.set_defaults(flags={a.dest: a.option_strings[0]
+                               for a in sp._actions if a.type is not None})
     return parser
 
 

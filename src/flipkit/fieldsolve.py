@@ -86,8 +86,9 @@ class DielectricRegion:
     eps_r: float
 
     def __post_init__(self):
-        if self.eps_r <= 0.0:
-            raise ValueError(f"eps_r of {self.name!r} must be positive")
+        if not 0.0 < self.eps_r < math.inf:
+            raise ValueError(
+                f"eps_r of {self.name!r} must be positive and finite")
         if self.rect.is_strip or self.rect.x1 == self.rect.x0:
             raise ValueError(f"region {self.name!r} must have area")
 
@@ -506,6 +507,8 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
     fine = _Level(prob.diag, prob.fx, prob.fy)
     b, x, p = fine.split(prob.b), np.zeros_like(fine.x), np.zeros_like(fine.x)
     if start is not None:

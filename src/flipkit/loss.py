@@ -11,15 +11,12 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .tables import SweepTable
-
 __all__ = [
     "LossBudget",
     "t1_upper_bound",
     "dielectric_decay_rate",
     "q_with_dielectric",
     "loss_figures",
-    "t1_vs_loss_tangent",
     "gamma_linearity_check",
 ]
 
@@ -86,20 +83,6 @@ def loss_figures(budget: LossBudget) -> dict[str, float]:
     return {"q_total": q_total,
             "t1_upper_s": t1_upper_bound(q_total, budget.mode_frequency),
             "gamma_cap_per_s": dielectric_decay_rate(budget)}
-
-
-def t1_vs_loss_tangent(budget: LossBudget, tan_deltas) -> SweepTable:
-    """Loss-tangent sweep: every region of the budget takes each tangent.
-
-    One row per requested tangent with the loss_figures columns.  On a
-    log-log plot the q_total column rolls off with slope -1 once the
-    dielectric term dominates the baseline.
-    """
-    table = SweepTable(param_name="tan_delta")
-    for tan_d in tan_deltas:
-        table.add_row(float(tan_d),
-                      **loss_figures(budget.with_tan_delta(float(tan_d))))
-    return table
 
 
 def gamma_linearity_check(budget: LossBudget, tan_deltas) -> float:

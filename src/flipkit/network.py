@@ -1,6 +1,6 @@
 """Scattering-domain models of the readout lines.
 
-The side-coupled (notch) resonator line shape, -3 dB bandwidth
+The side-coupled (notch) resonator line shape, half-power bandwidth
 extraction, and two scattering studies used by the device pipeline:
 worst-case in-band reflection of a lossless line versus port impedance,
 and the interchip crosstalk dip from a bridging capacitance.
@@ -37,6 +37,12 @@ __all__ = [
 # sweep density used when a caller gives only a band
 DEFAULT_GRID_POINTS = 2001
 MAX_GRID_POINTS = 100_001  # the most samples any grid or study takes
+# fewest samples above half power that extract_q_fwhm takes; at 10 its
+# linear interpolation puts Q within ~1.5% on any grid offset
+MIN_SAMPLES_INSIDE = 10
+# shallowest peak |1 - S21| it takes; rounding in 1 - S21 then moves the
+# half-power level by ~1e-10 relative
+MIN_DIP_DEPTH = 1e-6
 
 _DB_FLOOR = 1e-30
 
@@ -134,44 +140,47 @@ def notch_s21(resonator: NotchResonator, frequencies,
 
 
 def extract_q_fwhm(response: FrequencyResponse) -> tuple[float, float, float]:
-    """(f_r, Q, bandwidth) from the -3 dB full width of a dip.
+    """(f_r, Q, bandwidth) from the half-power full width of a dip.
 
-    The resonance is the sample of minimum |S21|; the bandwidth comes
-    from linear interpolation of the two crossings of the -3 dB level
-    on either side of it, and Q = f_r / bandwidth.  A trace with no dip
-    reaching -3 dB raises ExtractionError; more than one separate dip
-    below the threshold raises AmbiguousDipError.
+    What the notch takes from the line, 1 - S21, has the power
+    |1 - S21|^2 of a Lorentzian whose full width at half maximum is
+    f_r / Ql at any dip depth (Probst et al., Rev. Sci. Instrum. 86,
+    024706 (2015)).  The resonance is the sample of largest |1 - S21|;
+    the bandwidth comes from linear interpolation of the two crossings
+    of half its power on either side, and Q = f_r / bandwidth.  A peak
+    |1 - S21| below MIN_DIP_DEPTH, a dip cut off by the grid edge or
+    fewer than MIN_SAMPLES_INSIDE samples above half power raise
+    ExtractionError; more than one separate run of samples above half
+    power raises AmbiguousDipError.
     """
-    db = response.magnitude_db()
     f = response.frequencies
-    below = db < -3.0
-    if not below.any():
-        raise ExtractionError("no dip reaches -3 dB; nothing to extract")
-    # count separate below-threshold runs
-    runs = int(np.sum(below[1:] & ~below[:-1])) + int(below[0])
+    power = np.abs(1.0 - response.s21) ** 2
+    i_peak = int(np.argmax(power))
+    depth = math.sqrt(power[i_peak])
+    if not depth >= MIN_DIP_DEPTH:
+        raise ExtractionError(f"dip too shallow to measure: |1 - S21| peaks "
+                              f"at {depth:.3g}, below {MIN_DIP_DEPTH:g}")
+    half = 0.5 * power[i_peak]
+    inside = np.flatnonzero(power > half)
+    runs = 1 + int(np.count_nonzero(np.diff(inside) > 1))
     if runs > 1:
-        raise AmbiguousDipError(f"{runs} separate dips cross -3 dB")
+        raise AmbiguousDipError(f"{runs} separate dips cross half power")
+    lo, hi = int(inside[0]), int(inside[-1])
+    if lo == 0 or hi == len(f) - 1:
+        raise ExtractionError("dip is cut off by the grid edge")
+    if inside.size < MIN_SAMPLES_INSIDE:
+        raise ExtractionError(
+            f"{inside.size} of {len(f)} samples lie inside the half-power "
+            f"width, fewer than {MIN_SAMPLES_INSIDE}: sample the dip more "
+            "finely (raise --points or narrow --span)")
 
-    i_min = int(np.argmin(db))
-    f_r = float(f[i_min])
-
-    def crossing(i_inside: int, step: int) -> float:
-        # walk outward from the dip until the trace comes back above -3 dB
-        j = i_inside
-        while 0 <= j + step < len(db) and db[j + step] < -3.0:
-            j += step
-        k = j + step
-        if k < 0 or k >= len(db):
-            raise ExtractionError("dip is cut off by the grid edge")
-        # linear interpolation between the inside and outside samples
-        frac = (-3.0 - db[j]) / (db[k] - db[j])
+    def crossing(j: int, k: int) -> float:
+        # linear interpolation between outside sample j and inside k
+        frac = (half - power[j]) / (power[k] - power[j])
         return float(f[j] + frac * (f[k] - f[j]))
 
-    f_lo = crossing(i_min, -1)
-    f_hi = crossing(i_min, +1)
-    bandwidth = f_hi - f_lo
-    if bandwidth <= 0.0:
-        raise ExtractionError("degenerate bandwidth")
+    f_r = float(f[i_peak])
+    bandwidth = crossing(hi + 1, hi) - crossing(lo - 1, lo)
     return f_r, f_r / bandwidth, bandwidth
 
 

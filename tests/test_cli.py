@@ -143,6 +143,8 @@ def test_bad_length_unit_keeps_its_message(capsys):
     (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
       "--cell", "1um", "--box-factor", "103"], "--cell 1e-06 m makes the "
      "box 2060 cells wide, above 2048: raise --cell or lower --box-factor"),
+    (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
+      "--cell", "2um", "--max-sweeps", "0"], "--max-sweeps must be >= 1"),
 ], ids=["fieldsolve-s", "fieldsolve-eps-sub", "cpw-w", "cpw-eps-sup",
         "transmon-c", "transmon-cutoff", "match-points", "match-eps-eff-0",
         "match-eps-eff-negative", "match-line-z0-nan",
@@ -153,7 +155,7 @@ def test_bad_length_unit_keeps_its_message(capsys):
         "fieldsolve-cell", "fieldsolve-cell-coarse", "fieldsolve-interlayer",
         "cpw-z0", "smatrix-points-cap", "match-points-cap",
         "transmon-cutoff-cap", "fieldsolve-cell-cap",
-        "fieldsolve-box-factor-cap"])
+        "fieldsolve-box-factor-cap", "fieldsolve-max-sweeps"])
 def test_library_error_names_the_flag(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"flipkit: {message}\n")
@@ -181,6 +183,45 @@ def test_no_flag_parses_with_float():
     for sub in SUBCOMMANDS.values():
         assert all(action.type is not float for action in sub._actions)
     assert len(SCALAR_FLAGS) == 16
+
+
+# value flag -> the library field it feeds, per subcommand
+VALUE_FLAG_FIELDS = {
+    "cpw": {"--w": "trace_width", "--s": "gap", "--z0": "z_target",
+            "--eps-sub": "eps_substrate", "--eps-sup": "eps_superstrate"},
+    "transmon": {"--cj": "c_junction", "--cs": "c_shunt",
+                 "--lj": "l_junction", "--c-eff": "c_eff",
+                 "--flux": "flux_bias", "--ng": "ng", "--cutoff": "cutoff"},
+    "smatrix": {"--fr": "f_r", "--ql": "q_loaded", "--qc": "q_coupling",
+                "--chi": "chi", "--state": "state", "--span": "span",
+                "--points": "points"},
+    "match": {"--line-z0": "line_z0", "--band": "band",
+              "--line-length": "line_length", "--eps-eff": "eps_eff",
+              "--zmin": "zmin", "--zmax": "zmax", "--zstep": "zstep",
+              "--points": "points"},
+    "fieldsolve": {"--w": "trace_width", "--s": "gap",
+                   "--eps-sub": "eps_substrate",
+                   "--eps-sup": "eps_superstrate", "--cell": "cell",
+                   "--box-factor": "box_factor",
+                   "--interlayer": "interlayer_thickness", "--tol": "tol",
+                   "--max-sweeps": "max_sweeps"},
+    "analyze": {},
+    "sweep": {},
+}
+
+
+def test_value_flags_store_under_their_field():
+    # a library message names its field, and args.flags turns that name
+    # back into the flag; a renamed dest must fail here, not in a message
+    argvs = {**SCALAR_FLAG_COMMANDS, "analyze": ["analyze"],
+             "sweep": ["sweep", "--param", "loss_tangent", "--grid", "0"]}
+    assert set(SUBCOMMANDS) == set(argvs) == set(VALUE_FLAG_FIELDS)
+    for command, sub in SUBCOMMANDS.items():
+        fields = {action.option_strings[0]: action.dest
+                  for action in sub._actions if action.type is not None}
+        assert fields == VALUE_FLAG_FIELDS[command], command
+        args = cli.build_parser().parse_args(argvs[command])
+        assert args.flags == {field: flag for flag, field in fields.items()}
 
 
 @pytest.mark.parametrize("value,message", [
@@ -216,10 +257,35 @@ def test_numeric_failure_exit_2(capsys):
     assert "cutoff" in err.lower()
 
 
-def test_shallow_dip_extraction_exit_2(capsys):
-    code, _, err = run(capsys, "smatrix", "--fr", "7.1GHz", "--ql", "1000",
-                       "--qc", "50000")
-    assert code == 2
+def test_shallow_dip_extracts_loaded_q(capsys):
+    # a 0.18 dB dip: the half-power width of |1 - S21|^2 is f_r / Ql at
+    # any depth
+    code, out, err = run(capsys, "smatrix", "--fr", "7.1GHz", "--ql", "1000",
+                         "--qc", "50000", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["extracted_q"] == pytest.approx(1000.0, rel=1e-9)
+
+
+def test_coarse_grid_extraction_exit_2(capsys):
+    # 1 GHz steps put one sample inside a 7 MHz half-power width
+    code, out, err = run(capsys, "smatrix", "--fr", "7GHz", "--ql", "1000",
+                         "--qc", "2000", "--span", "10GHz", "--points", "11")
+    assert (code, out) == (2, "")
+    assert err == ("flipkit: 1 of 11 samples lie inside the half-power "
+                   "width, fewer than 10: sample the dip more finely (raise "
+                   "--points or narrow --span)\n")
+
+
+@pytest.mark.parametrize("extra", [["--span", "20GHz"], ["--ql", "5"]],
+                         ids=["span", "default-span"])
+def test_smatrix_grid_must_lie_above_zero(capsys, tmp_path, extra):
+    csv_path = tmp_path / "trace.csv"
+    argv = ["smatrix", "--fr", "7GHz", "--ql", "1000", "--qc", "2000",
+            "--points", "11", "--out", str(csv_path), *extra]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("flipkit: --span ") and "above 0 Hz" in err
+    assert not csv_path.exists()
 
 
 def test_missing_config_file_exit_1(capsys):

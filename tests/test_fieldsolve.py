@@ -170,6 +170,27 @@ def test_bad_tol_rejected(tol):
             extract_eps_eff_and_z0(sec, tol=tol, solution=solution)
 
 
+@pytest.mark.parametrize("max_sweeps", [0, -1])
+def test_bad_max_sweeps_rejected(max_sweeps):
+    # no iteration allowed is bad input, not a convergence failure
+    sec = cpw_cross_section(GEOM, cell=4e-6)
+    with pytest.raises(ValueError, match="^max_sweeps must be >= 1$"):
+        solve_potential(sec, max_sweeps=max_sweeps)
+    sol = solve_potential(sec)
+    for solution in (None, sol):
+        with pytest.raises(ValueError, match="^max_sweeps must be >= 1$"):
+            extract_eps_eff_and_z0(sec, max_sweeps=max_sweeps,
+                                   solution=solution)
+
+
+@pytest.mark.parametrize("eps_r", [0.0, -1.0, math.nan, math.inf])
+def test_region_eps_r_must_be_positive_and_finite(eps_r):
+    # a NaN region used to reach the solver and fail to converge
+    with pytest.raises(ValueError, match="^eps_r of 'fill' must be "
+                       "positive and finite$"):
+        DielectricRegion("fill", Rect(0, 1e-6, 0, 1e-6), eps_r)
+
+
 def test_solution_reuse_identity_guard():
     sec_a = cpw_cross_section(GEOM, cell=2e-6)
     sec_b = cpw_cross_section(GEOM, cell=2e-6)

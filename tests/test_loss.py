@@ -7,6 +7,7 @@ import pytest
 
 from flipkit import loss
 from flipkit.loss import LossBudget
+from flipkit.tables import SweepTable
 
 # eigenmode Q and frequency of the two qubit-like modes
 Q_MODE1 = 1.43512e6
@@ -19,6 +20,12 @@ def budget(tan_d=1e-6, baseline_q=1e7, f=5e9, p_sub=0.9, p_inter=0.08):
     return LossBudget(mode_frequency=f, baseline_q=baseline_q,
                       regions={"substrate": (p_sub, tan_d),
                                "interlayer": (p_inter, tan_d)})
+
+
+def tangent_rows(b, grid):
+    # a loss-tangent sweep's rows: every region takes each tangent, as
+    # device.sweep builds them
+    return [loss.loss_figures(b.with_tan_delta(float(t))) for t in grid]
 
 
 def test_t1_upper_bound_mode1():
@@ -93,8 +100,8 @@ def test_q_total_dominant_loss_asymptote():
 
 def test_q_loglog_slope_minus_one():
     grid = np.logspace(-4, -2, 21)
-    table = loss.t1_vs_loss_tangent(budget(baseline_q=1e9), grid)
-    q = np.array(table.column("q_total"))
+    rows = tangent_rows(budget(baseline_q=1e9), grid)
+    q = np.array([row["q_total"] for row in rows])
     slope = np.polyfit(np.log10(grid), np.log10(q), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.05)
 
@@ -102,8 +109,7 @@ def test_q_loglog_slope_minus_one():
 def test_t1_table_monotone_and_zero_row():
     grid = [0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
     b = budget(baseline_q=Q_MODE1, f=F_MODE1)
-    table = loss.t1_vs_loss_tangent(b, grid)
-    t1 = table.column("t1_upper_s")
+    t1 = [row["t1_upper_s"] for row in tangent_rows(b, grid)]
     assert t1[0] == pytest.approx(loss.t1_upper_bound(Q_MODE1, F_MODE1),
                                   rel=1e-12)
     assert all(b <= a for a, b in zip(t1, t1[1:]))
@@ -119,7 +125,10 @@ def test_t1_halving_participation_doubles_t1_in_dominated_regime():
 
 
 def test_table_csv_header():
-    table = loss.t1_vs_loss_tangent(budget(), [1e-6, 1e-5])
+    grid = [1e-6, 1e-5]
+    table = SweepTable(param_name="tan_delta")
+    for tan_d, row in zip(grid, tangent_rows(budget(), grid)):
+        table.add_row(tan_d, **row)
     assert table.to_csv().splitlines()[0] == \
         "tan_delta,q_total,t1_upper_s,gamma_cap_per_s"
 

@@ -1,4 +1,4 @@
-"""Notch line shape, the -3 dB extraction loop, and the line studies."""
+"""Notch line shape, the half-power extraction, and the line studies."""
 
 import math
 
@@ -84,13 +84,48 @@ def test_extraction_round_trip(q_loaded):
 def test_extraction_table_consistency():
     # bandwidth implied by the printed (f_r, Q) pair, 4 significant digits
     assert FR_BOTTOM / QL_BOTTOM / 1e6 == pytest.approx(1.0751, abs=1e-4)
-    # the literal -3 dB width sits 0.24% wide of f_r/Q (half power is
-    # -3.0103 dB); the measured number must stay inside the 0.5% band
+    # the half-power crossings fall on samples of this grid, so the
+    # measured width is f_r/Q with no interpolation bias
     res = NotchResonator(f_r=FR_BOTTOM, q_loaded=QL_BOTTOM,
                          q_coupling=QL_BOTTOM)
     _, _, bw = extract_q_fwhm(notch_s21(res, grid_around(FR_BOTTOM,
                                                          QL_BOTTOM)))
-    assert bw == pytest.approx(FR_BOTTOM / QL_BOTTOM, rel=5e-3)
+    assert bw == pytest.approx(FR_BOTTOM / QL_BOTTOM, rel=1e-9)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 2.0, 100.0])
+@pytest.mark.parametrize("points", [201, 2001])
+def test_extraction_recovers_loaded_q_at_any_depth(ratio, points):
+    # the -3 dB width of |S21| is f_r/Ql only at Qc = Ql; the half-power
+    # width of |1 - S21|^2 is f_r/Ql at every Qc/Ql
+    res = NotchResonator(f_r=FR_BOTTOM, q_loaded=QL_BOTTOM,
+                         q_coupling=ratio * QL_BOTTOM)
+    f = grid_around(FR_BOTTOM, QL_BOTTOM, points=points)
+    f_r, q, bw = extract_q_fwhm(notch_s21(res, f))
+    assert f_r == FR_BOTTOM
+    assert q == pytest.approx(QL_BOTTOM, rel=1e-9)
+    assert bw == pytest.approx(FR_BOTTOM / QL_BOTTOM, rel=1e-9)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.17, 0.5])
+def test_extraction_on_the_sample_floor(offset):
+    # one grid step is a tenth of the linewidth: 10 or 11 samples lie
+    # inside, and the interpolated Q is within 2% wherever they fall
+    res = NotchResonator(f_r=FR_BOTTOM, q_loaded=1000.0, q_coupling=2000.0)
+    step = 0.1 * FR_BOTTOM / 1000.0
+    f = FR_BOTTOM + step * (np.arange(-40, 41) + offset)
+    _, q, _ = extract_q_fwhm(notch_s21(res, f))
+    assert q == pytest.approx(1000.0, rel=2e-2)
+
+
+def test_extraction_refuses_a_coarse_grid():
+    # 9 samples inside the half-power width, one below the floor
+    res = NotchResonator(f_r=FR_BOTTOM, q_loaded=1000.0, q_coupling=2000.0)
+    step = 0.11 * FR_BOTTOM / 1000.0
+    f = FR_BOTTOM + step * np.arange(-40, 41)
+    with pytest.raises(ExtractionError, match="^9 of 81 samples lie inside "
+                       "the half-power width, fewer than 10: "):
+        extract_q_fwhm(notch_s21(res, f))
 
 
 def test_extraction_flat_response_fails():
@@ -101,9 +136,19 @@ def test_extraction_flat_response_fails():
         extract_q_fwhm(flat)
 
 
-def test_extraction_shallow_dip_fails():
+def test_extraction_shallow_dip_recovers_q():
+    # a 0.9 dB dip never reaches -3 dB, yet its half-power width is f_r/Ql
     res = NotchResonator(f_r=FR_BOTTOM, q_loaded=1000.0, q_coupling=10000.0)
-    with pytest.raises(ExtractionError):
+    _, q, _ = extract_q_fwhm(notch_s21(res, grid_around(FR_BOTTOM, 1000.0)))
+    assert q == pytest.approx(1000.0, rel=1e-9)
+
+
+def test_extraction_refuses_a_dip_lost_in_rounding():
+    # at Qc/Ql = 1e12 the dip is 1e-12 deep, and rounding in 1 - S21 is
+    # ~1e-4 of it
+    res = NotchResonator(f_r=FR_BOTTOM, q_loaded=1000.0, q_coupling=1e15)
+    with pytest.raises(ExtractionError, match="^dip too shallow to measure: "
+                       r"\|1 - S21\| peaks at 1e-12, below 1e-06$"):
         extract_q_fwhm(notch_s21(res, grid_around(FR_BOTTOM, 1000.0)))
 
 
