@@ -224,7 +224,8 @@ def _cmd_smatrix(args) -> dict:
     span = 20.0 * res.f_r / res.q_loaded if args.span is None else args.span
     if span <= 0.0:
         raise _UsageError("--span must be positive")
-    band = RealInterval(res.f_r - 0.5 * span, res.f_r + 0.5 * span)
+    centre = res.dressed_frequency(args.state)  # the dip the trace shows
+    band = RealInterval(centre - 0.5 * span, centre + 0.5 * span)
     if band.lo <= 0.0:
         raise _UsageError(f"--span {span:.6g} Hz starts the grid at "
                           f"{band.lo:.6g} Hz: it must lie above 0 Hz, so "
@@ -235,13 +236,12 @@ def _cmd_smatrix(args) -> dict:
         _write_text(args.out, resp.to_csv())
     if args.plot:
         from .plot import emit_plot
-        chart = SweepTable(param_name="freq_hz")
-        for f, db in zip(resp.frequencies, resp.magnitude_db()):
-            chart.add_row(float(f), s21_db=float(db))
+        chart = SweepTable("freq_hz", resp.frequencies.tolist(),
+                           {"s21_db": resp.magnitude_db().tolist()})
         emit_plot(chart, "freq_hz", ["s21_db"], args.plot)
     out = {
         "f_r_hz": res.f_r,
-        "dressed_f_hz": res.dressed_frequency(args.state),
+        "dressed_f_hz": centre,
         "q_loaded": res.q_loaded,
         "q_coupling": res.q_coupling,
         "points": args.points,
@@ -312,12 +312,10 @@ def _cmd_fieldsolve(args) -> dict:
     sol = fieldsolve.solve_potential(section, tol=args.tol,
                                      max_sweeps=args.max_sweeps)
     if args.dump_potential:
-        xs, ys = section.cell_centers()
-        rows = ["x_m,y_m,v"]
-        for j, y in enumerate(ys):
-            for i, x in enumerate(xs):
-                rows.append(f"{x:.12g},{y:.12g},{sol.potential[i, j]:.12g}")
-        _write_text(args.dump_potential, "\n".join(rows) + "\n")
+        x, y = np.meshgrid(*section.cell_centers())  # rows run y, then x
+        table = SweepTable("x_m", x.ravel().tolist(), {
+            "y_m": y.ravel().tolist(), "v": sol.potential.T.ravel().tolist()})
+        _write_text(args.dump_potential, table.to_csv())
     c = fieldsolve.capacitance_per_length(sol)
     participation = fieldsolve.energy_participation(sol)
     eps_eff, z0 = fieldsolve.extract_eps_eff_and_z0(
@@ -363,18 +361,15 @@ def _cmd_sweep(args) -> None:
         _write_text(args.out, csv_text)
     if args.plot:
         from .plot import emit_plot
-        y_names = (args.y.split(",") if args.y
-                   else [table.header()[1]])
-        x_name = args.x if args.x else table.param_name
-        emit_plot(table, x_name, y_names, args.plot,
+        y_names = args.y.split(",") if args.y else [table.header()[1]]
+        emit_plot(table, args.x or table.param_name, y_names, args.plot,
                   logx=args.logx, logy=args.logy)
     if args.json:
         payload = {
             "param_name": table.param_name,
             "columns": table.header(),
-            "rows": [[pv, *(table.columns[c][i]
-                            for c in table.columns)]
-                     for i, pv in enumerate(table.param_values)],
+            "rows": [list(row) for row in zip(table.param_values,
+                                              *table.columns.values())],
         }
         _emit(payload, as_json=True)
     elif not args.out:

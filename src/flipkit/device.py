@@ -486,7 +486,7 @@ def _loss_tangent_row(tan_d: float,
                       budgets: dict[str, loss.LossBudget]) -> dict:
     row: dict[str, float] = {}
     for name, budget in budgets.items():
-        figures = loss.loss_figures(budget.with_tan_delta(tan_d))
+        figures = loss.loss_figures(budget, tan_d)
         row[f"q_total_{name}"] = figures["q_total"]
         row[f"t1_upper_{name}_s"] = figures["t1_upper_s"]
         row[f"gamma_cap_{name}_per_s"] = figures["gamma_cap_per_s"]

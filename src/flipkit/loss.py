@@ -8,7 +8,7 @@ tangents into both a capacitive decay rate and a degraded total Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
@@ -49,14 +49,13 @@ class LossBudget:
         if total_p > 1.0 + 1e-9:
             raise ValueError("participations sum past 1")
 
-    def weighted_loss(self) -> float:
-        return sum(p * tan_d for p, tan_d in self.regions.values())
-
-    def with_tan_delta(self, tan_delta: float) -> "LossBudget":
-        """Same budget with every region's loss tangent replaced."""
-        regions = {name: (p, float(tan_delta))
-                   for name, (p, _) in self.regions.items()}
-        return replace(self, regions=regions)
+    def weighted_loss(self, tan_delta: float | None = None) -> float:
+        """sum_i p_i tan(delta_i), or with tan_delta in every region."""
+        if tan_delta is None:
+            return sum(p * tan_d for p, tan_d in self.regions.values())
+        if not tan_delta >= 0.0:
+            raise ValueError("loss tangent must be >= 0")
+        return sum(p * tan_delta for p, _ in self.regions.values())
 
 
 def t1_upper_bound(q: float, frequency: float) -> float:
@@ -66,23 +65,30 @@ def t1_upper_bound(q: float, frequency: float) -> float:
     return q / (2.0 * math.pi * frequency)
 
 
-def dielectric_decay_rate(budget: LossBudget) -> float:
+def dielectric_decay_rate(budget: LossBudget,
+                          loss_sum: float | None = None) -> float:
     """Capacitive decay rate omega * sum_i p_i tan(delta_i), 1/s."""
-    omega = 2.0 * math.pi * budget.mode_frequency
-    return omega * budget.weighted_loss()
+    w = budget.weighted_loss() if loss_sum is None else loss_sum
+    return 2.0 * math.pi * budget.mode_frequency * w
 
 
-def q_with_dielectric(budget: LossBudget) -> float:
+def q_with_dielectric(budget: LossBudget,
+                      loss_sum: float | None = None) -> float:
     """Total Q from 1/Q = 1/Q_baseline + sum_i p_i tan(delta_i)."""
-    return 1.0 / (1.0 / budget.baseline_q + budget.weighted_loss())
+    w = budget.weighted_loss() if loss_sum is None else loss_sum
+    return 1.0 / (1.0 / budget.baseline_q + w)
 
 
-def loss_figures(budget: LossBudget) -> dict[str, float]:
-    """The budget's q_total, its T1 ceiling t1_upper_s and gamma_cap_per_s."""
-    q_total = q_with_dielectric(budget)
+def loss_figures(budget: LossBudget,
+                 tan_delta: float | None = None) -> dict[str, float]:
+    """The budget's q_total, its T1 ceiling t1_upper_s and gamma_cap_per_s,
+    with tan_delta, if given, in every region; the weighted loss is summed
+    once and both formulas take it as loss_sum."""
+    loss_sum = budget.weighted_loss(tan_delta)
+    q_total = q_with_dielectric(budget, loss_sum)
     return {"q_total": q_total,
             "t1_upper_s": t1_upper_bound(q_total, budget.mode_frequency),
-            "gamma_cap_per_s": dielectric_decay_rate(budget)}
+            "gamma_cap_per_s": dielectric_decay_rate(budget, loss_sum)}
 
 
 def gamma_linearity_check(budget: LossBudget, tan_deltas) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .numerics import RealInterval
+from .tables import SweepTable
 
 __all__ = [
     "NotchResonator",
@@ -107,10 +108,9 @@ class FrequencyResponse:
         return _db(self.s21)
 
     def to_csv(self) -> str:
-        lines = ["freq_hz,s21_re,s21_im"]
-        for f, v in zip(self.frequencies, self.s21):
-            lines.append(f"{f:.12g},{v.real:.12g},{v.imag:.12g}")
-        return "\n".join(lines) + "\n"
+        return SweepTable("freq_hz", self.frequencies.tolist(), {
+            "s21_re": self.s21.real.tolist(),
+            "s21_im": self.s21.imag.tolist()}).to_csv()
 
 
 def frequency_grid(band: RealInterval,
@@ -200,24 +200,24 @@ def worst_case_reflection(line_z0: float, z_port: float,
     equal to the line impedance a = 0 and the result is the -600 dB
     floor.
     """
-    for name, z in (("line_z0", line_z0), ("z_port", z_port)):
-        if not 0.0 < z < math.inf:
-            raise ValueError(f"{name} must be positive and finite")
+    if not (0.0 < line_z0 < math.inf and 0.0 < z_port < math.inf):
+        name = "z_port" if 0.0 < line_z0 < math.inf else "line_z0"
+        raise ValueError(f"{name} must be positive and finite")
     if line_length <= 0.0:
         raise ValueError("line_length must be positive")
     if not eps_eff >= 1.0:
         raise ValueError("eps_eff must be >= 1")
     a2 = (line_z0 / z_port - z_port / line_z0) ** 2
-    m = _max_sin2(band, points, line_length, eps_eff)
+    m = _max_sin2(band.lo, band.hi, points, line_length, eps_eff)
     s11 = math.sqrt(m * a2 / (4.0 + m * a2))
     return 20.0 * math.log10(max(s11, _DB_FLOOR))
 
 
 @functools.lru_cache(maxsize=64)
-def _max_sin2(band: RealInterval, points: int, line_length: float,
+def _max_sin2(lo: float, hi: float, points: int, line_length: float,
               eps_eff: float) -> float:
-    # largest sin^2(beta l) over the band's grid, shared by every port
-    f = frequency_grid(band, points)
+    # largest sin^2(beta l) on the grid; floats key it, as they hash in C
+    f = frequency_grid(RealInterval(lo, hi), points)
     beta_l = 2.0 * math.pi * f * math.sqrt(eps_eff) * line_length / C_LIGHT
     return float(np.max(np.sin(beta_l) ** 2))
 

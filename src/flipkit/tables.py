@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 __all__ = ["SweepTable"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 @dataclass
@@ -27,11 +24,11 @@ class SweepTable:
         if not self.columns:
             for name in metrics:
                 self.columns[name] = []
-        elif set(metrics) != set(self.columns):
+        elif metrics.keys() != self.columns.keys():
             raise ValueError("row metrics do not match existing columns")
         self.param_values.append(float(param_value))
-        for name in self.columns:
-            self.columns[name].append(float(metrics[name]))
+        for name, col in self.columns.items():
+            col.append(float(metrics[name]))
 
     @property
     def n_rows(self) -> int:
@@ -46,8 +43,9 @@ class SweepTable:
         return [self.param_name, *self.columns.keys()]
 
     def to_csv(self) -> str:
-        lines = [",".join(self.header())]
-        for i, p in enumerate(self.param_values):
-            cells = [_fmt(p)] + [_fmt(col[i]) for col in self.columns.values()]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        # one "%" formats every cell: "%.12g" is f"{x:.12g}", nan and -0 too
+        header = self.header()
+        row = ",".join(["%.12g"] * len(header)) + "\n"
+        cells = tuple(chain.from_iterable(
+            zip(self.param_values, *self.columns.values())))
+        return ",".join(header) + "\n" + row * self.n_rows % cells

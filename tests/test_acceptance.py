@@ -188,7 +188,7 @@ def test_criterion_10_loss_trends():
                              regions={"substrate": (0.922481, 1e-6),
                                       "interlayer": (0.077519, 1e-6)})
     grid = np.logspace(-4, -2, 21)
-    rows = [loss.loss_figures(budget.with_tan_delta(float(t))) for t in grid]
+    rows = [loss.loss_figures(budget, float(t)) for t in grid]
     q = np.array([row["q_total"] for row in rows])
     slope = float(np.polyfit(np.log10(grid), np.log10(q), 1)[0])
     residual = loss.gamma_linearity_check(budget, grid.tolist())

@@ -394,6 +394,28 @@ def test_smatrix_matches_reference_bytes(capsys, tmp_path):
     assert out == (TEST_REFERENCE / "smatrix.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("state,dressed", [("0", 7.1e9), ("1", 6.9e9)])
+def test_smatrix_default_grid_centres_on_the_dressed_dip(capsys, state,
+                                                         dressed):
+    # a 100 MHz pull is 14 linewidths: a grid centred on the bare 7 GHz
+    # cut the dip off at its edge
+    code, out, err = run(capsys, "smatrix", "--fr", "7GHz", "--ql", "1000",
+                         "--qc", "2000", "--chi", "100MHz", "--state", state,
+                         "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["dressed_f_hz"] == doc["extracted_f_hz"] == dressed
+    assert doc["extracted_q"] == pytest.approx(1000.0, rel=5e-3)
+
+
+def test_smatrix_dressed_matches_reference_bytes(capsys):
+    code, out, _ = run(capsys, "smatrix", "--fr", "7GHz", "--ql", "1000",
+                       "--qc", "2000", "--chi", "100MHz", "--json")
+    assert code == 0
+    assert out == (TEST_REFERENCE / "smatrix_dressed.json").read_text(
+        encoding="utf-8")
+
+
 def test_smatrix_plot_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     for path in (a, b):

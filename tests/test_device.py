@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from flipkit import cli, coupling, cpw, device, transmon
+from flipkit import cli, coupling, cpw, device, loss, transmon
 from flipkit.device import ConfigError, DeviceReport, analyze, parse_config
 from flipkit.units import round12
 
@@ -392,6 +392,50 @@ def test_loss_sweep_trends(spec):
     assert gam[0] == 0.0
     # linear in the tangent: the two top decades scale by exactly 100
     assert gam[-1] == pytest.approx(100.0 * gam[-3], rel=1e-9)
+
+
+def test_loss_sweep_rows_equal_budgets_built_at_each_tangent(spec):
+    # the rows evaluate the loss formulas at each tangent from one budget
+    # per chip; they must equal, to the bit, a budget built at the tangent
+    grid = cli._parse_grid("0:1e-3:log25", "scalar")
+    assert grid[0] == 0.0 and len(grid) == 25
+    table = device.sweep(spec, "loss_tangent", grid)
+    participation, _ = device.resolve_participation(spec)
+    for chip in (spec.bottom, spec.top):
+        f_q = device._qubit_frequency(chip)
+        for i, tan_d in enumerate(grid):
+            budget = loss.LossBudget(
+                mode_frequency=f_q, baseline_q=chip.baseline_q,
+                regions={"interlayer": (participation["interlayer"], tan_d)})
+            q = loss.q_with_dielectric(budget)
+            assert table.columns[f"q_total_{chip.name}"][i] == q
+            assert table.columns[f"t1_upper_{chip.name}_s"][i] == \
+                loss.t1_upper_bound(q, f_q)
+            assert table.columns[f"gamma_cap_{chip.name}_per_s"][i] == \
+                loss.dielectric_decay_rate(budget)
+            assert table.columns[f"qubit_{chip.name}_hz"][i] == f_q
+
+
+@pytest.mark.parametrize("parameter,grid,row_function", [
+    ("interlayer_thickness", "0.1mm:4mm:log25", "_thickness_row"),
+    ("loss_tangent", "0:1e-3:log25", "_loss_tangent_row"),
+], ids=["thickness", "loss"])
+def test_sweep_runs_its_row_function_once_per_row(spec, monkeypatch,
+                                                  parameter, grid,
+                                                  row_function):
+    # the benchmark's tracer wraps these two functions by name and counts
+    # their calls as sweep rows
+    calls = []
+    real = getattr(device, row_function)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(device, row_function, counted)
+    values = cli._parse_grid(grid, "scalar" if parameter == "loss_tangent"
+                             else "length")
+    assert device.sweep(spec, parameter, values).n_rows == len(calls) == 25
 
 
 @pytest.mark.parametrize("parameter,values", [

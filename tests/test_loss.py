@@ -25,7 +25,7 @@ def budget(tan_d=1e-6, baseline_q=1e7, f=5e9, p_sub=0.9, p_inter=0.08):
 def tangent_rows(b, grid):
     # a loss-tangent sweep's rows: every region takes each tangent, as
     # device.sweep builds them
-    return [loss.loss_figures(b.with_tan_delta(float(t))) for t in grid]
+    return [loss.loss_figures(b, float(t)) for t in grid]
 
 
 def test_t1_upper_bound_mode1():
@@ -164,7 +164,14 @@ def test_budget_validation():
                    regions={"a": (0.5, -1e-6)})
 
 
-def test_with_tan_delta_replaces_every_region():
-    b = budget(tan_d=1e-6).with_tan_delta(2e-5)
-    assert all(t == 2e-5 for _, t in b.regions.values())
-    assert b.mode_frequency == budget().mode_frequency
+def test_tan_delta_replaces_every_region():
+    # the figures at a given tangent are those of a budget built with it,
+    # to the bit
+    for tan_d in (0.0, 2e-5, 1e-3):
+        assert loss.loss_figures(budget(tan_d=1e-6), tan_d) == \
+            loss.loss_figures(budget(tan_d=tan_d))
+    assert budget(tan_d=1e-6).weighted_loss(2e-5) == \
+        budget(tan_d=2e-5).weighted_loss()
+    for bad in (-1e-6, math.nan):
+        with pytest.raises(ValueError, match="^loss tangent must be >= 0$"):
+            loss.loss_figures(budget(), bad)
