@@ -45,6 +45,10 @@ class SweepTable:
     def to_csv(self) -> str:
         # one "%" formats every cell: "%.12g" is f"{x:.12g}", nan and -0 too
         header = self.header()
+        for name, col in self.columns.items():
+            if len(col) != self.n_rows:
+                raise ValueError(f"column {name!r} has {len(col)} values, "
+                                 f"{self.param_name!r} has {self.n_rows}")
         row = ",".join(["%.12g"] * len(header)) + "\n"
         cells = tuple(chain.from_iterable(
             zip(self.param_values, *self.columns.values())))

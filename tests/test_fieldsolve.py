@@ -5,6 +5,7 @@ acceptance suite re-runs the CPW extraction at production resolution.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -399,17 +400,63 @@ def layered_strip_section(nx, ny, x_bc, y_bc):
             Conductor("ground", Rect(0, 3e-6, y_face, y_face), 0.0)])
 
 
+# the 40 x 40 CPW section of tests/reference/fieldsolve_potential.csv:
+# mirror-symmetric about x = 0, so it is solved on half the cells
+SMALL_CPW = CpwGeometry(trace_width=4e-6, gap=2e-6, eps_substrate=11.9,
+                        eps_superstrate=1.0)
+
+
+def small_cpw_section(interlayer_thickness=10e-6):
+    return cpw_cross_section(SMALL_CPW, cell=2e-6,
+                             interlayer_thickness=interlayer_thickness)
+
+
+def shifted_trace(sec, cells):
+    """The section with its trace moved right by whole cells."""
+    moved = [replace(c, rect=replace(c.rect, x0=c.rect.x0 + cells * sec.hx,
+                                     x1=c.rect.x1 + cells * sec.hx))
+             if c.name == "trace" else c for c in sec.conductors]
+    return replace(sec, conductors=moved)
+
+
+def odd_cpw_section():
+    """A symmetric facing-ground CPW on 39 x 20 cells of 1 um: the trace
+    covers the 5 middle columns, a 2-cell gap on each side."""
+    w, h = 39e-6, 20e-6
+    return CrossSection(
+        width=w, height=h, nx=39, ny=20, origin=(-w / 2, -h / 2),
+        regions=[DielectricRegion("substrate", Rect(-w / 2, w / 2, -h / 2, 0),
+                                  11.9),
+                 DielectricRegion("interlayer", Rect(-w / 2, w / 2, 0, h / 2),
+                                  1.0)],
+        conductors=[Conductor("trace", Rect(-2.5e-6, 2.5e-6, 0, 0), 1.0),
+                    Conductor("left", Rect(-w / 2, -4.5e-6, 0, 0), 0.0),
+                    Conductor("right", Rect(4.5e-6, w / 2, 0, 0), 0.0),
+                    Conductor("lid", Rect(-w / 2, w / 2, 6e-6, 6e-6), 0.0)])
+
+
+FOLD_SECTIONS = {
+    "cpw-facing": small_cpw_section,  # folds
+    # one gap closes and the other doubles
+    "cpw-trace-moved": lambda: shifted_trace(small_cpw_section(), 1),
+    "cpw-odd-nx": odd_cpw_section,
+}
+
+
 @pytest.fixture(params=[
     (33, 21, "grounded", "grounded"),
     (20, 17, "neumann", "grounded"),
     (13, 11, "grounded", "neumann"),
     "plates",
-], ids=["grounded", "neumann-x", "neumann-y", "plates"])
+    *FOLD_SECTIONS,
+], ids=["grounded", "neumann-x", "neumann-y", "plates", *FOLD_SECTIONS])
 def oracle_section(request, plate_section):
     """Small sections for the dense oracle: every wall type, strips on
-    several face lines, odd sizes."""
+    several face lines, odd sizes, and CPW sections on and off the fold."""
     if request.param == "plates":
         return plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13)
+    if request.param in FOLD_SECTIONS:
+        return FOLD_SECTIONS[request.param]()
     return layered_strip_section(*request.param)
 
 
@@ -450,6 +497,59 @@ def test_sparse_direct_solve_oracle_at_1um():
     c_ref = oracle_capacitance(sec, v, links, pins)
     sol = solve_potential(sec)
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-9)
+
+
+# ----------------------------------------------- folding at the symmetry plane
+
+def fine_widths(monkeypatch):
+    """Record the x size of every grid the solver builds, the fine one
+    first: half the section's nx when it folds a mirror-symmetric
+    system."""
+    widths = []
+    level = fieldsolve._Level
+
+    def spy(diag, fx, fy):
+        widths.append(len(diag))
+        return level(diag, fx, fy)
+
+    monkeypatch.setattr(fieldsolve, "_Level", spy)
+    return widths
+
+
+@pytest.mark.parametrize("cell", [2e-6, 1e-6, 0.5e-6])
+@pytest.mark.parametrize("lid", [None, 40e-6], ids=["open", "facing"])
+def test_cpw_potential_is_exactly_mirror_symmetric(cell, lid):
+    sec = cpw_cross_section(GEOM, cell=cell, interlayer_thickness=lid)
+    v = solve_potential(sec).potential
+    assert v.shape == (sec.nx, sec.ny)
+    assert np.array_equal(v, v[::-1])
+
+
+@pytest.mark.parametrize("name", FOLD_SECTIONS)
+def test_fold_only_exact_mirror_images(monkeypatch, name):
+    # an off-centre trace or an odd nx runs the full grid; the dense
+    # oracle tests check all three solutions
+    sec = FOLD_SECTIONS[name]()
+    widths = fine_widths(monkeypatch)
+    solve_potential(sec)
+    assert widths[0] == (sec.nx // 2 if name == "cpw-facing" else sec.nx)
+
+
+@pytest.mark.parametrize("lid", [None, 10e-6], ids=["open", "facing"])
+def test_folded_solve_matches_full_grid_assembly(monkeypatch, lid):
+    # the half solve driven to 1e-13, against the dense solve of this
+    # file's cell-by-cell assembly of the whole grid
+    sec = small_cpw_section(lid)
+    widths = fine_widths(monkeypatch)
+    sol = solve_potential(sec, tol=1e-13)
+    assert widths[0] == sec.nx // 2
+    v_ref, links, pins = dense_oracle(sec)
+    c_ref = oracle_capacitance(sec, v_ref, links, pins)
+    assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-12)
+    want = oracle_participation(sec, v_ref, links, pins)
+    got = energy_participation(sol)
+    for name, share in want.items():
+        assert got[name] == pytest.approx(share, rel=1e-12), name
 
 
 def test_iteration_count_flat_in_grid_size():

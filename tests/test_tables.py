@@ -80,3 +80,15 @@ def test_row_metrics_must_match_the_columns():
             table.add_row(2.0, **metrics)
     table.add_row(2.0, m1=5.0, m0=4.0)  # keyword order does not matter
     assert table.to_csv() == "p,m0,m1\n1,2,3\n2,4,5\n"
+
+
+@pytest.mark.parametrize("values", [[1.0, 2.0], []],
+                         ids=["too-long", "too-short"])
+def test_csv_refuses_a_column_of_another_length(values):
+    # a longer column used to lose its extra values from the CSV, and a
+    # shorter one to fail inside the "%" format with a TypeError
+    table = SweepTable("p", [1.0], {"a": [3.0], "b": values})
+    with pytest.raises(ValueError,
+                       match=f"^column 'b' has {len(values)} values, 'p' "
+                             "has 1$"):
+        table.to_csv()
