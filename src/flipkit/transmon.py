@@ -111,6 +111,7 @@ def transmon_frequency(ec: float, ej: float) -> float:
     Accurate for Ej/Ec >> 1, checked by the charge-basis spectrum below;
     raises ValueError at Ej/Ec <= 1/8, where it is not positive.
     """
+    _require_finite(Ec=ec, Ej=ej)
     if ec <= 0.0 or ej <= 0.0:
         raise ValueError("energies must be positive")
     f = (math.sqrt(8.0 * ec * ej) - ec) / PLANCK_H
@@ -136,12 +137,37 @@ def ej_ec_ratio(ec: float, ej: float) -> float:
     return ej / ec
 
 
-def _cpb_hamiltonian(ec: float, ej: float, ng: float,
-                     cutoff: int) -> np.ndarray:
-    """Charge-basis Hamiltonian in units of Ec (dimensionless)."""
-    n = np.arange(-cutoff, cutoff + 1, dtype=float)
-    off = np.full(2 * cutoff, -0.5 * ej / ec)
-    return np.diag(4.0 * (n - ng) ** 2) + np.diag(off, 1) + np.diag(off, -1)
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _cpb_levels(ec: float, ej: float, ng: float, cutoff: int,
+                n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n_levels lowest eigenvalues in units of Ec, ascending, and each
+    one's eigenvector weight on the charge states n = +-cutoff."""
+    if ng != 0.0:
+        n = np.arange(-cutoff, cutoff + 1, dtype=float)
+        w, vecs = np.linalg.eigh(_tridiagonal(
+            4.0 * (n - ng) ** 2, np.full(2 * cutoff, -0.5 * ej / ec)))
+        edge = np.abs(vecs[0, :n_levels]) ** 2 + np.abs(vecs[-1, :n_levels]) ** 2
+        return w[:n_levels], edge
+    # parity blocks on (|n> -+ |-n>)/sqrt(2), n >= 1; the even one adds
+    # |0>, whose coupling to the first even state is -sqrt(2) Ej/2
+    diag = 4.0 * np.arange(cutoff + 1, dtype=float) ** 2
+    off = np.full(cutoff, -0.5 * ej / ec)
+    w_odd, v_odd = np.linalg.eigh(_tridiagonal(diag[1:], off[1:]))
+    off[0] *= math.sqrt(2.0)
+    w_even, v_even = np.linalg.eigh(_tridiagonal(diag, off))
+    w = np.concatenate([w_even, w_odd])
+    edge = np.concatenate([v_even[-1], v_odd[-1]]) ** 2  # 2 (u/sqrt(2))^2
+    order = np.argsort(w, kind="stable")[:n_levels]
+    return w[order], edge[order]
 
 
 def cpb_spectrum(ec: float, ej: float, ng: float = 0.0,
@@ -154,10 +180,14 @@ def cpb_spectrum(ec: float, ej: float, ng: float = 0.0,
     the n_levels lowest eigenvalues in ascending order, in joules, with
     the Hamiltonian's own zero (not shifted to the ground state, so
     E0 < 0 whenever Ej > 0); transitions are their differences.
+    At ng = 0 the Hamiltonian is symmetric under n -> -n, so its even
+    (cutoff + 1) and odd (cutoff) parity blocks are diagonalized apart
+    and their eigenvalues merged; the levels are still raw eigenvalues.
     Raises CutoffError when any requested eigenvector keeps more than
     1e-8 of its weight on the outermost charge states, which means the
     truncation touched the result.
     """
+    _require_finite(Ec=ec, Ej=ej, ng=ng)
     if ec <= 0.0 or ej < 0.0:
         raise ValueError("Ec must be positive and Ej >= 0")
     if cutoff < 1:
@@ -168,15 +198,13 @@ def cpb_spectrum(ec: float, ej: float, ng: float = 0.0,
     if not 1 <= n_levels <= dim:
         raise ValueError("n_levels out of range for this cutoff")
 
-    w, vecs = np.linalg.eigh(_cpb_hamiltonian(ec, ej, ng, cutoff))
-
-    boundary = np.abs(vecs[0, :n_levels]) ** 2 + np.abs(vecs[-1, :n_levels]) ** 2
+    w, boundary = _cpb_levels(ec, ej, ng, cutoff, n_levels)
     worst = float(boundary.max())
     if worst > _BOUNDARY_WEIGHT_LIMIT:
         raise CutoffError(
             f"cutoff {cutoff} too small: boundary weight {worst:.3e} "
             f"exceeds {_BOUNDARY_WEIGHT_LIMIT:.0e}")
-    return w[:n_levels] * ec
+    return w * ec
 
 
 def cpb_frequency(ec: float, ej: float, ng: float = 0.0,

@@ -363,6 +363,19 @@ def test_transmon_c_eff_extra_row(capsys):
     assert doc["frequency_c_eff_hz"] == pytest.approx(4.85e9, rel=0.01)
 
 
+# one golden per route through the charge-basis oracle: at ng = 0 it
+# diagonalizes the two parity blocks, at ng = 0.5 the whole matrix
+@pytest.mark.parametrize("ng,name", [
+    ("0", "transmon_ng0.json"),
+    ("0.5", "transmon_ng05.json"),
+], ids=["ng0", "ng05"])
+def test_transmon_matches_reference_bytes(capsys, ng, name):
+    code, out, _ = run(capsys, "transmon", "--cj", "8fF", "--cs", "81fF",
+                       "--lj", "8.75nH", "--ng", ng, "--json")
+    assert code == 0
+    assert out == (TEST_REFERENCE / name).read_text(encoding="utf-8")
+
+
 # -------------------------------------------------------------- smatrix
 
 def test_smatrix_recovers_q(capsys, tmp_path):

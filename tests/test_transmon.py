@@ -191,6 +191,81 @@ def test_cpb_input_validation():
         transmon.cpb_spectrum(EC, EC, cutoff=transmon.MAX_CUTOFF + 1)
 
 
+# ------------------------------------------- parity blocks at ng = 0
+
+def dense_cpb(ec, ej, ng, cutoff):
+    """The whole (2 cutoff + 1)^2 charge-basis matrix through eigh: levels
+    in units of Ec and each level's weight on n = +-cutoff."""
+    n = np.arange(-cutoff, cutoff + 1, dtype=float)
+    off = np.full(2 * cutoff, -0.5 * ej / ec)
+    h = np.diag(4.0 * (n - ng) ** 2) + np.diag(off, 1) + np.diag(off, -1)
+    w, v = np.linalg.eigh(h)
+    return w, v[0] ** 2 + v[-1] ** 2
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 8, 30])
+@pytest.mark.parametrize("ratio", [0.0, 1e-3, 1.0, 30.0, 86.0, 120.0, 200.0])
+def test_cpb_parity_blocks_match_dense_eigh(ratio, cutoff):
+    w, edge = dense_cpb(EC, ratio * EC, 0.0, cutoff)
+    scale = np.max(np.abs(w))
+    for n_levels in sorted({1, 2, 3, cutoff + 1, 2 * cutoff + 1}):
+        levels, weights = transmon._cpb_levels(EC, ratio * EC, 0.0, cutoff,
+                                               n_levels)
+        assert np.max(np.abs(levels - w[:n_levels])) <= 1e-13 * scale
+        # O(1) weights from two eigensolvers agree to a few ulp of 1
+        assert np.max(np.abs(weights - edge[:n_levels])) <= 1e-14
+        # refused for exactly the inputs the dense matrix refuses
+        if edge[:n_levels].max() > 1e-8:
+            with pytest.raises(transmon.CutoffError):
+                transmon.cpb_spectrum(EC, ratio * EC, cutoff=cutoff,
+                                      n_levels=n_levels)
+        else:
+            got = transmon.cpb_spectrum(EC, ratio * EC, cutoff=cutoff,
+                                        n_levels=n_levels)
+            assert np.max(np.abs(got - w[:n_levels] * EC)) <= \
+                1e-13 * scale * EC
+
+
+@pytest.mark.parametrize("ng", [0.0, 1e-3])
+def test_cpb_cutoff_error_same_weight_on_both_paths(ng):
+    ej = 5e4 * EC  # test_cpb_cutoff_error's input
+    _, edge = dense_cpb(EC, ej, ng, 10)
+    worst = float(edge[:4].max())
+    assert worst > 1e-8
+    _, weights = transmon._cpb_levels(EC, ej, ng, 10, 4)
+    assert float(weights.max()) == pytest.approx(worst, rel=1e-6)
+    with pytest.raises(transmon.CutoffError,
+                       match=f"boundary weight {worst:.3e} exceeds 1e-08$"):
+        transmon.cpb_spectrum(EC, ej, ng=ng, cutoff=10)
+
+
+@pytest.mark.parametrize("ng", [0.5, 1e-3])
+def test_cpb_off_symmetry_is_the_dense_eigh(ng):
+    ej = 86.0 * EC
+    w, _ = dense_cpb(EC, ej, ng, transmon.DEFAULT_CUTOFF)
+    assert np.array_equal(transmon.cpb_spectrum(EC, ej, ng=ng, n_levels=4),
+                          w[:4] * EC)
+
+
+@pytest.mark.parametrize("ec,ej,name", [
+    (float("nan"), 86.0 * EC, "Ec"),
+    (EC, float("nan"), "Ej"),
+    (float("inf"), 86.0 * EC, "Ec"),
+    (EC, float("inf"), "Ej"),
+], ids=["nan-ec", "nan-ej", "inf-ec", "inf-ej"])
+def test_non_finite_energies_are_refused(ec, ej, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        transmon.cpb_spectrum(ec, ej)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        transmon.transmon_frequency(ec, ej)
+
+
+@pytest.mark.parametrize("ng", [float("nan"), float("inf")])
+def test_cpb_refuses_non_finite_ng(ng):
+    with pytest.raises(ValueError, match="^ng must be finite"):
+        transmon.cpb_spectrum(EC, 86.0 * EC, ng=ng)
+
+
 def test_params_container():
     p = transmon.TransmonParams(c_junction=8e-15, c_shunt=81e-15,
                                 l_junction=LJ_BOTTOM)
