@@ -4,7 +4,7 @@ The package covers the quantities a designer wants before (and instead
 of) a full-wave solve: coplanar-waveguide impedance and synthesis,
 quarter-wave resonator bounds, transmon spectra with a charge-basis
 cross-check, notch-style scattering responses, interchip coupling
-through the vacuum gap, and loss/T1 budgets, plus a small 2-D
+through the interlayer, and loss/T1 budgets, plus a small 2-D
 electrostatic solver for cross-section checks.
 """
 

@@ -18,7 +18,6 @@ __all__ = [
     "coupling_strength",
     "hybridized_modes",
     "dispersive_shift",
-    "calibrate_pad_area",
 ]
 
 
@@ -83,22 +82,3 @@ def dispersive_shift(g: float, detuning: float, anharm: float) -> float:
         raise ValueError("dispersive limit breaks at zero denominator")
     return g * g * anharm / (detuning * (detuning + anharm))
 
-
-def calibrate_pad_area(r_target: float, distance: float, c1: float,
-                       c2: float, eps_r: float = 1.0) -> float:
-    """Pad overlap area that realizes a target ratio r at a given gap.
-
-    Inverts r(Cg) for equal-or-not shunt capacitances; with c1 = c2 = C
-    the inverse is closed-form, Cg = 2 r C / (1 - 2 r).  The general
-    case solves the quadratic in Cg.
-    """
-    if not 0.0 < r_target < 0.5:
-        raise ValueError("target ratio must lie in (0, 1/2)")
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise ValueError("qubit capacitances must be positive")
-    # (cg/2)^2 = r^2 (cg + c1)(cg + c2)
-    a = 0.25 - r_target * r_target
-    b = -r_target * r_target * (c1 + c2)
-    c = -r_target * r_target * c1 * c2
-    cg = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-    return cg * distance / (EPS_0 * eps_r)

@@ -1,10 +1,11 @@
 """Device assembly: configs, the analysis report, and parametric sweeps.
 
-A device is two chips facing each other across a vacuum gap.  Each chip
-carries a CPW feed, a quarter-wave readout resonator and a transmon;
-the stack adds the interlayer and the facing coupling pads.  Configs
-are flat text, one `section.key = value [unit]` per line; the packaged
-paper-default preset carries a complete working device.
+A device is two chips facing each other across an interlayer of
+configured thickness, eps_r and tan delta.  Each chip carries a CPW
+feed, a quarter-wave readout resonator and a transmon; the stack adds
+the interlayer and the facing coupling pads.  Configs are flat text,
+one `section.key = value [unit]` per line; the packaged paper-default
+preset carries a complete working device.
 
 analyze() folds every module into one report with per-field provenance
 (each numeric is {"value", "by"} naming the operation or config key it

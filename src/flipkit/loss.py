@@ -3,13 +3,14 @@
 A mode with quality factor Q at frequency f cannot live longer than
 T1 = Q / (2 pi f); dielectric participation converts material loss
 tangents into both a capacitive decay rate and a degraded total Q.
+The decay rate is linear in the loss tangents; acceptance criterion 10
+checks that on this module's own rate, loss_figures' gamma_cap_per_s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 __all__ = [
     "LossBudget",
@@ -17,7 +18,6 @@ __all__ = [
     "dielectric_decay_rate",
     "q_with_dielectric",
     "loss_figures",
-    "gamma_linearity_check",
 ]
 
 
@@ -90,35 +90,3 @@ def loss_figures(budget: LossBudget,
             "t1_upper_s": t1_upper_bound(q_total, budget.mode_frequency),
             "gamma_cap_per_s": dielectric_decay_rate(budget, loss_sum)}
 
-
-def gamma_linearity_check(budget: LossBudget, tan_deltas) -> float:
-    """Worst relative deviation of the decay rate from m * tan_delta.
-
-    Evaluates the decay-rate formula over the grid, least-squares fits
-    a line through the origin and returns max |residual| / max |rate|.
-    The arithmetic runs on exact rationals and a budget's participations
-    do not move with the tangent, so a linear decay-rate formula comes
-    back as exactly 0.0; any nonzero return measures nonlinearity in it.
-    """
-    grid = [float(t) for t in tan_deltas]
-    if not grid:
-        raise ValueError("empty loss-tangent grid")
-    if any(t < 0.0 or t > 0.1 for t in grid):
-        raise ValueError("loss tangents must lie in [0, 0.1]")
-    scale = Fraction(2.0 * math.pi) * Fraction(budget.mode_frequency)
-
-    def rate(t: float) -> Fraction:
-        return scale * sum(Fraction(p) * Fraction(t)
-                           for p, _ in budget.regions.values())
-
-    ts = [Fraction(t) for t in grid]
-    gammas = [rate(t) for t in grid]
-    denom = sum(t * t for t in ts)
-    if denom == 0:
-        raise ValueError("grid needs a nonzero tangent to fit a slope")
-    slope = sum(g * t for g, t in zip(gammas, ts)) / denom
-    top = max(abs(g) for g in gammas)
-    if top == 0:
-        return 0.0
-    worst = max(abs(g - slope * t) for g, t in zip(gammas, ts))
-    return float(worst / top)

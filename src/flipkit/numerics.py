@@ -21,6 +21,8 @@ __all__ = [
     "find_root",
 ]
 
+_AGM_TOL = 1e-15  # relative stopping gap of the AGM iteration
+
 
 @dataclass(frozen=True)
 class RealInterval:
@@ -36,28 +38,21 @@ class RealInterval:
             raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
-
-def agm(a: float, b: float, tol: float = 1e-15) -> float:
+def agm(a: float, b: float) -> float:
     """Arithmetic-geometric mean of two positive numbers.
 
-    Iterates (a, b) <- ((a+b)/2, sqrt(ab)) until |a-b| <= tol*a.
+    Iterates (a, b) <- ((a+b)/2, sqrt(ab)) until |a-b| <= _AGM_TOL*a.
     Convergence is quadratic, so the loop runs a handful of times.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("agm requires strictly positive arguments")
     a = float(a)
     b = float(b)
-    while abs(a - b) > tol * a:
+    while abs(a - b) > _AGM_TOL * a:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return 0.5 * (a + b)
 

@@ -74,8 +74,15 @@ class TransmonParams:
         return self.c_junction + self.c_shunt
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def charging_energy(c_total: float) -> float:
     """Single-electron charging energy Ec = e^2 / (2 C) in joules."""
+    _require_finite(c_total=c_total)
     if c_total <= 0.0:
         raise ValueError("capacitance must be positive")
     return E_CHARGE * E_CHARGE / (2.0 * c_total)
@@ -83,6 +90,7 @@ def charging_energy(c_total: float) -> float:
 
 def josephson_energy(l_junction: float) -> float:
     """Josephson energy Ej = (Phi0 / 2 pi)^2 / Lj in joules."""
+    _require_finite(l_junction=l_junction)
     if l_junction <= 0.0:
         raise ValueError("inductance must be positive")
     phi = PHI_0 / (2.0 * math.pi)
@@ -94,6 +102,7 @@ def squid_josephson_energy(ej_max: float, flux: float) -> float:
 
     flux is the external flux in units of Phi0.
     """
+    _require_finite(ej_max=ej_max, flux=flux)
     if ej_max <= 0.0:
         raise ValueError("ej_max must be positive")
     return ej_max * abs(math.cos(math.pi * flux))
@@ -125,6 +134,7 @@ def transmon_frequency(ec: float, ej: float) -> float:
 
 def anharmonicity(ec: float) -> float:
     """Leading-order anharmonicity -Ec / h in Hz (negative)."""
+    _require_finite(Ec=ec)
     if ec <= 0.0:
         raise ValueError("Ec must be positive")
     return -ec / PLANCK_H
@@ -132,15 +142,10 @@ def anharmonicity(ec: float) -> float:
 
 def ej_ec_ratio(ec: float, ej: float) -> float:
     """Ej / Ec; the transmon regime starts around 20 and up."""
+    _require_finite(Ec=ec, Ej=ej)
     if ec <= 0.0 or ej <= 0.0:
         raise ValueError("energies must be positive")
     return ej / ec
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

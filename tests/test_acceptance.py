@@ -13,6 +13,7 @@ required to shrink as Ej/Ec grows.
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,6 +183,18 @@ def test_criterion_09_matching_procedure():
                   f"{z_line:.3f} (one 0.1 step), unimodal = {unimodal}", t0)
 
 
+def gamma_line_residual(budget, tan_deltas) -> float:
+    """Worst deviation of the library's decay rate from its least-squares
+    line through the origin, relative to the largest rate; the fit runs on
+    exact rationals, so only the library's own rounding can show up."""
+    ts = [Fraction(t) for t in tan_deltas]
+    gammas = [Fraction(loss.loss_figures(budget, t)["gamma_cap_per_s"])
+              for t in tan_deltas]
+    slope = sum(g * t for g, t in zip(gammas, ts)) / sum(t * t for t in ts)
+    worst = max(abs(g - slope * t) for g, t in zip(gammas, ts))
+    return float(worst / max(gammas))
+
+
 def test_criterion_10_loss_trends():
     t0 = time.perf_counter()
     budget = loss.LossBudget(mode_frequency=5.16416e9, baseline_q=1e9,
@@ -191,7 +204,8 @@ def test_criterion_10_loss_trends():
     rows = [loss.loss_figures(budget, float(t)) for t in grid]
     q = np.array([row["q_total"] for row in rows])
     slope = float(np.polyfit(np.log10(grid), np.log10(q), 1)[0])
-    residual = loss.gamma_linearity_check(budget, grid.tolist())
+    # linearity on t = 2^-14 ... 2^-7, where scaling a float is exact
+    residual = gamma_line_residual(budget, [2.0 ** -k for k in range(7, 15)])
     t1 = [row["t1_upper_s"] for row in rows]
     monotone = all(b <= a for a, b in zip(t1, t1[1:]))
     elapsed = time.perf_counter() - t0

@@ -790,18 +790,59 @@ def test_quantity_parsing_rejects_garbage(capsys):
     assert code == 1
 
 
+def source_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.mark.parametrize("argv", [CPW_ARGS + ["--json"],
                                   ["analyze", "--json"]],
                          ids=["emit", "analyze"])
 def test_closed_stdout_exits_quietly(argv):
     # `flipkit ... --json | head -3`: the reader is gone before the write
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen([sys.executable, "-m", "flipkit.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env)
+                            env=source_env())
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert err == b""
     assert proc.returncode == 1
+
+
+# runs each argv through cli.main with its stdout discarded, then prints
+# the top-level modules that flipkit and the runs added, less the
+# standard library
+_IMPORTS_SCRIPT = """
+import contextlib, io, json, sys
+before = {name.partition(".")[0] for name in sys.modules}
+from flipkit import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+added = {name.partition(".")[0] for name in sys.modules} - before
+print(json.dumps(sorted(added - set(sys.stdlib_module_names))))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency(tmp_path):
+    commands = [
+        ["analyze", "--json"],
+        ["sweep", "--param", "interlayer_thickness", "--grid",
+         "0.1mm:4mm:log5"],
+        ["sweep", "--param", "loss_tangent", "--grid", "1e-4:1e-2:log5",
+         "--out", str(tmp_path / "sweep.csv"), "--plot",
+         str(tmp_path / "sweep.svg"), "--y", "q_total_bottom"],
+        ["fieldsolve", "--w", "4um", "--s", "2um", "--eps-sub", "11.9",
+         "--cell", "2um", "--interlayer", "10um"],
+        ["transmon", "--cj", "8fF", "--cs", "81fF", "--lj", "8.75nH"],
+        ["smatrix", "--fr", "7GHz", "--ql", "1000", "--qc", "2000"],
+        ["match", "--line-z0", "49.5", "--band", "4GHz:8GHz",
+         "--line-length", "3mm", "--eps-eff", "6.45"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_SCRIPT, json.dumps(commands)],
+        capture_output=True, text=True, env=source_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) <= {"flipkit", "numpy"}

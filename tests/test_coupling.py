@@ -82,25 +82,6 @@ def test_coupling_strength_validation():
         coupling.coupling_strength(0.6, F1, F2)
 
 
-def test_calibrate_pad_area_round_trip():
-    area = coupling.calibrate_pad_area(R_POINT, D_GAP, C_SHUNT, C_SHUNT)
-    cg = coupling.parallel_plate_cg(area, D_GAP)
-    assert coupling.capacitance_ratio(cg, C_SHUNT, C_SHUNT) == \
-        pytest.approx(R_POINT, rel=1e-10)
-
-
-def test_calibrate_pad_area_unequal_shunts():
-    area = coupling.calibrate_pad_area(0.02, D_GAP, 80e-15, 100e-15)
-    cg = coupling.parallel_plate_cg(area, D_GAP)
-    assert coupling.capacitance_ratio(cg, 80e-15, 100e-15) == \
-        pytest.approx(0.02, rel=1e-10)
-
-
-def test_calibrate_pad_area_validation():
-    with pytest.raises(ValueError):
-        coupling.calibrate_pad_area(0.5, D_GAP, C_SHUNT, C_SHUNT)
-
-
 # ------------------------------------------------------- hybridization
 
 def test_hybridized_trace_preserved():

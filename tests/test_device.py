@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import flipkit
 from flipkit import cli, coupling, cpw, device, loss, transmon
 from flipkit.device import ConfigError, DeviceReport, analyze, parse_config
 from flipkit.units import round12
@@ -332,20 +334,63 @@ def test_coupling_operating_point(report):
     assert val(c["hybrid_upper_hz"]) > val(c["f_top_hz"])
 
 
-def test_every_field_carries_provenance(report):
-    def walk(node):
-        if isinstance(node, dict):
-            if set(node) == {"value", "by"}:
-                assert isinstance(node["by"], str) and node["by"]
-                return
-            for v in node.values():
-                walk(v)
-        elif isinstance(node, list):
-            for v in node:
-                walk(v)
+def provenance_tags(node):
+    """The "by" of every {value, by} pair under node."""
+    if isinstance(node, list):
+        return set().union(*map(provenance_tags, node))
+    if not isinstance(node, dict):
+        return set()
+    if set(node) == {"value", "by"}:
+        return {node["by"]}
+    return set().union(*map(provenance_tags, node.values()))
 
-    walk(report.data["modes"])
-    walk(report.data["coupling"])
+
+def test_every_field_carries_provenance(report):
+    assert all(isinstance(tag, str) and tag
+               for tag in provenance_tags(report.data))
+
+
+# provenance tags that name neither a library function nor a config key
+PLAIN_TAGS = {"interval midpoint / q_total"}
+
+
+def names_config_key(name):
+    """A config key, a dotted head of one, or a chip key without its
+    chip.<side>. prefix."""
+    return any(name == key or key.startswith(name + ".")
+               or key.startswith("chip.") and key.split(".", 2)[2] == name
+               for key in device._KEYS)
+
+
+def tag_resolves(tag):
+    if tag in PLAIN_TAGS:
+        return True
+    keys = re.findall(r"config:([\w.]+)", tag) + re.findall(
+        r"not computed: ([\w.]+) not configured", tag)
+    checks = [names_config_key(key) for key in keys]
+    head = re.match(r"(\w+)\.(\w+)", tag)
+    if head:
+        checks.append(hasattr(getattr(flipkit, head[1], None), head[2]))
+    return bool(checks) and all(checks)
+
+
+def test_every_provenance_tag_resolves(report):
+    # the preset, and a variant that takes the other report paths: a
+    # dispersive shift, a chip without c_eff and baseline_q, and the
+    # participation solved instead of configured
+    variant = analyze_preset([
+        ("chip.bottom.transmon.c_eff = 115 fF\n", ""),
+        ("chip.bottom.transmon.baseline_q = 1.43512e6\n", ""),
+        ("loss.participation.substrate = 0.922481\n", ""),
+        ("loss.participation.interlayer = 0.077519\n", ""),
+        ("fieldsolve.cell = 0.5 um", "fieldsolve.cell = 2 um")],
+        extra="chip.top.readout.g_qr = 50 MHz\n")
+    tags = provenance_tags(report.data) | provenance_tags(variant.data)
+    assert {"coupling.dispersive_shift",
+            "not computed: transmon.c_eff not configured",
+            "not computed: transmon.baseline_q not configured",
+            "fieldsolve.energy_participation"} <= tags
+    assert [tag for tag in sorted(tags) if not tag_resolves(tag)] == []
 
 
 def test_analyze_deterministic_bytes(spec):

@@ -133,21 +133,6 @@ def test_table_csv_header():
         "tan_delta,q_total,t1_upper_s,gamma_cap_per_s"
 
 
-def test_linearity_residual_exactly_zero_for_constant_p():
-    grid = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
-    assert loss.gamma_linearity_check(budget(), grid) == 0.0
-
-
-def test_linearity_empty_grid_rejected():
-    with pytest.raises(ValueError):
-        loss.gamma_linearity_check(budget(), [])
-
-
-def test_linearity_grid_domain():
-    with pytest.raises(ValueError):
-        loss.gamma_linearity_check(budget(), [0.05, 0.2])
-
-
 def test_budget_validation():
     with pytest.raises(ValueError):
         LossBudget(mode_frequency=-5e9, baseline_q=1e6, regions={})

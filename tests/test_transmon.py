@@ -266,6 +266,23 @@ def test_cpb_refuses_non_finite_ng(ng):
         transmon.cpb_spectrum(EC, 86.0 * EC, ng=ng)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call,name", [
+    (transmon.charging_energy, "c_total"),
+    (transmon.josephson_energy, "l_junction"),
+    (lambda x: transmon.squid_josephson_energy(x, 0.0), "ej_max"),
+    (lambda x: transmon.squid_josephson_energy(1e-24, x), "flux"),
+    (transmon.anharmonicity, "Ec"),
+    (lambda x: transmon.ej_ec_ratio(x, 1.0), "Ec"),
+    (lambda x: transmon.ej_ec_ratio(1.0, x), "Ej"),
+], ids=["charging_energy", "josephson_energy", "squid-ej_max", "squid-flux",
+        "anharmonicity", "ej_ec_ratio-ec", "ej_ec_ratio-ej"])
+def test_energy_helpers_refuse_non_finite(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(value)
+
+
 def test_params_container():
     p = transmon.TransmonParams(c_junction=8e-15, c_shunt=81e-15,
                                 l_junction=LJ_BOTTOM)
