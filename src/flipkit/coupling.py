@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from .constants import EPS_0
+from .numerics import _require_finite
 
 __all__ = [
     "parallel_plate_cg",
@@ -24,6 +25,7 @@ __all__ = [
 def parallel_plate_cg(area: float, distance: float,
                       eps_r: float = 1.0) -> float:
     """Plate capacitance eps0 eps_r A / d, no fringing."""
+    _require_finite(area=area, distance=distance, eps_r=eps_r)
     if area <= 0.0:
         raise ValueError("area must be positive")
     if distance <= 0.0:
@@ -35,6 +37,7 @@ def parallel_plate_cg(area: float, distance: float,
 
 def capacitance_ratio(cg: float, c1: float, c2: float) -> float:
     """r = (Cg/2) / sqrt((Cg + C1)(Cg + C2)), always in (0, 1/2]."""
+    _require_finite(cg=cg, c1=c1, c2=c2)
     if cg <= 0.0:
         raise ValueError("coupling capacitance must be positive")
     if c1 < 0.0 or c2 < 0.0:
@@ -44,6 +47,7 @@ def capacitance_ratio(cg: float, c1: float, c2: float) -> float:
 
 def coupling_strength(r: float, f1: float, f2: float) -> float:
     """Exchange coupling g = r sqrt(f1 f2) in Hz (g/2pi convention)."""
+    _require_finite(r=r, f1=f1, f2=f2)
     if not 0.0 < r <= 0.5:
         raise ValueError("ratio must lie in (0, 1/2]")
     if f1 <= 0.0 or f2 <= 0.0:
@@ -59,6 +63,7 @@ def hybridized_modes(f1: float, f2: float, g: float) -> tuple[float, float]:
     detuning is exactly 2 g, and the shift of the detuned modes
     approaches g^2/delta.
     """
+    _require_finite(f1=f1, f2=f2, g=g)
     if f1 <= 0.0 or f2 <= 0.0:
         raise ValueError("frequencies must be positive")
     if g < 0.0:
@@ -74,6 +79,7 @@ def dispersive_shift(g: float, detuning: float, anharm: float) -> float:
     detuning d = f_qubit - f_resonator, anharm alpha < 0, all Hz.
     Undefined at d = 0 and d = -alpha (straddling the resonance).
     """
+    _require_finite(g=g, detuning=detuning, anharm=anharm)
     if g < 0.0:
         raise ValueError("coupling must be >= 0")
     if anharm >= 0.0:

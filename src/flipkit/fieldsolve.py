@@ -11,9 +11,15 @@ permittivities (the exact series composition for interfaces aligned
 with the grid), and pins, one per face where a cell meets a fixed
 potential (a grounded wall, or either side of a strip), which tie the
 cell to that potential across half a cell.  The solver and the energy
-extraction both read this one model.  A system that is exactly
-mirror-symmetric in x (even nx) has an even potential, so no flux
-crosses its centre face: it is solved on half the cells and mirrored.
+extraction both read this one model.  Before it iterates, the solver
+cuts the system down to the cells that carry field, exactly.  Rows
+behind a face line cut by metal across the whole width, with no source
+beyond it (the band behind a full-width facing ground), hold exactly
+zero and are dropped.  A system whose halves about the middle of x or
+of y are scaled mirror images has an even potential, so no flux
+crosses that middle: it is solved on one half and mirrored.  An open
+CPW is such an image in both axes, a section with a facing ground in
+x only.
 
 From a converged solution the module extracts per-unit-length
 capacitance via the discrete field energy (C = 2U/V^2), the effective
@@ -160,9 +166,9 @@ class CrossSection:
 class FieldSolution:
     """Converged potential with the assembled problem kept for reuse.
 
-    iterations counts conjugate-gradient steps, of the half solve for a
-    mirror-symmetric system; residual is the final |b - A v| / |b|, the
-    same number for that half as for the full system.
+    iterations counts conjugate-gradient steps of the reduced solve
+    (folded and cut down, see solve_potential); residual is the final
+    |b - A v| / |b| of the full system, which the reduced one shares.
     """
 
     section: CrossSection
@@ -490,40 +496,116 @@ def solve_potential(section: CrossSection, tol: float = DEFAULT_TOL,
 
     Conjugate gradients on the flux-conserving system, preconditioned
     by one multigrid W-cycle, stop once the relative residual
-    |b - A v| / |b| is at most tol.  A system exactly mirror-symmetric in
-    x is solved on half the cells, whose residual is the full one's.
-    The iteration count does not grow with the grid: at the default tol,
-    CPW sections take 9-11 from 4 um down to 0.25 um cells, counted on
-    the half for a symmetric one.  Raises ConvergenceError
-    when max_sweeps iterations do not get there.
+    |b - A v| / |b| is at most tol.  Only the cells that carry field are
+    solved: rows behind a full-width strip with no source beyond it are
+    dropped, where the potential is exactly zero, and a system whose
+    halves are scaled mirror images in x or y is solved on one half
+    (an open CPW on a quarter of its cells).  The residual is the full
+    system's either way.  The iteration count does not grow with the
+    grid: at the default tol, CPW sections take 8-11 from 4 um down to
+    0.25 um cells, counted on the reduced system.  Raises
+    ConvergenceError when max_sweeps iterations do not get there.
     """
     return _solve(_Problem(section), None, tol, max_sweeps)
+
+
+def _live_rows(fy: np.ndarray, b: np.ndarray) -> tuple[int, int]:
+    """Rows lo:hi outside which the potential is exactly zero.
+
+    A face line cut by metal across the whole width (fy zero on every
+    face of it) couples nothing across it, so the rows beyond it form a
+    system of their own.  When b is zero on all of them, the potential
+    there is zero: the band behind a full-width facing ground.  The band
+    kept runs from the last such line before the first row with a
+    source to the first one after the last.
+    """
+    ny = b.shape[1]
+    cut = np.flatnonzero(~fy.any(axis=0))  # line m lies below row m + 1
+    live = np.flatnonzero(b.any(axis=0))
+    if not live.size:
+        return 0, ny
+    below = np.searchsorted(cut, live[0])
+    above = np.searchsorted(cut, live[-1])
+    return (cut[below - 1] + 1 if below else 0,
+            cut[above] + 1 if above < len(cut) else ny)
+
+
+def _fold(axis: int, diag: np.ndarray, fx: np.ndarray, fy: np.ndarray,
+          b: np.ndarray, pins: np.ndarray) -> list[np.ndarray] | None:
+    """The system's upper half along axis, or None if it does not fold.
+
+    pins is the pin part of diag.  When the lower half's couplings, pins
+    and b are exactly s > 0 times the mirror image of the upper half's,
+    the potential is even about the middle face line, so no flux crosses
+    it: the upper half, with that line's coupling taken off its
+    diagonal, has the same solution.  On an open CPW s is eps_sub /
+    eps_il in y and 1 in x.  diag itself is not compared, since the
+    order of its sums rounds differently in mirrored cells.  Returns
+    [diag, fx, fy, b, pins] of the upper half.
+    """
+    n = diag.shape[axis]
+    if n % 2:
+        return None
+    h = n // 2
+
+    def lines(a: np.ndarray, start: int, stop: int | None = None):
+        return a[(slice(None),) * axis + (slice(start, stop),)]
+
+    halves = [(lines(a, 0, a.shape[axis] - h), np.flip(lines(a, h), axis))
+              for a in (pins, b, fx, fy)]
+    low, up = halves[0]
+    k = np.argmax(up)
+    if not up.flat[k] > 0.0:
+        return None
+    s = low.flat[k] / up.flat[k]
+    if not (s > 0.0 and all(np.array_equal(low, s * up)
+                            for low, up in halves)):
+        return None
+    upper = [lines(a, h) for a in (diag, fx, fy, b, pins)]
+    upper[0] = upper[0].copy()
+    lines(upper[0], 0, 1)[...] -= lines((fx, fy)[axis], h - 1, h)
+    return upper
 
 
 def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
            max_sweeps: int) -> FieldSolution:
     """Multigrid-preconditioned conjugate gradients on the cells.
 
+    The system is first reduced to the smallest one with the same
+    solution: the rows behind a full-width cut with no source are
+    dropped (_live_rows), and what is left is folded once in x and once
+    in y where it is a scaled mirror image (_fold).  The solution of
+    that system is expanded back to the full grid.
     Convergence is |b - A v| <= tol |b| in the 2-norm, confirmed on the
     recomputed residual so that drift in the recurrence cannot stop it
-    early.  start, when given, is a full potential map to iterate from
-    (its right half, when the system folds); one that already meets the
-    tolerance is returned untouched.  The
-    residual is the fine level's r, which the preconditioner reads.
-    Folding at the symmetry plane scales |b - A v| and |b| alike by
-    1 / sqrt(2), so the stop test reads the same number.
+    early.  start, when given, is a full potential map to iterate from,
+    cut down as the system is; one that already meets the tolerance is
+    returned unchanged.  The residual is the fine level's r, which the
+    preconditioner reads.  It is also the full system's: the dropped
+    rows have r = b = 0, and folding with scale s scales |b - A v| and
+    |b| alike by sqrt(1 + s^2), so the stop test reads the same number.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    diag, fx, fy, b, n = prob.diag, prob.fx, prob.fy, prob.b, len(prob.b) // 2
-    fold = len(b) % 2 == 0 and all(np.array_equal(a, a[::-1])
-                                   for a in (diag, fx, fy, b))
-    if fold:  # even in x: solve columns n.., no flux across the centre face
-        diag, fx, fy, b = diag[n:].copy(), fx[n:], fy[n:], b[n:]
-        diag[0] -= prob.fx[n - 1]
-        start = None if start is None else start[n:]
+    lo, hi = _live_rows(prob.fy, prob.b)
+    pins = np.bincount(prob.pin_cell, weights=prob.pin_coef,
+                       minlength=prob.b.size).reshape(prob.b.shape)
+    rows, faces = slice(lo, hi), slice(lo, hi - 1)
+    system = [prob.diag[:, rows], prob.fx[:, rows], prob.fy[:, faces],
+              prob.b[:, rows], pins[:, rows]]
+    if start is not None:
+        start = start[:, rows]
+    folds = []
+    for axis in (0, 1):
+        upper = _fold(axis, *system)
+        if upper is not None:
+            system = upper
+            folds.append(axis)
+            if start is not None:
+                start = np.split(start, 2, axis)[1]
+    diag, fx, fy, b, _ = system
     fine = _Level(diag, fx, fy)
     b, x, p = fine.split(b), np.zeros_like(fine.x), np.zeros_like(fine.x)
     if start is not None:
@@ -572,8 +654,11 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
             f"residual {rel:.3e} above tol {tol:.3e}; raise max_sweeps "
             "(--max-sweeps), loosen tol (--tol) or change the cell size "
             "(--cell)")
-    v = fine.join(x)
-    v = np.concatenate([v[::-1], v]) if fold else v
+    u = fine.join(x)
+    for axis in reversed(folds):
+        u = np.concatenate([np.flip(u, axis), u], axis)
+    v = np.zeros(prob.b.shape)
+    v[:, rows] = u
     return FieldSolution(section=prob.section, potential=v,
                          iterations=iterations, residual=rel, _problem=prob)
 

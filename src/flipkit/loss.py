@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .numerics import _require_finite
+
 __all__ = [
     "LossBudget",
     "t1_upper_bound",
@@ -35,12 +37,15 @@ class LossBudget:
     regions: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
+        _require_finite(mode_frequency=self.mode_frequency,
+                        baseline_q=self.baseline_q)
         if self.mode_frequency <= 0.0:
             raise ValueError("mode frequency must be positive")
         if self.baseline_q <= 0.0:
             raise ValueError("baseline Q must be positive")
         total_p = 0.0
         for name, (p, tan_d) in self.regions.items():
+            _require_finite(**{f"loss tangent of {name!r}": tan_d})
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"participation of {name!r} outside [0, 1]")
             if tan_d < 0.0:
@@ -55,11 +60,13 @@ class LossBudget:
             return sum(p * tan_d for p, tan_d in self.regions.values())
         if not tan_delta >= 0.0:
             raise ValueError("loss tangent must be >= 0")
+        _require_finite(tan_delta=tan_delta)
         return sum(p * tan_delta for p, _ in self.regions.values())
 
 
 def t1_upper_bound(q: float, frequency: float) -> float:
     """Ceiling T1 = Q / (2 pi f) in seconds."""
+    _require_finite(q=q, frequency=frequency)
     if q <= 0.0 or frequency <= 0.0:
         raise ValueError("Q and frequency must be positive")
     return q / (2.0 * math.pi * frequency)

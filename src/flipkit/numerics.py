@@ -1,4 +1,5 @@
-"""Small scalar kernels: an interval type, the AGM, elliptic K, bisection.
+"""Small scalar kernels: an interval type, the AGM, elliptic K, bisection,
+and the finiteness check the physics modules run on their arguments.
 
 These serve impedance design (complete elliptic integrals through the
 arithmetic-geometric mean) and root finding on a bracketing interval.
@@ -22,6 +23,14 @@ __all__ = [
 ]
 
 _AGM_TOL = 1e-15  # relative stopping gap of the AGM iteration
+
+
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first of values that is nan or +-inf;
+    sign checks such as x <= 0.0 are false for nan and miss inf."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, PHI_0, PLANCK_H
+from .numerics import _require_finite
 
 __all__ = [
     "DEFAULT_CUTOFF",
@@ -72,12 +73,6 @@ class TransmonParams:
     @property
     def c_total(self) -> float:
         return self.c_junction + self.c_shunt
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def charging_energy(c_total: float) -> float:

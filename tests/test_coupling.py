@@ -153,3 +153,31 @@ def test_dispersive_shift_singularities():
         coupling.dispersive_shift(60e6, 218e6, -218e6)
     with pytest.raises(ValueError):
         coupling.dispersive_shift(60e6, -1.95e9, 218e6)
+
+
+# ------------------------------------------------------- non-finite input
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call,name", [
+    (lambda x: coupling.parallel_plate_cg(x, 1e-3), "area"),
+    (lambda x: coupling.parallel_plate_cg(1e-6, x), "distance"),
+    (lambda x: coupling.parallel_plate_cg(1e-6, 1e-3, x), "eps_r"),
+    (lambda x: coupling.capacitance_ratio(x, 1e-13, 1e-13), "cg"),
+    (lambda x: coupling.capacitance_ratio(1e-15, x, 1e-13), "c1"),
+    (lambda x: coupling.capacitance_ratio(1e-15, 1e-13, x), "c2"),
+    (lambda x: coupling.coupling_strength(x, 5e9, 5e9), "r"),
+    (lambda x: coupling.coupling_strength(0.01, x, 5e9), "f1"),
+    (lambda x: coupling.hybridized_modes(5e9, x, 5e7), "f2"),
+    (lambda x: coupling.hybridized_modes(5e9, 5.1e9, x), "g"),
+    (lambda x: coupling.dispersive_shift(x, 1e9, -2e8), "g"),
+    (lambda x: coupling.dispersive_shift(6e7, x, -2e8), "detuning"),
+    (lambda x: coupling.dispersive_shift(6e7, 1e9, x), "anharm"),
+], ids=["plate-area", "plate-distance", "plate-eps_r", "ratio-cg",
+        "ratio-c1", "ratio-c2", "strength-r", "strength-f1", "modes-f2",
+        "modes-g", "chi-g", "chi-detuning", "chi-anharm"])
+def test_non_finite_input_is_refused(call, name, value):
+    # sign checks such as area <= 0.0 are false for nan, and an infinite
+    # distance gave C_g = 0.0
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(value)

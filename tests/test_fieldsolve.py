@@ -435,11 +435,70 @@ def odd_cpw_section():
                     Conductor("lid", Rect(-w / 2, w / 2, 6e-6, 6e-6), 0.0)])
 
 
+def open_small_cpw(eps_substrate):
+    """The 40 x 40 section with no lid: a scaled mirror image in y."""
+    return cpw_cross_section(replace(SMALL_CPW, eps_substrate=eps_substrate),
+                             cell=2e-6)
+
+
+def split_section(ny=24, metal=12, boundary=12, patch_eps=None):
+    """An open CPW on 24 x ny cells of 1 um: substrate (11.9) below the
+    face line `boundary`, vacuum above, the trace and its grounds on the
+    face line `metal`.  patch_eps puts a 2 x 2 cell patch of that eps in
+    the substrate, mirrored above by plain vacuum."""
+    w, h, um = 24e-6, ny * 1e-6, 1e-6
+    y_b, y_m = boundary * um, metal * um
+    regions = [DielectricRegion("interlayer", Rect(0, w, y_b, h), 1.0)]
+    if patch_eps is None:
+        regions.append(DielectricRegion("substrate", Rect(0, w, 0, y_b), 11.9))
+    else:
+        p0, p1, q0, q1 = 11 * um, 13 * um, y_b - 5 * um, y_b - 3 * um
+        regions += [
+            DielectricRegion("substrate", Rect(0, p0, 0, y_b), 11.9),
+            DielectricRegion("under", Rect(p0, p1, 0, q0), 11.9),
+            DielectricRegion("patch", Rect(p0, p1, q0, q1), patch_eps),
+            DielectricRegion("over", Rect(p0, p1, q1, y_b), 11.9),
+            DielectricRegion("right", Rect(p1, w, 0, y_b), 11.9)]
+    return CrossSection(
+        width=w, height=h, nx=24, ny=ny, regions=regions,
+        conductors=[Conductor("trace", Rect(10 * um, 14 * um, y_m, y_m), 1.0),
+                    Conductor("left", Rect(0, 7 * um, y_m, y_m), 0.0),
+                    Conductor("right", Rect(17 * um, w, y_m, y_m), 0.0)])
+
+
+def strip_pair_section(low):
+    """A vacuum box of 24 x 24 cells of 1 um: a 1 V strip on face line 16
+    over one at the potential low on its mirror line 8."""
+    w, um = 24e-6, 1e-6
+    return CrossSection(
+        width=w, height=w, nx=24, ny=24,
+        regions=[DielectricRegion("fill", Rect(0, w, 0, w), 1.0)],
+        conductors=[Conductor("high", Rect(8 * um, 16 * um, 16 * um, 16 * um),
+                              1.0),
+                    Conductor("low", Rect(8 * um, 16 * um, 8 * um, 8 * um),
+                              low)])
+
+
 FOLD_SECTIONS = {
     "cpw-facing": small_cpw_section,  # folds
     # one gap closes and the other doubles
     "cpw-trace-moved": lambda: shifted_trace(small_cpw_section(), 1),
     "cpw-odd-nx": odd_cpw_section,
+}
+
+# sections and the fine grid each must solve on: folded in y at the
+# middle face line, or not at all in y
+Y_FOLD_SECTIONS = {
+    **{f"open-eps-{e}": (lambda e=e: open_small_cpw(e), (20, 20))
+       for e in (2.2, 9.8, 11.45)},
+    "y-split": (split_section, (12, 12)),
+    "y-odd-ny": (lambda: split_section(ny=25), (12, 25)),
+    "y-strip-off-mid": (lambda: split_section(metal=13), (12, 24)),
+    "y-boundary-off-mid": (lambda: split_section(boundary=13), (12, 24)),
+    "y-patch-one-side": (lambda: split_section(patch_eps=5.0), (12, 24)),
+    "y-strip-pair": (lambda: strip_pair_section(1.0), (12, 12)),
+    # the same couplings and pins, but a mirror image in b only at 1 V
+    "y-strip-pair-0V": (lambda: strip_pair_section(0.0), (12, 24)),
 }
 
 
@@ -449,14 +508,19 @@ FOLD_SECTIONS = {
     (13, 11, "grounded", "neumann"),
     "plates",
     *FOLD_SECTIONS,
-], ids=["grounded", "neumann-x", "neumann-y", "plates", *FOLD_SECTIONS])
+    *Y_FOLD_SECTIONS,
+], ids=["grounded", "neumann-x", "neumann-y", "plates", *FOLD_SECTIONS,
+        *Y_FOLD_SECTIONS])
 def oracle_section(request, plate_section):
     """Small sections for the dense oracle: every wall type, strips on
-    several face lines, odd sizes, and CPW sections on and off the fold."""
+    several face lines, odd sizes, and sections on and off each fold and
+    with a dead band behind a full-width strip (plates, cpw-facing)."""
     if request.param == "plates":
         return plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13)
     if request.param in FOLD_SECTIONS:
         return FOLD_SECTIONS[request.param]()
+    if request.param in Y_FOLD_SECTIONS:
+        return Y_FOLD_SECTIONS[request.param][0]()
     return layered_strip_section(*request.param)
 
 
@@ -499,57 +563,119 @@ def test_sparse_direct_solve_oracle_at_1um():
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-9)
 
 
-# ----------------------------------------------- folding at the symmetry plane
+# ------------------------------- folding at symmetry planes, dead bands
 
-def fine_widths(monkeypatch):
-    """Record the x size of every grid the solver builds, the fine one
-    first: half the section's nx when it folds a mirror-symmetric
-    system."""
-    widths = []
+def fine_shapes(monkeypatch):
+    """Record the shape of every grid the solver builds, the fine one
+    first: the cells left once the system is folded and cut down."""
+    shapes = []
     level = fieldsolve._Level
 
     def spy(diag, fx, fy):
-        widths.append(len(diag))
+        shapes.append(diag.shape)
         return level(diag, fx, fy)
 
     monkeypatch.setattr(fieldsolve, "_Level", spy)
-    return widths
+    return shapes
+
+
+def lid_row(sec):
+    """The first row above the facing ground."""
+    lid = next(c for c in sec.conductors if c.name == "facing_ground")
+    return round((lid.rect.y0 - sec.origin[1]) / sec.hy)
 
 
 @pytest.mark.parametrize("cell", [2e-6, 1e-6, 0.5e-6])
 @pytest.mark.parametrize("lid", [None, 40e-6], ids=["open", "facing"])
-def test_cpw_potential_is_exactly_mirror_symmetric(cell, lid):
+def test_cpw_potential_is_exactly_mirror_symmetric(monkeypatch, cell, lid):
+    # open: even about the metal plane too, on a quarter of the cells;
+    # facing: exactly zero above the lid, which the solve stops below
     sec = cpw_cross_section(GEOM, cell=cell, interlayer_thickness=lid)
+    shapes = fine_shapes(monkeypatch)
     v = solve_potential(sec).potential
     assert v.shape == (sec.nx, sec.ny)
     assert np.array_equal(v, v[::-1])
+    if lid is None:
+        assert shapes[0] == (sec.nx // 2, sec.ny // 2)
+        assert np.array_equal(v, v[:, ::-1])
+    else:
+        top = lid_row(sec)
+        assert shapes[0] == (sec.nx // 2, top)
+        assert np.all(v[:, top:] == 0.0)
+        assert np.all(v[:, :top] != 0.0)
 
 
 @pytest.mark.parametrize("name", FOLD_SECTIONS)
 def test_fold_only_exact_mirror_images(monkeypatch, name):
-    # an off-centre trace or an odd nx runs the full grid; the dense
+    # an off-centre trace or an odd nx runs the full width; the dense
     # oracle tests check all three solutions
     sec = FOLD_SECTIONS[name]()
-    widths = fine_widths(monkeypatch)
+    shapes = fine_shapes(monkeypatch)
     solve_potential(sec)
-    assert widths[0] == (sec.nx // 2 if name == "cpw-facing" else sec.nx)
+    assert shapes[0][0] == (sec.nx // 2 if name == "cpw-facing" else sec.nx)
 
 
-@pytest.mark.parametrize("lid", [None, 10e-6], ids=["open", "facing"])
-def test_folded_solve_matches_full_grid_assembly(monkeypatch, lid):
-    # the half solve driven to 1e-13, against the dense solve of this
-    # file's cell-by-cell assembly of the whole grid
-    sec = small_cpw_section(lid)
-    widths = fine_widths(monkeypatch)
+@pytest.mark.parametrize("name", Y_FOLD_SECTIONS)
+def test_fold_in_y_only_exact_scaled_mirror_images(monkeypatch, name):
+    # the substrate half is eps_sub times the vacuum half's mirror image;
+    # an odd ny, a strip or a region boundary one cell off the mid-line,
+    # a patch with another scale on one side, or mirrored strips at
+    # different potentials keep every row
+    build, want = Y_FOLD_SECTIONS[name]
+    shapes = fine_shapes(monkeypatch)
+    v = solve_potential(build()).potential
+    assert shapes[0] == want
+    if want[1] < v.shape[1]:
+        assert np.array_equal(v, v[:, ::-1])
+
+
+def test_dead_band_is_dropped_exactly(monkeypatch, plate_section):
+    # below a full-width plate at 0 V nothing drives the field; above
+    # one at 1 V the cells are pinned to 1 V, a source, so they stay
+    sec = plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13)
+    shapes = fine_shapes(monkeypatch)
+    v = solve_potential(sec).potential
+    assert shapes[0] == (17, 18)
+    assert np.all(v[:, :5] == 0.0)
+    assert np.abs(v[:, 18:] - 1.0).max() <= 1e-7
+
+
+@pytest.mark.parametrize("name", ["open", "facing", "open-eps-2.2", "plates"])
+def test_folded_solve_matches_full_grid_assembly(monkeypatch, plate_section,
+                                                name):
+    # the folded or cut-down solve driven to 1e-13, against the dense
+    # solve of this file's cell-by-cell assembly of the whole grid
+    sec = {"open": lambda: small_cpw_section(None),
+           "facing": small_cpw_section,
+           "open-eps-2.2": lambda: open_small_cpw(2.2),
+           "plates": lambda: plate_section(eps_r=6.45, nx=17, ny=23,
+                                           gap_cells=13)}[name]()
+    shapes = fine_shapes(monkeypatch)
     sol = solve_potential(sec, tol=1e-13)
-    assert widths[0] == sec.nx // 2
+    assert shapes[0] == {"open": (20, 20), "facing": (20, 25),
+                         "open-eps-2.2": (20, 20), "plates": (17, 18)}[name]
     v_ref, links, pins = dense_oracle(sec)
     c_ref = oracle_capacitance(sec, v_ref, links, pins)
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-12)
     want = oracle_participation(sec, v_ref, links, pins)
     got = energy_participation(sol)
-    for name, share in want.items():
-        assert got[name] == pytest.approx(share, rel=1e-12), name
+    for region, share in want.items():
+        assert got[region] == pytest.approx(share, rel=1e-12), region
+
+
+def test_vacuum_start_comes_back_unchanged():
+    # an all-vacuum section folds the same way for both solves of the
+    # eps_eff extraction, so the converged start is returned as it is
+    vac = CpwGeometry(trace_width=10e-6, gap=5.806e-6, eps_substrate=1.0,
+                      eps_superstrate=1.0)
+    for lid in (None, 40e-6):
+        sec = cpw_cross_section(vac, cell=2e-6, interlayer_thickness=lid)
+        sol = solve_potential(sec)
+        again = fieldsolve._solve(sol._problem, sol.potential,
+                                  fieldsolve.DEFAULT_TOL,
+                                  fieldsolve.DEFAULT_MAX_SWEEPS)
+        assert again.iterations == 0
+        assert np.array_equal(again.potential, sol.potential)
 
 
 def test_iteration_count_flat_in_grid_size():

@@ -160,3 +160,29 @@ def test_tan_delta_replaces_every_region():
     for bad in (-1e-6, math.nan):
         with pytest.raises(ValueError, match="^loss tangent must be >= 0$"):
             loss.loss_figures(budget(), bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call,name", [
+    (lambda x: budget(f=x), "mode_frequency"),
+    (lambda x: budget(baseline_q=x), "baseline_q"),
+    (lambda x: budget(tan_d=x), "loss tangent of 'substrate'"),
+    (lambda x: loss.t1_upper_bound(x, 5e9), "q"),
+    (lambda x: loss.t1_upper_bound(1e6, x), "frequency"),
+], ids=["mode_frequency", "baseline_q", "region-tangent", "t1-q",
+        "t1-frequency"])
+def test_non_finite_input_is_refused(call, name, value):
+    # a nan frequency gave t1_upper_s = nan, and t1_upper_bound(inf, f)
+    # returned inf
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(value)
+
+
+def test_non_finite_tan_delta_is_refused():
+    # nan and -inf already fail the sign check; inf gave q_total = 0
+    with pytest.raises(ValueError, match="^tan_delta must be finite, got inf$"):
+        loss.loss_figures(budget(), math.inf)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="^loss tangent must be >= 0$"):
+            loss.loss_figures(budget(), bad)
