@@ -3,7 +3,8 @@
 Solves div(eps grad V) = 0 on a rectangular box of nx x ny cells with
 piecewise-constant permittivity, by conjugate gradients on the
 flux-conserving five-point stencil, preconditioned by one geometric
-multigrid W-cycle per iteration.  Unknowns sit at cell centers.
+multigrid W-cycle per iteration, whose coarsest grid is solved by a
+Cholesky factor formed in numpy.  Unknowns sit at cell centers.
 Conductors are zero-thickness horizontal strips on a face line, as
 thin-film metal is.  The discrete system has two parts: couplings
 between neighbouring cells, each carrying the harmonic mean of the two
@@ -21,11 +22,11 @@ crosses that middle: it is solved on one half and mirrored.  An open
 CPW is such an image in both axes, a section with a facing ground in
 x only.
 
-From a converged solution the module extracts per-unit-length
-capacitance via the discrete field energy (C = 2U/V^2), the effective
-permittivity and characteristic impedance of a transmission-line
-section via a paired all-vacuum solve, and the fraction of the energy
-stored in each dielectric region.
+Each solve sums the discrete field energy of every dielectric region
+once.  From it the module takes the per-unit-length capacitance (C =
+2U/V^2) and each region's share of the energy, and, with a paired
+all-vacuum solve, the effective permittivity and characteristic
+impedance of a transmission-line section.
 
 The box walls are grounded by default.  Tests and idealized parallel
 plate sections may instead ask for insulated (zero normal flux) walls,
@@ -38,7 +39,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .constants import C_LIGHT, EPS_0
 from .cpw import CpwGeometry
@@ -169,12 +169,15 @@ class FieldSolution:
     iterations counts conjugate-gradient steps of the reduced solve
     (folded and cut down, see solve_potential); residual is the final
     |b - A v| / |b| of the full system, which the reduced one shares.
+    energy is the field energy of each region of section.regions, in
+    J/m, summed once by the solve.
     """
 
     section: CrossSection
     potential: np.ndarray
     iterations: int
     residual: float
+    energy: np.ndarray
     _problem: "_Problem"
 
 
@@ -185,9 +188,10 @@ class _Problem:
     zero across a strip; links lists each with the index of its cells on
     either side.  pin_cell (flat cell index), pin_coef and pin_val list
     every face of a cell that touches a grounded wall or a strip.  diag
-    and b are the operator diagonal and right-hand side.  Couplings and
-    pins are in units of EPS_0 and include the cell aspect ratio.  This
-    is the only place that reads the wall types.
+    and b are the operator diagonal and right-hand side, pins the part
+    of diag that the pins make up.  Couplings and pins are in units of
+    EPS_0 and include the cell aspect ratio.  This is the only place
+    that reads the wall types.
     """
 
     def __init__(self, section: CrossSection):
@@ -253,9 +257,13 @@ class _Problem:
             pins.append((cells[at], coef, np.full_like(coef, value)))
 
         def couple(a, b, ratio):
-            """Harmonic-mean couplings between the cells a and b."""
+            """Harmonic-mean couplings between the cells a and b, eps
+            itself where equal: 2 e e / (e + e) misses 6.45 by an ulp."""
             ea, eb = eps[a], eps[b]
-            return ratio * (2.0 * ea * eb / (ea + eb))
+            t, mixed = ratio * ea, ea != eb
+            ea, eb = ea[mixed], eb[mixed]
+            t[mixed] = ratio * (2.0 * ea * eb / (ea + eb))
+            return t
 
         every = slice(None)
         x_faces = ((slice(None, -1), every), (slice(1, None), every))
@@ -275,11 +283,11 @@ class _Problem:
         self.pin_cell, self.pin_coef, self.pin_val = (
             np.concatenate(group) for group in zip(*pins))
 
-        self.diag = np.bincount(self.pin_cell, weights=self.pin_coef,
+        self.pins = np.bincount(self.pin_cell, weights=self.pin_coef,
                                 minlength=nx * ny).reshape(nx, ny)
-        self.b = np.bincount(self.pin_cell,
-                             weights=self.pin_coef * self.pin_val,
-                             minlength=nx * ny).reshape(nx, ny)
+        self.diag = self.pins.copy()
+        self.b = np.bincount(self.pin_cell, self.pin_coef * self.pin_val,
+                             nx * ny).reshape(nx, ny)
         for t, a, b in self.links:
             self.diag[a] += t
             self.diag[b] += t
@@ -324,14 +332,14 @@ class _Level:
         self.up = np.empty((h, w))
 
     def _view(self, a: np.ndarray, colour: int, shift=(0, 0)) -> np.ndarray:
-        """(2, h, w) view of the quadrant array a at the cells of one
-        colour, each moved to its neighbour at shift."""
+        """(2, h, w) view of the contiguous quadrant array a at the cells
+        of one colour, each moved to its neighbour at shift."""
         pad, (dx, dy), st = (a.shape[2] - self.h) // 2, shift, a.strides
         o0, o1 = (((p + dx) % 2) * st[0] + ((q + dy) % 2) * st[1] +
                   (pad + (p + dx) // 2) * st[2] + (pad + (q + dy) // 2) * st[3]
                   for p, q in _QUADS[colour])
-        return as_strided(a.reshape(-1)[o0 // a.itemsize:],
-                          (2, self.h, self.w), (o1 - o0,) + st[2:])
+        return np.ndarray((2, self.h, self.w), a.dtype, a, o0,
+                          (o1 - o0,) + st[2:])
 
     def bind(self, u: np.ndarray):
         """Per colour, views of u at the _SHIFTS neighbours and in place."""
@@ -422,8 +430,8 @@ class _Multigrid:
     iteration count grew from 12 to 27 between 2 and 0.25 um cells.
     A visit's first half-sweep has no neighbour terms, and only red
     cells have residual to restrict.  The coarsest grid, at most
-    COARSEST_CELLS cells, is solved by an inverse formed by Gauss-Jordan
-    elimination: LAPACK's at that size now and then stalls on threads.
+    COARSEST_CELLS cells, is solved by its Cholesky factor, in numpy
+    (_cholesky_inverse): LAPACK's at that size now and then stalls.
     """
 
     COARSE_GAIN = 1.9
@@ -439,7 +447,7 @@ class _Multigrid:
         for c, (dx, dy) in zip(last.c, _SHIFTS):  # coupling past an edge: 0
             a[idx, np.roll(idx, (-dx, -dy), (0, 1))] -= c
         cells = np.flatnonzero(last.diag > 0.0)  # row-major: a narrow band
-        self.inverse = _gauss_jordan_inverse(a[np.ix_(cells, cells)])
+        self.factor = _cholesky_inverse(a[np.ix_(cells, cells)])
         xs, ys = np.divmod(cells, last.my)
         at = (xs % 2, ys % 2, xs // 2, ys // 2)
         self.rows = np.ravel_multi_index(at, last.r.shape)
@@ -452,9 +460,9 @@ class _Multigrid:
         says x starts at zero: called bare, z = M r for the fine r."""
         lv, last = self.levels[k], len(self.levels) - 1
         if k == last:
-            # einsum's own loop, not a BLAS matrix-vector product (_dot)
-            self.sol[self.slots] = np.einsum("ij,j->i", self.inverse,
-                                             self.rhs[self.rows])
+            # einsum's own loops, not BLAS matrix-vector products (_dot)
+            y = np.einsum("ij,j->i", self.factor, self.rhs[self.rows])
+            self.sol[self.slots] = np.einsum("ji,j->i", self.factor, y)
             return lv.x
         lv.sweep(0, zero)
         lv.sweep(1)
@@ -467,21 +475,27 @@ class _Multigrid:
         return lv.x
 
 
-def _gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix by Gauss-Jordan elimination in numpy,
-    without pivoting: every pivot is positive.  With nonzeros at most
-    `band` off the diagonal, pivot k's row and column are still zero
-    past k + band, so each step touches only the block before that."""
-    inv = np.array(a, dtype=float)
-    rows, cols = np.nonzero(inv)
+def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
+    """X = L^-1 for the Cholesky factor A = L L^T of an SPD matrix, so
+    A^-1 = X^T X.  With nonzeros at most `band` off the diagonal, L has
+    that band too: step k factors the block of rows and columns k to
+    k + band, and takes column k of L out of the rows of X below it
+    (forward substitution on I).  A pivot not positive is a ValueError."""
+    a = np.array(a, dtype=float)
+    rows, cols = np.nonzero(a)
     band = int(np.abs(rows - cols).max(initial=0))
-    for k in range(len(inv)):
-        blk = inv[:k + band + 1, :k + band + 1]
-        pivot, row, col = blk[k, k], blk[k] / blk[k, k], blk[:, k].copy()
-        blk -= np.outer(col, row)  # zeroes row and column k
-        blk[k], blk[:, k] = row, -col / pivot
-        blk[k, k] = 1.0 / pivot
-    return inv
+    x = np.eye(len(a))
+    for k in range(len(a)):
+        blk = a[k:k + band + 1, k:k + band + 1]
+        if not blk[0, 0] > 0.0:  # also NaN
+            raise ValueError(f"coarsest operator is not positive definite: "
+                             f"pivot {k} is {blk[0, 0]:.6g}")
+        pivot = math.sqrt(blk[0, 0])
+        col = blk[1:, :1] / pivot  # column k of L, below the diagonal
+        blk[1:, 1:] -= col * col.T
+        x[k, :k + 1] /= pivot
+        x[k + 1:k + band + 1, :k + 1] -= col * x[k, :k + 1]
+    return x
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -524,8 +538,7 @@ def _live_rows(fy: np.ndarray, b: np.ndarray) -> tuple[int, int]:
     live = np.flatnonzero(b.any(axis=0))
     if not live.size:
         return 0, ny
-    below = np.searchsorted(cut, live[0])
-    above = np.searchsorted(cut, live[-1])
+    below, above = np.searchsorted(cut, live[[0, -1]])
     return (cut[below - 1] + 1 if below else 0,
             cut[above] + 1 if above < len(cut) else ny)
 
@@ -590,11 +603,9 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     lo, hi = _live_rows(prob.fy, prob.b)
-    pins = np.bincount(prob.pin_cell, weights=prob.pin_coef,
-                       minlength=prob.b.size).reshape(prob.b.shape)
     rows, faces = slice(lo, hi), slice(lo, hi - 1)
     system = [prob.diag[:, rows], prob.fx[:, rows], prob.fy[:, faces],
-              prob.b[:, rows], pins[:, rows]]
+              prob.b[:, rows], prob.pins[:, rows]]
     if start is not None:
         start = start[:, rows]
     folds = []
@@ -621,9 +632,7 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
         return math.sqrt(_dot(r, r)) / bnorm
 
     rel = recomputed()
-    precondition = None
-    rz_old = 0.0
-    iterations = 0
+    precondition, rz_old, iterations = None, 0.0, 0
     while rel > tol and iterations < max_sweeps:
         if precondition is None:
             precondition = _Multigrid(fine)
@@ -660,32 +669,31 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
     v = np.zeros(prob.b.shape)
     v[:, rows] = u
     return FieldSolution(section=prob.section, potential=v,
-                         iterations=iterations, residual=rel, _problem=prob)
+                         iterations=iterations, residual=rel,
+                         energy=_region_energies(prob, v), _problem=prob)
 
 
-def _face_energies(sol: FieldSolution):
-    """Yield (energy, region_a, region_b, frac_a) per face group.
+def _region_energies(prob: _Problem, v: np.ndarray) -> np.ndarray:
+    """Field energy of the map v in each region, in J/m, cell by cell.
 
-    One group per coupling array, between the cells a and b on its
-    two sides, and one for the pins, whose energy is wholly their own
-    cell's.  frac_a is the share of the face energy stored on side a;
-    for two dielectrics in series across a face the drop splits
-    inversely to eps, putting eps_b / (eps_a + eps_b) of the energy on
-    side a.
+    A coupling t stores t dv^2 / 2 across its face; for two dielectrics
+    in series the drop splits inversely to eps, putting eps_b / (eps_a +
+    eps_b) of that in the cell a.  A pin's energy is wholly its cell's.
     """
-    prob = sol._problem
-    v, eps, rid = sol.potential, prob.eps, prob.region_id
-    for t, a, b in prob.links:
-        dv = v[a] - v[b]
-        yield 0.5 * t * dv * dv, rid[a], rid[b], eps[b] / (eps[a] + eps[b])
+    eps, cell = prob.eps, np.zeros(v.shape)
+    for t, a, b in prob.links:  # each fresh full-grid array faults in pages
+        e = t * np.square(v[a] - v[b])  # twice the face energy
+        share = eps[a] + eps[b]
+        np.divide(eps[b], share, out=share)
+        share *= e
+        cell[a] += share
+        e -= share
+        cell[b] += e
+        del e, share  # so the next group's arrays reuse their pages
     dv = v.ravel()[prob.pin_cell] - prob.pin_val
-    rp = rid.ravel()[prob.pin_cell]
-    yield 0.5 * prob.pin_coef * dv * dv, rp, rp, 1.0
-
-
-def _total_energy(sol: FieldSolution) -> float:
-    """Stored energy per unit length in J/m (the assembled T carry eps_r)."""
-    return EPS_0 * float(sum(np.sum(e) for e, _, _, _ in _face_energies(sol)))
+    np.add.at(cell.reshape(-1), prob.pin_cell, prob.pin_coef * dv * dv)
+    return 0.5 * EPS_0 * np.bincount(prob.region_id.ravel(), cell.ravel(),
+                                     len(prob.region_names))
 
 
 def capacitance_per_length(sol: FieldSolution) -> float:
@@ -694,7 +702,7 @@ def capacitance_per_length(sol: FieldSolution) -> float:
     span = max(pots) - min(pots)
     if span <= 0.0:
         raise ValueError("electrodes span no potential difference")
-    return 2.0 * _total_energy(sol) / (span * span)
+    return 2.0 * float(sol.energy.sum()) / (span * span)
 
 
 def energy_participation(sol: FieldSolution) -> dict[str, float]:
@@ -703,19 +711,11 @@ def energy_participation(sol: FieldSolution) -> dict[str, float]:
     Sums to one exactly up to rounding.  Raises on a zero-energy
     solution, where fractions are undefined.
     """
-    prob = sol._problem
-    regions, shares = [], []
-    for e, ra, rb, fa in _face_energies(sol):
-        regions += [ra.ravel(), rb.ravel()]
-        shares += [(e * fa).ravel(), (e * (1.0 - fa)).ravel()]
-    sums = np.bincount(np.concatenate(regions),
-                       weights=np.concatenate(shares),
-                       minlength=len(prob.region_names))
-    total = float(sums.sum())
+    total = float(sol.energy.sum())
     if total <= 0.0:
         raise ValueError("zero field energy: participation undefined")
-    return {name: float(s) / total
-            for name, s in zip(prob.region_names, sums)}
+    return {name: float(u) / total
+            for name, u in zip(sol._problem.region_names, sol.energy)}
 
 
 def extract_eps_eff_and_z0(section: CrossSection, tol: float = DEFAULT_TOL,

@@ -490,7 +490,7 @@ FOLD_SECTIONS = {
 # middle face line, or not at all in y
 Y_FOLD_SECTIONS = {
     **{f"open-eps-{e}": (lambda e=e: open_small_cpw(e), (20, 20))
-       for e in (2.2, 9.8, 11.45)},
+       for e in (1.42, 2.2, 6.45, 9.8, 11.45)},
     "y-split": (split_section, (12, 12)),
     "y-odd-ny": (lambda: split_section(ny=25), (12, 25)),
     "y-strip-off-mid": (lambda: split_section(metal=13), (12, 24)),
@@ -546,6 +546,69 @@ def test_dense_participation_oracle(oracle_section):
     assert got.keys() == want.keys()
     for name, share in want.items():
         assert abs(got[name] - share) <= 1e-9, name
+
+
+def face_energies(sol):
+    """Yield (energy, region_a, region_b, frac_a) per face group of the
+    solver's own system, in units of EPS_0.
+
+    One group per coupling array, between the cells a and b on its two
+    sides, and one for the pins, whose energy is wholly their own
+    cell's.  frac_a is the share of the face energy stored on side a;
+    for two dielectrics in series across a face the drop splits
+    inversely to eps, putting eps_b / (eps_a + eps_b) of it on side a.
+    """
+    prob = sol._problem
+    v, eps, rid = sol.potential, prob.eps, prob.region_id
+    for t, a, b in prob.links:
+        dv = v[a] - v[b]
+        yield 0.5 * t * dv * dv, rid[a], rid[b], eps[b] / (eps[a] + eps[b])
+    dv = v.ravel()[prob.pin_cell] - prob.pin_val
+    rp = rid.ravel()[prob.pin_cell]
+    yield 0.5 * prob.pin_coef * dv * dv, rp, rp, 1.0
+
+
+def test_energy_pass_matches_face_sums(oracle_section):
+    # C' and each participation, read from the energies the solve
+    # stored, against the same solution's energies summed face by face
+    sol = solve_potential(oracle_section)
+    regions, shares = [], []
+    for e, ra, rb, fa in face_energies(sol):
+        regions += [ra.ravel(), rb.ravel()]
+        shares += [(e * fa).ravel(), (e * (1.0 - fa)).ravel()]
+    names = sol._problem.region_names
+    sums = np.bincount(np.concatenate(regions),
+                       weights=np.concatenate(shares), minlength=len(names))
+    pots = sol._problem.potentials
+    c_ref = 2.0 * EPS_0 * sums.sum() / (max(pots) - min(pots)) ** 2
+    assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-13)
+    got = energy_participation(sol)
+    assert list(got) == names
+    for name, u in zip(names, sums):
+        assert got[name] == pytest.approx(u / sums.sum(), rel=1e-13), name
+
+
+def test_one_energy_pass_per_solve(monkeypatch):
+    # C', then participation, then eps_eff and Z0 of the same solution
+    # read stored energies: one pass for the section's solve and one for
+    # the vacuum solve
+    passes = []
+    energies = fieldsolve._region_energies
+
+    def spy(prob, v):
+        passes.append(prob.section)
+        return energies(prob, v)
+
+    monkeypatch.setattr(fieldsolve, "_region_energies", spy)
+    sec = cpw_cross_section(GEOM, cell=2e-6, interlayer_thickness=20e-6)
+    sol = solve_potential(sec)
+    counts = [len(passes)]
+    for read in (capacitance_per_length, energy_participation,
+                 lambda s: extract_eps_eff_and_z0(sec, solution=s)):
+        read(sol)
+        counts.append(len(passes))
+    assert counts == [1, 1, 1, 2]
+    assert passes[0] is sec and passes[1] is not sec
 
 
 def test_sparse_direct_solve_oracle_at_1um():
@@ -742,22 +805,37 @@ def spd_matrices():
 
 
 @pytest.mark.parametrize("name", ["1x1", "diagonal", "dense", "banded"])
-def test_gauss_jordan_inverse_matches_lapack(name):
+def test_cholesky_inverse_matches_lapack(name):
+    # X is the inverse of the lower Cholesky factor, so X^T X = A^-1
     a = spd_matrices()[name]
     want = np.linalg.inv(a)
-    got = fieldsolve._gauss_jordan_inverse(a)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    x = fieldsolve._cholesky_inverse(a)
+    assert np.array_equal(x, np.tril(x))
+    assert np.abs(x.T @ x - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("name", ["facing", "odd"])
+@pytest.mark.parametrize("a, k, pivot", [
+    ([[0.0]], 0, "0"), ([[-2.0]], 0, "-2"), ([[math.nan]], 0, "nan"),
+    ([[1.0, 2.0], [2.0, 1.0]], 1, "-3"),  # indefinite: 1 - 2^2
+], ids=["zero", "negative", "nan", "indefinite"])
+def test_cholesky_inverse_refuses_non_positive_pivot(a, k, pivot):
+    # a pivot that is not positive raises, where the square root of it
+    # would carry NaN into every coarse correction
+    with pytest.raises(ValueError, match=f"^coarsest operator is not "
+                       f"positive definite: pivot {k} is {pivot}$"):
+        fieldsolve._cholesky_inverse(np.array(a))
+
+
+@pytest.mark.parametrize("name", ["open", "facing", "odd"])
 def test_coarsest_inverse_matches_lapack(name):
     # the coarsest operator, column by column from the level's own
-    # stencil, over its active cells in row-major order
+    # stencil, over its active cells in row-major order; the coarsest
+    # visit, applied to each unit vector, must give A^-1 column by column
     _, mg = multigrid(CYCLE_SECTIONS[name]())
-    last = mg.levels[-1]
+    last, k_last = mg.levels[-1], len(mg.levels) - 1
     cells = np.flatnonzero(last.diag[:last.nx, :last.ny] > 0.0)
     u, au = np.zeros_like(last.x), np.zeros_like(last.r)
-    columns = []
+    columns, solved = [], []
     for k in cells:
         v = np.zeros(last.nx * last.ny)
         v[k] = 1.0
@@ -765,6 +843,9 @@ def test_coarsest_inverse_matches_lapack(name):
         last.apply(last.bind(u), au)
         u[:, :, 1:-1, 1:-1] = au
         columns.append(last.join(u).ravel()[cells])
+        last.r[...] = last.split(v.reshape(last.nx, last.ny))
+        solved.append(last.join(mg(k_last)).ravel()[cells])
     want = np.linalg.inv(np.array(columns).T)
     assert len(want) <= mg.COARSEST_CELLS
-    assert np.abs(mg.inverse - want).max() <= 1e-12 * np.abs(want).max()
+    got = np.array(solved).T
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
