@@ -453,7 +453,8 @@ def build_parser() -> _Parser:
     p.add_argument("--eps-sup", dest="eps_superstrate", type=_scalar,
                    default=1.0)
     p.add_argument("--cell", type=_length, default=0.5e-6)
-    p.add_argument("--box-factor", type=_scalar, default=10.0)
+    p.add_argument("--box-factor", type=_scalar,
+                   default=fieldsolve.MIN_BOX_FACTOR)
     p.add_argument("--interlayer", dest="interlayer_thickness", type=_length,
                    help="facing-chip ground height above the trace")
     p.add_argument("--tol", type=_scalar, default=fieldsolve.DEFAULT_TOL,

@@ -87,7 +87,7 @@ class DeviceSpec:
     coupling_f_top: float | None = None
     participation: dict[str, float] | None = None
     fieldsolve_cell: float = 1e-6
-    fieldsolve_box_factor: float = 10.0
+    fieldsolve_box_factor: float = fieldsolve.MIN_BOX_FACTOR
 
     def __post_init__(self):
         errors = [f"{name} must be positive" for name in (
@@ -103,8 +103,9 @@ class DeviceSpec:
                    for name, p in shares.items() if not 0.0 <= p <= 1.0]
         if sum(shares.values()) > 1.0 + 1e-9:
             errors.append("participation values sum past 1")
-        if self.fieldsolve_box_factor < 10.0:
-            errors.append("fieldsolve_box_factor must be >= 10")
+        if self.fieldsolve_box_factor < fieldsolve.MIN_BOX_FACTOR:
+            errors.append("fieldsolve_box_factor must be >= "
+                          f"{fieldsolve.MIN_BOX_FACTOR:g}")
         if errors:
             raise ConfigError(errors)
 
@@ -313,20 +314,9 @@ def _loss_budget(tan_d: float, baseline_q: float, frequency: float,
         regions={"interlayer": (participation["interlayer"], tan_d)})
 
 
-def _qubit_frequency(chip: ChipSpec) -> float:
-    """Closed-form qubit frequency, the value every derived quantity uses."""
-    return transmon.transmon_frequency(
-        *transmon.qubit_energies(chip.transmon, chip.flux_bias))
-
-
-def _participation_field(participation: dict[str, float],
-                         source: str) -> dict:
-    return {name: _v(p, source) for name, p in participation.items()}
-
-
-def _qubit_row(spec: DeviceSpec, chip: ChipSpec,
+def _qubit_row(spec: DeviceSpec, chip: ChipSpec, nums: dict,
                participation: dict[str, float], part_src: str) -> dict:
-    nums = transmon.qubit_numbers(chip.transmon, chip.flux_bias)
+    """Mode row of chip's qubit from its transmon.qubit_numbers."""
     f_q = nums["frequency"]
     row = {
         "name": f"{chip.name}_qubit",
@@ -346,13 +336,15 @@ def _qubit_row(spec: DeviceSpec, chip: ChipSpec,
         "ej_over_ec": _v(transmon.ej_ec_ratio(nums["ec"], nums["ej"]),
                          "transmon.ej_ec_ratio"),
     }
-    res_mid = cpw.resonator_interval(chip.resonator).midpoint
+    # each figure defaults to not computed, naming the key it needs
+    for key in ("chi_hz", "q_total", "t1_upper_s", "gamma_cap_per_s"):
+        needs = "readout.g_qr" if key == "chi_hz" else "transmon.baseline_q"
+        row[key] = _v(None, f"not computed: {needs} not configured")
     if chip.g_qr is not None:
+        res_mid = cpw.resonator_interval(chip.resonator).midpoint
         chi = coupling_mod.dispersive_shift(
             chip.g_qr, f_q - res_mid, nums["anharmonicity"])
         row["chi_hz"] = _v(chi, "coupling.dispersive_shift")
-    else:
-        row["chi_hz"] = _v(None, "not computed: readout.g_qr not configured")
     if chip.baseline_q is not None:
         figures = loss.loss_figures(_loss_budget(
             spec.interlayer_tan_delta, chip.baseline_q, f_q, participation))
@@ -360,12 +352,8 @@ def _qubit_row(spec: DeviceSpec, chip: ChipSpec,
         row["t1_upper_s"] = _v(figures["t1_upper_s"], "loss.t1_upper_bound")
         row["gamma_cap_per_s"] = _v(figures["gamma_cap_per_s"],
                                     "loss.dielectric_decay_rate")
-    else:
-        why = "not computed: transmon.baseline_q not configured"
-        row["q_total"] = _v(None, why)
-        row["t1_upper_s"] = _v(None, why)
-        row["gamma_cap_per_s"] = _v(None, why)
-    row["participation"] = _participation_field(participation, part_src)
+    row["participation"] = {name: _v(p, part_src)
+                            for name, p in participation.items()}
     return row
 
 
@@ -391,22 +379,18 @@ def _resonator_row(spec: DeviceSpec, chip: ChipSpec,
                          "loss.t1_upper_bound at the interval midpoint"),
         "gamma_cap_per_s": _v(figures["gamma_cap_per_s"],
                               "loss.dielectric_decay_rate"),
-        "participation": _participation_field(participation, part_src),
+        "participation": {name: _v(p, part_src)
+                          for name, p in participation.items()},
     }
 
 
-def _coupling_frequencies(spec: DeviceSpec) -> tuple[float, str, float, str]:
-    if spec.coupling_f_bottom is not None:
-        f1, src1 = spec.coupling_f_bottom, "config:coupling.f_bottom"
-    else:
-        f1 = _qubit_frequency(spec.bottom)
-        src1 = "transmon.transmon_frequency"
-    if spec.coupling_f_top is not None:
-        f2, src2 = spec.coupling_f_top, "config:coupling.f_top"
-    else:
-        f2 = _qubit_frequency(spec.top)
-        src2 = "transmon.transmon_frequency"
-    return f1, src1, f2, src2
+def _coupling_frequencies(spec: DeviceSpec, closed: dict[str, float]
+                          ) -> list[tuple[float, str]]:
+    """(frequency, source) of the bottom, then the top qubit: the config's
+    coupling.f_<side> when set, else closed[side], the closed form."""
+    given = {"bottom": spec.coupling_f_bottom, "top": spec.coupling_f_top}
+    return [(closed[side], "transmon.transmon_frequency") if f is None
+            else (f, f"config:coupling.f_{side}") for side, f in given.items()]
 
 
 def _coupling(spec: DeviceSpec, d: float, f1: float, f2: float) -> dict:
@@ -421,8 +405,8 @@ def _coupling(spec: DeviceSpec, d: float, f1: float, f2: float) -> dict:
             "hybrid_upper_hz": hi}
 
 
-def _coupling_block(spec: DeviceSpec) -> dict:
-    f1, src1, f2, src2 = _coupling_frequencies(spec)
+def _coupling_block(spec: DeviceSpec, closed: dict[str, float]) -> dict:
+    (f1, src1), (f2, src2) = _coupling_frequencies(spec, closed)
     c = _coupling(spec, spec.interlayer_thickness, f1, f2)
     return {
         "cg_f": _v(c["cg_f"], "coupling.parallel_plate_cg"),
@@ -438,8 +422,12 @@ def _coupling_block(spec: DeviceSpec) -> dict:
 
 
 def analyze(spec: DeviceSpec) -> DeviceReport:
-    """Full-device report: four mode rows plus the coupling block."""
+    """Full-device report: four mode rows plus the coupling block, from
+    one qubit_numbers per chip."""
     participation, part_src = resolve_participation(spec)
+    chips = (spec.bottom, spec.top)
+    nums = {chip.name: transmon.qubit_numbers(chip.transmon, chip.flux_bias)
+            for chip in chips}
     data = {
         "schema": "flipkit.device.report/1",
         "stack": {
@@ -454,12 +442,13 @@ def analyze(spec: DeviceSpec) -> DeviceReport:
                                       "config:coupling.pad_overlap_area"),
         },
         "modes": [
-            _qubit_row(spec, spec.bottom, participation, part_src),
-            _qubit_row(spec, spec.top, participation, part_src),
-            _resonator_row(spec, spec.bottom, participation, part_src),
-            _resonator_row(spec, spec.top, participation, part_src),
+            *(_qubit_row(spec, chip, nums[chip.name], participation,
+                         part_src) for chip in chips),
+            *(_resonator_row(spec, chip, participation, part_src)
+              for chip in chips),
         ],
-        "coupling": _coupling_block(spec),
+        "coupling": _coupling_block(spec, {
+            side: n["frequency"] for side, n in nums.items()}),
     }
     return DeviceReport(data=data)
 
@@ -511,11 +500,13 @@ def sweep(spec: DeviceSpec, parameter: str, values) -> SweepTable:
     if not all(map(isfinite, values)):
         raise ValueError("sweep values must be finite")
     chips = (spec.bottom, spec.top)
-    qubits = {chip.name: _qubit_frequency(chip) for chip in chips}
+    qubits = {chip.name: transmon.transmon_frequency(
+        *transmon.qubit_energies(chip.transmon, chip.flux_bias))
+        for chip in chips}
     if parameter == "interlayer_thickness":
         if min(values) <= 0.0:
             raise ValueError("thickness values must be positive")
-        f1, _, f2, _ = _coupling_frequencies(spec)
+        (f1, _), (f2, _) = _coupling_frequencies(spec, qubits)
         near = _notch_for(spec.bottom)
         halfspan = 10.0 * near.f_r / near.q_loaded
         band = RealInterval(near.f_r - halfspan, near.f_r + halfspan)

@@ -60,6 +60,7 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_SWEEPS = 100
 MAX_CELLS_PER_SIDE = 2048  # a CPW section takes ~300 B per cell
+MIN_BOX_FACTOR = 10.0  # CPW box width in apertures; also the default
 
 
 class ConvergenceError(RuntimeError):
@@ -82,9 +83,6 @@ class Rect:
     @property
     def is_strip(self) -> bool:
         return self.y1 == self.y0
-
-    def contains(self, x: float, y: float) -> bool:
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
 
 @dataclass(frozen=True)
@@ -748,7 +746,7 @@ def extract_eps_eff_and_z0(section: CrossSection, tol: float = DEFAULT_TOL,
 
 
 def cpw_cross_section(geometry: CpwGeometry, cell: float,
-                      box_factor: float = 10.0,
+                      box_factor: float = MIN_BOX_FACTOR,
                       interlayer_thickness: float | None = None
                       ) -> CrossSection:
     """Grounded-box cross-section of a CPW between two half-spaces.
@@ -764,8 +762,9 @@ def cpw_cross_section(geometry: CpwGeometry, cell: float,
     """
     if cell <= 0.0:
         raise ValueError("cell must be positive")
-    if box_factor < 10.0:
-        raise ValueError("box must be at least 10 apertures wide")
+    if box_factor < MIN_BOX_FACTOR:
+        raise ValueError(
+            f"box must be at least {MIN_BOX_FACTOR:g} apertures wide")
     w, s = geometry.trace_width, geometry.gap
     reach = 0.5 * box_factor * (w + 2.0 * s) / cell  # half-width in cells
     if not reach <= MAX_CELLS_PER_SIDE // 2:  # also NaN

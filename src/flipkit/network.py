@@ -6,8 +6,9 @@ worst-case in-band reflection of a lossless line versus port impedance,
 and the interchip crosstalk dip from a bridging capacitance.
 
 Conventions.  The notch S21 is the line shape on a matched feedline
-and names no reference impedance; the two studies form their
-S-parameters at the real impedance the caller passes (z_port, z0).
+and names no reference impedance; the reflection study forms its
+S-parameters at the port impedance the caller passes (z_port), the
+crosstalk study at its fixed 50 ohm ports.
 Magnitudes in dB are 20 log10 |S|, floored at 1e-30.
 """
 
@@ -238,16 +239,16 @@ def _shunt_admittance(res: NotchResonator, f: np.ndarray,
 
 
 def crosstalk_dip(bridge_capacitances, near: NotchResonator,
-                  far: NotchResonator, band: RealInterval, z0: float = 50.0,
-                  line_length: float = 2e-3, eps_eff: float = 6.45,
-                  points: int = DEFAULT_GRID_POINTS) -> list[float]:
+                  far: NotchResonator, band: RealInterval) -> list[float]:
     """Far-side transmission dips (dB, >= 0), one per bridge capacitance.
 
     Lumped model of the two feedlines: each is split at its midpoint
     where its notch resonator loads it, and a bridge capacitance ties
     the two midpoints together.  A dip is the depth of the notch that
     the near line's resonance carves into the far line's transmission,
-    max over the band.  Zero bridge gives exactly zero.
+    max over the band, sampled at DEFAULT_GRID_POINTS (2001) frequencies.
+    Zero bridge gives exactly zero.  Both feedlines are fixed: 2 mm long
+    at eps_eff 6.45 between 50 ohm ports.
 
     A sweep passes all its bridges at once: the grid and the line and
     notch admittances are formed once, and each bridge redoes only the
@@ -258,12 +259,11 @@ def crosstalk_dip(bridge_capacitances, near: NotchResonator,
     bridges = list(bridge_capacitances)
     if any(c < 0.0 for c in bridges):
         raise ValueError("bridge capacitance must be >= 0")
-    if not eps_eff >= 1.0:
-        raise ValueError("eps_eff must be >= 1")
     if not any(bridges):
         return [0.0] * len(bridges)
 
-    f = frequency_grid(band, points)
+    z0, line_length, eps_eff = 50.0, 2e-3, 6.45  # the fixed lines
+    f = frequency_grid(band)
     w = 2.0 * math.pi * f
     beta_l = w * math.sqrt(eps_eff) * (0.5 * line_length) / C_LIGHT
     sin_bl = np.sin(beta_l)

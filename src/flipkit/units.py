@@ -2,8 +2,11 @@
 
 A quantity is a decimal number with an optional unit suffix, with or
 without a space before it ("5um", "5 um", ".5e-2 mm").  Each dimension
-has one table of unit -> SI factor; "scalar" takes no unit.  Every
-printed number is rounded to 12 significant digits.
+has one table of unit -> SI power of ten; "scalar" takes no unit.  A
+quantity parses as the decimal it spells, rounded once: the unit's power
+of ten joins the number's exponent, so "10um" is exactly 10e-6 (a float
+product rounds twice, to 9.999999999999999e-06).  Every printed number
+is rounded to 12 significant digits.
 """
 
 from __future__ import annotations
@@ -11,17 +14,18 @@ from __future__ import annotations
 import re
 from math import isfinite
 
-UNITS: dict[str, dict[str, float]] = {
-    "length": {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9},
-    "capacitance": {"F": 1.0, "pF": 1e-12, "fF": 1e-15},
-    "inductance": {"H": 1.0, "uH": 1e-6, "µH": 1e-6, "nH": 1e-9},
-    "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
-    "area": {"m2": 1.0, "mm2": 1e-6, "um2": 1e-12, "µm2": 1e-12},
+UNITS: dict[str, dict[str, int]] = {
+    "length": {"m": 0, "mm": -3, "um": -6, "µm": -6, "nm": -9},
+    "capacitance": {"F": 0, "pF": -12, "fF": -15},
+    "inductance": {"H": 0, "uH": -6, "µH": -6, "nH": -9},
+    "frequency": {"Hz": 0, "kHz": 3, "MHz": 6, "GHz": 9},
+    "area": {"m2": 0, "mm2": -6, "um2": -12, "µm2": -12},
     "scalar": {},
 }
 
+# an exponent is capped below the 4300 digits that int() converts
 _QUANTITY_GRAMMAR = re.compile(
-    r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([^\s\d]\S*)?")
+    r"([+-]?(?:\d+\.?\d*|\.\d+))(?:[eE]([+-]?\d{1,4000}))?\s*([^\s\d]\S*)?")
 
 
 def parse_quantity(text: str, dimension: str) -> tuple[float, bool]:
@@ -33,11 +37,11 @@ def parse_quantity(text: str, dimension: str) -> tuple[float, bool]:
     m = _QUANTITY_GRAMMAR.fullmatch(text.strip())
     if not m:
         raise ValueError(f"cannot parse {dimension} value {text!r}")
-    number, unit = m.groups()
-    factors = UNITS[dimension]
-    if unit is not None and unit not in factors:
+    mantissa, exponent, unit = m.groups()
+    powers = UNITS[dimension]
+    if unit is not None and unit not in powers:
         raise ValueError(f"{dimension} has no unit {unit!r}")
-    value = float(number) * factors.get(unit, 1.0)
+    value = float(f"{mantissa}e{int(exponent or 0) + powers.get(unit, 0)}")
     if not isfinite(value):
         raise ValueError(f"{dimension} value {text!r} is not finite")
     return value, unit is not None

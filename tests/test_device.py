@@ -1,6 +1,7 @@
 """Config parsing, the assembled analysis report, and parametric sweeps."""
 
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import flipkit
-from flipkit import cli, coupling, cpw, device, loss, transmon
+from flipkit import cli, coupling, cpw, device, fieldsolve, loss, transmon
 from flipkit.device import ConfigError, DeviceReport, analyze, parse_config
 from flipkit.units import round12
 
@@ -148,6 +149,28 @@ def test_every_problem_is_reported():
         "chip.bottom.transmon.baseline_q must be positive",
         "chip.bottom.readout.g_qr must be positive",
     ])
+
+
+def test_one_box_factor_minimum(spec):
+    # the config, the library and the CLI default to the one minimum
+    # that the config and the library enforce
+    least = fieldsolve.MIN_BOX_FACTOR
+    defaults = {f.name: f.default
+                for f in dataclasses.fields(device.DeviceSpec)}
+    assert defaults["fieldsolve_box_factor"] == least
+    assert inspect.signature(fieldsolve.cpw_cross_section).parameters[
+        "box_factor"].default == least
+    assert cli.build_parser().parse_args([
+        "fieldsolve", "--w", "10um", "--s", "6um", "--eps-sub", "11.9"
+    ]).box_factor == least
+    below = math.nextafter(least, 0.0)
+    with pytest.raises(ValueError,
+                       match="^box must be at least 10 apertures wide$"):
+        fieldsolve.cpw_cross_section(spec.bottom.geometry, cell=2e-6,
+                                     box_factor=below)
+    assert config_errors([("fieldsolve.box_factor = 10",
+                           f"fieldsolve.box_factor = {below!r}")]) == [
+        "fieldsolve.box_factor must be >= 10"]
 
 
 @pytest.mark.parametrize("line,replacement,want", [
@@ -447,7 +470,8 @@ def test_loss_sweep_rows_equal_budgets_built_at_each_tangent(spec):
     table = device.sweep(spec, "loss_tangent", grid)
     participation, _ = device.resolve_participation(spec)
     for chip in (spec.bottom, spec.top):
-        f_q = device._qubit_frequency(chip)
+        f_q = transmon.qubit_numbers(chip.transmon, chip.flux_bias)[
+            "frequency"]
         for i, tan_d in enumerate(grid):
             budget = loss.LossBudget(
                 mode_frequency=f_q, baseline_q=chip.baseline_q,
@@ -546,6 +570,36 @@ def test_analyze_runs_cpb_oracle_once_per_chip(spec, cpb_calls):
         analyze(s)
         per_chip = Counter(args[:2] for args in cpb_calls)  # (Ec, Ej)
         assert list(per_chip.values()) == [1, 1]
+
+
+@pytest.fixture
+def energy_calls(monkeypatch):
+    """Arguments of every transmon.qubit_energies call made in the test."""
+    calls = []
+    real = transmon.qubit_energies
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transmon, "qubit_energies", counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    analyze,
+    lambda s: device.sweep(s, "interlayer_thickness",
+                           np.geomspace(0.1e-3, 4e-3, 25)),
+    lambda s: device.sweep(s, "loss_tangent", np.geomspace(1e-7, 1e-3, 25)),
+], ids=["analyze", "thickness", "loss"])
+def test_closed_form_derived_once_per_chip(spec, energy_calls, run):
+    # each chip's (Ec, Ej), and so its closed-form frequency, is derived
+    # once, whether or not coupling.f_* stands in for it
+    for s in (spec, without_coupling_frequencies()):
+        energy_calls.clear()
+        run(s)
+        assert energy_calls == [(s.bottom.transmon, s.bottom.flux_bias),
+                                (s.top.transmon, s.top.flux_bias)]
 
 
 @pytest.mark.parametrize("extra", [[], ["--c-eff", "90fF", "--flux", "0.2",

@@ -271,6 +271,11 @@ def test_rejects_conductor_with_height():
 
 # ------------------------------------------------------- direct-solve oracles
 
+def contains(rect, x, y):
+    """Whether the point (x, y) lies in rect, edges included."""
+    return rect.x0 <= x <= rect.x1 and rect.y0 <= y <= rect.y1
+
+
 def oracle_system(sec):
     """The flux-conserving system assembled cell by cell from the section.
 
@@ -287,7 +292,7 @@ def oracle_system(sec):
     for i in range(nx):
         for j in range(ny):
             for reg in sec.regions:
-                if reg.rect.contains(xs[i], ys[j]):
+                if contains(reg.rect, xs[i], ys[j]):
                     eps[i, j] = reg.eps_r
     for cond in sec.conductors:
         m = round((cond.rect.y0 - sec.origin[1]) / hy)
@@ -368,7 +373,7 @@ def oracle_participation(sec, v, links, pins):
 
     def region(c):
         return next(r for r in sec.regions
-                    if r.rect.contains(xs[c[0]], ys[c[1]]))
+                    if contains(r.rect, xs[c[0]], ys[c[1]]))
 
     energy = {r.name: 0.0 for r in sec.regions}
     for a, c, t in links:

@@ -1,12 +1,13 @@
 """One quantity grammar: config values and CLI flags parse alike."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from flipkit import cli, device
+from flipkit import cli, cpw, device, fieldsolve
 from flipkit.device import ConfigError, parse_config
-from flipkit.units import parse_quantity
+from flipkit.units import parse_quantity, round12
 
 WIDTH_LINE = "chip.bottom.cpw.trace_width = 10 um"
 
@@ -62,3 +63,38 @@ def test_parse_quantity_reports_unit_and_dimension():
     # a finite number can overflow once its unit scales it to SI
     with pytest.raises(ValueError, match="'1e300 GHz' is not finite"):
         parse_quantity("1e300 GHz", "frequency")
+    # an exponent past 4000 digits is refused by the grammar, not by int()
+    with pytest.raises(ValueError, match="^cannot parse length value"):
+        parse_quantity("1e" + "0" * 4001 + "1 um", "length")
+
+
+@pytest.mark.parametrize("text,dimension,decimal", [
+    ("10um", "length", "10e-6"), ("5.806 um", "length", "5.806e-6"),
+    (".5e-2 mm", "length", ".5e-5"), ("1e-3 m", "length", "1e-3"),
+    ("81fF", "capacitance", "81e-15"), ("8fF", "capacitance", "8e-15"),
+    ("7nH", "inductance", "7e-9"), ("8.75 nH", "inductance", "8.75e-9"),
+    ("7.11524GHz", "frequency", "7.11524e9"),
+    ("-3.3e-6 kHz", "frequency", "-3.3e-3"),
+    ("0.1034481 mm2", "area", "0.1034481e-6"),
+    ("1.5e3 um2", "area", "1.5e-9"), ("11.9", "scalar", "11.9")])
+def test_quantity_is_the_decimal_it_spells(text, dimension, decimal):
+    # one correctly rounded conversion of the decimal; a float product
+    # rounds twice (10um gave 9.999999999999999e-06, 81fF
+    # 8.100000000000001e-14)
+    assert parse_quantity(text, dimension)[0] == float(decimal)
+
+
+def test_cli_and_library_agree_on_a_snapping_tie(capsys):
+    # at a 2 um cell the 10 um trace's half-width lies on a half cell,
+    # where snapping is a tie: 9.999999999999999e-06 snapped to an 8 um
+    # trace and printed 63.9443509596 ohm
+    code = cli.main(["fieldsolve", "--w", "10um", "--s", "6um",
+                     "--eps-sub", "11.9", "--cell", "2um", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (Path(__file__).resolve().parent / "reference" /
+                   "fieldsolve_tie.json").read_text(encoding="utf-8")
+    section = fieldsolve.cpw_cross_section(
+        cpw.CpwGeometry(10e-6, 6e-6, 11.9), cell=2e-6)
+    _, z0 = fieldsolve.extract_eps_eff_and_z0(section)
+    assert json.loads(out)["z0_ohm"] == round12(z0) == 52.1084022119
