@@ -23,10 +23,16 @@ CPW is such an image in both axes, a section with a facing ground in
 x only.
 
 Each solve sums the discrete field energy of every dielectric region
-once.  From it the module takes the per-unit-length capacitance (C =
-2U/V^2) and each region's share of the energy, and, with a paired
-all-vacuum solve, the effective permittivity and characteristic
-impedance of a transmission-line section.
+once, over the cells it solved, each mirrored copy weighted by its fold
+scale.  From it the module takes the per-unit-length capacitance (C =
+2U/V^2), each region's share of the energy, and, with the all-vacuum
+capacitance, the effective permittivity and characteristic impedance of
+a transmission-line section.  Where no face between two permittivities
+carries a potential drop (an open CPW, whose fold mirrors the potential
+across the metal plane), each cell's equation is its all-vacuum one
+scaled by the cell's eps, so the same potential solves the vacuum
+section and the vacuum capacitance follows from the region energies;
+other sections take a second, all-vacuum solve.
 
 The box walls are grounded by default.  Tests and idealized parallel
 plate sections may instead ask for insulated (zero normal flux) walls,
@@ -167,8 +173,10 @@ class FieldSolution:
     iterations counts conjugate-gradient steps of the reduced solve
     (folded and cut down, see solve_potential); residual is the final
     |b - A v| / |b| of the full system, which the reduced one shares.
-    energy is the field energy of each region of section.regions, in
-    J/m, summed once by the solve.
+    energy is the field energy of each region of section.regions over
+    the whole section, in J/m, summed once by the solve over the cells
+    it solved (see _region_energies).  _cells names those cells (see
+    _copies) and _r is their recomputed residual b - A v.
     """
 
     section: CrossSection
@@ -177,6 +185,8 @@ class FieldSolution:
     residual: float
     energy: np.ndarray
     _problem: "_Problem"
+    _cells: tuple
+    _r: np.ndarray
 
 
 class _Problem:
@@ -187,9 +197,10 @@ class _Problem:
     either side.  pin_cell (flat cell index), pin_coef and pin_val list
     every face of a cell that touches a grounded wall or a strip.  diag
     and b are the operator diagonal and right-hand side, pins the part
-    of diag that the pins make up.  Couplings and pins are in units of
-    EPS_0 and include the cell aspect ratio.  This is the only place
-    that reads the wall types.
+    of diag that the pins make up.  mixed holds, per links entry, the
+    index of its faces between two different permittivities.  Couplings
+    and pins are in units of EPS_0 and include the cell aspect ratio.
+    This is the only place that reads the wall types.
     """
 
     def __init__(self, section: CrossSection):
@@ -247,7 +258,7 @@ class _Problem:
             strips.append((cols, int(m), cond.potential))
 
         cells = np.arange(nx * ny).reshape(nx, ny)
-        pins = []
+        pins, self.mixed = [], []
 
         def pin(at, ratio, value):
             """Pin the cells at index `at` to value across half a cell."""
@@ -259,6 +270,7 @@ class _Problem:
             itself where equal: 2 e e / (e + e) misses 6.45 by an ulp."""
             ea, eb = eps[a], eps[b]
             t, mixed = ratio * ea, ea != eb
+            self.mixed.append(np.nonzero(mixed))
             ea, eb = ea[mixed], eb[mixed]
             t[mixed] = ratio * (2.0 * ea * eb / (ea + eb))
             return t
@@ -350,9 +362,10 @@ class _Level:
         return v.reshape(self.h, 2, self.w, 2).transpose(1, 3, 0, 2).copy()
 
     def join(self, u: np.ndarray) -> np.ndarray:
-        """The iterate u as an nx x ny array."""
-        return u[:, :, 1:-1, 1:-1].transpose(2, 0, 3, 1).reshape(
-            self.mx, self.my)[:self.nx, :self.ny]
+        """The quadrant array u, an iterate or not, as an nx x ny array."""
+        p = (u.shape[2] - self.h) // 2
+        return u[:, :, p:p + self.h, p:p + self.w].transpose(
+            2, 0, 3, 1).reshape(self.mx, self.my)[:self.nx, :self.ny]
 
     def _pull(self, colour: int, bound, out: np.ndarray) -> np.ndarray:
         """out = sum of coupling x neighbour over the four faces."""
@@ -496,6 +509,13 @@ def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_limits(tol: float, max_sweeps: int) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     # a numpy reduction, not np.vdot: pairwise summation gives the same
     # bits at any BLAS thread count, and no BLAS worker is left spinning
@@ -542,7 +562,8 @@ def _live_rows(fy: np.ndarray, b: np.ndarray) -> tuple[int, int]:
 
 
 def _fold(axis: int, diag: np.ndarray, fx: np.ndarray, fy: np.ndarray,
-          b: np.ndarray, pins: np.ndarray) -> list[np.ndarray] | None:
+          b: np.ndarray, pins: np.ndarray
+          ) -> tuple[float, list[np.ndarray]] | None:
     """The system's upper half along axis, or None if it does not fold.
 
     pins is the pin part of diag.  When the lower half's couplings, pins
@@ -551,8 +572,8 @@ def _fold(axis: int, diag: np.ndarray, fx: np.ndarray, fy: np.ndarray,
     it: the upper half, with that line's coupling taken off its
     diagonal, has the same solution.  On an open CPW s is eps_sub /
     eps_il in y and 1 in x.  diag itself is not compared, since the
-    order of its sums rounds differently in mirrored cells.  Returns
-    [diag, fx, fy, b, pins] of the upper half.
+    order of its sums rounds differently in mirrored cells.  Returns s
+    and [diag, fx, fy, b, pins] of the upper half.
     """
     n = diag.shape[axis]
     if n % 2:
@@ -575,7 +596,22 @@ def _fold(axis: int, diag: np.ndarray, fx: np.ndarray, fy: np.ndarray,
     upper = [lines(a, h) for a in (diag, fx, fy, b, pins)]
     upper[0] = upper[0].copy()
     lines(upper[0], 0, 1)[...] -= lines((fx, fy)[axis], h - 1, h)
-    return upper
+    return s, upper
+
+
+def _copies(a: np.ndarray, cells: tuple) -> list[tuple[float, np.ndarray]]:
+    """Views of the full-grid cell array a, one per copy of the solved
+    cells, each with the product of its fold scales; the solved cells
+    first.  cells is (rows, folds): the live rows, then each fold taken
+    as (axis, s).  A mirror half is flipped onto the upper one.
+    """
+    rows, folds = cells
+    views = [(1.0, a[:, rows])]
+    for axis, s in folds:
+        views = [pair for w, view in views
+                 for low, up in [np.split(view, 2, axis)]
+                 for pair in ((w, up), (w * s, np.flip(low, axis)))]
+    return views
 
 
 def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
@@ -596,29 +632,23 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
     rows have r = b = 0, and folding with scale s scales |b - A v| and
     |b| alike by sqrt(1 + s^2), so the stop test reads the same number.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
+    _check_limits(tol, max_sweeps)
     lo, hi = _live_rows(prob.fy, prob.b)
     rows, faces = slice(lo, hi), slice(lo, hi - 1)
     system = [prob.diag[:, rows], prob.fx[:, rows], prob.fy[:, faces],
               prob.b[:, rows], prob.pins[:, rows]]
-    if start is not None:
-        start = start[:, rows]
     folds = []
     for axis in (0, 1):
-        upper = _fold(axis, *system)
-        if upper is not None:
-            system = upper
-            folds.append(axis)
-            if start is not None:
-                start = np.split(start, 2, axis)[1]
+        fold = _fold(axis, *system)
+        if fold is not None:
+            folds.append((axis, fold[0]))
+            system = fold[1]
+    cells = (rows, folds)
     diag, fx, fy, b, _ = system
     fine = _Level(diag, fx, fy)
     b, x, p = fine.split(b), np.zeros_like(fine.x), np.zeros_like(fine.x)
     if start is not None:
-        x[:, :, 1:-1, 1:-1] = fine.split(start)
+        x[:, :, 1:-1, 1:-1] = fine.split(_copies(start, cells)[0][1])
     bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:
         x[:] = 0.0
@@ -662,36 +692,45 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
             "(--max-sweeps), loosen tol (--tol) or change the cell size "
             "(--cell)")
     u = fine.join(x)
-    for axis in reversed(folds):
+    for axis, _ in reversed(folds):
         u = np.concatenate([np.flip(u, axis), u], axis)
     v = np.zeros(prob.b.shape)
     v[:, rows] = u
     return FieldSolution(section=prob.section, potential=v,
                          iterations=iterations, residual=rel,
-                         energy=_region_energies(prob, v), _problem=prob)
+                         energy=_region_energies(prob, v, fx, fy, cells),
+                         _problem=prob, _cells=cells, _r=fine.join(r))
 
 
-def _region_energies(prob: _Problem, v: np.ndarray) -> np.ndarray:
+def _region_energies(prob: _Problem, v: np.ndarray, fx: np.ndarray,
+                     fy: np.ndarray, cells: tuple) -> np.ndarray:
     """Field energy of the map v in each region, in J/m, cell by cell.
 
     A coupling t stores t dv^2 / 2 across its face; for two dielectrics
     in series the drop splits inversely to eps, putting eps_b / (eps_a +
     eps_b) of that in the cell a.  A pin's energy is wholly its cell's.
+    Faces are summed over the solved cells only, coupled by fx and fy:
+    a mirror copy holds its fold scale times each cell's energy, in the
+    region of the mirror cell; a fold's middle faces carry no drop, nor
+    does the dead band.  The few pins are summed from v itself.
     """
-    eps, cell = prob.eps, np.zeros(v.shape)
-    for t, a, b in prob.links:  # each fresh full-grid array faults in pages
-        e = t * np.square(v[a] - v[b])  # twice the face energy
+    (_, u), (_, eps) = (_copies(a, cells)[0] for a in (v, prob.eps))
+    cell = np.zeros(u.shape)
+    for t, (_, a, b) in zip((fx, fy), prob.links):
+        e = t * np.square(u[a] - u[b])  # twice the face energy
         share = eps[a] + eps[b]
         np.divide(eps[b], share, out=share)
         share *= e
         cell[a] += share
         e -= share
         cell[b] += e
-        del e, share  # so the next group's arrays reuse their pages
+    n = len(prob.region_names)
+    energy = sum(w * np.bincount(rid.ravel(), cell.ravel(), n)
+                 for w, rid in _copies(prob.region_id, cells))
     dv = v.ravel()[prob.pin_cell] - prob.pin_val
-    np.add.at(cell.reshape(-1), prob.pin_cell, prob.pin_coef * dv * dv)
-    return 0.5 * EPS_0 * np.bincount(prob.region_id.ravel(), cell.ravel(),
-                                     len(prob.region_names))
+    energy += np.bincount(prob.region_id.ravel()[prob.pin_cell],
+                          prob.pin_coef * dv * dv, n)
+    return 0.5 * EPS_0 * energy
 
 
 def capacitance_per_length(sol: FieldSolution) -> float:
@@ -720,29 +759,59 @@ def extract_eps_eff_and_z0(section: CrossSection, tol: float = DEFAULT_TOL,
                            max_sweeps: int = DEFAULT_MAX_SWEEPS,
                            solution: FieldSolution | None = None
                            ) -> tuple[float, float]:
-    """(eps_eff, Z0) of a line cross-section from two solves.
+    """(eps_eff, Z0) of a line cross-section: eps_eff = C / C_vac and Z0
+    = 1 / (c sqrt(C C_vac)), C_vac with every region at eps_r = 1.
 
-    The section is solved as given and once more with every region at
-    eps_r = 1; then eps_eff = C / C_vac and Z0 = 1 / (c sqrt(C C_vac)).
-    The vacuum solve starts from the first solution.  For an
-    already-all-vacuum section that start meets the tolerance as it
-    stands, so the vacuum solution is the same array and the ratio is
-    exactly one.  Pass a solution already computed for this section to
-    skip the first solve.
+    When no face between two different permittivities carries a
+    potential drop in the section's solution, each cell's equation is
+    its all-vacuum one scaled by the cell's eps, so that solution also
+    solves the vacuum section, to the residual r / eps cell by cell, and
+    C_vac = 2 sum_r (U_r / eps_r) / V^2 from the region energies U_r.
+    An open CPW holds it exactly: its fold mirrors the potential across
+    the metal plane.  When that vacuum residual meets tol as well, no
+    second solve runs.  Otherwise the vacuum section is solved, starting
+    from the section's solution.  For an already-all-vacuum section the
+    ratio is exactly one either way.  Pass a solution already computed
+    for this section to skip the first solve.
     """
     if solution is not None and solution.section is not section:
         raise ValueError("solution belongs to a different section")
+    _check_limits(tol, max_sweeps)
     sol = solution if solution is not None else solve_potential(
         section, tol=tol, max_sweeps=max_sweeps)
     c_actual = capacitance_per_length(sol)
 
-    vac = replace(section, regions=[replace(r, eps_r=1.0)
-                                    for r in section.regions])
-    sol_vac = _solve(_Problem(vac), sol.potential, tol, max_sweeps)
+    energy = _vacuum_energy(sol, tol)
+    if energy is not None:  # the same potential and electrodes
+        sol_vac = replace(sol, energy=energy)
+    else:
+        vac = replace(section, regions=[replace(r, eps_r=1.0)
+                                        for r in section.regions])
+        sol_vac = _solve(_Problem(vac), sol.potential, tol, max_sweeps)
     c_vac = capacitance_per_length(sol_vac)
     eps_eff = c_actual / c_vac
     z0 = 1.0 / (C_LIGHT * math.sqrt(c_actual * c_vac))
     return eps_eff, z0
+
+
+def _vacuum_energy(sol: FieldSolution, tol: float) -> np.ndarray | None:
+    """Region energies of the all-vacuum section at sol's potential, or
+    None unless no mixed face carries a drop and the vacuum residual,
+    |r / eps| over every copy of the solved cells, is <= tol |b / eps|.
+    """
+    prob, v = sol._problem, sol.potential
+    if not all(np.array_equal(v[a][m], v[b][m])
+               for (_, a, b), m in zip(prob.links, prob.mixed)):
+        return None
+    rr = bb = 0.0
+    for (w, eps), (_, b) in zip(*(_copies(a, sol._cells)
+                                  for a in (prob.eps, prob.b))):
+        r, b = sol._r / eps, b / eps
+        rr += w * w * _dot(r, r)
+        bb += _dot(b, b)
+    if not math.sqrt(rr) <= tol * math.sqrt(bb):
+        return None
+    return sol.energy / [reg.eps_r for reg in sol.section.regions]
 
 
 def cpw_cross_section(geometry: CpwGeometry, cell: float,

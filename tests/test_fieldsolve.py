@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from flipkit import fieldsolve
-from flipkit.constants import EPS_0
+from flipkit.constants import C_LIGHT, EPS_0
 from flipkit.cpw import CpwGeometry, characteristic_impedance
 from flipkit.fieldsolve import (Conductor, ConvergenceError, CrossSection,
                                 DielectricRegion, Rect, capacitance_per_length,
@@ -416,10 +416,12 @@ def small_cpw_section(interlayer_thickness=10e-6):
                              interlayer_thickness=interlayer_thickness)
 
 
-def shifted_trace(sec, cells):
-    """The section with its trace moved right by whole cells."""
-    moved = [replace(c, rect=replace(c.rect, x0=c.rect.x0 + cells * sec.hx,
-                                     x1=c.rect.x1 + cells * sec.hx))
+def shifted_trace(sec, cells, up=0):
+    """The section with its trace moved by whole cells: right by cells
+    and up by up."""
+    dx, dy = cells * sec.hx, up * sec.hy
+    moved = [replace(c, rect=Rect(c.rect.x0 + dx, c.rect.x1 + dx,
+                                  c.rect.y0 + dy, c.rect.y1 + dy))
              if c.name == "trace" else c for c in sec.conductors]
     return replace(sec, conductors=moved)
 
@@ -595,25 +597,147 @@ def test_energy_pass_matches_face_sums(oracle_section):
 
 def test_one_energy_pass_per_solve(monkeypatch):
     # C', then participation, then eps_eff and Z0 of the same solution
-    # read stored energies: one pass for the section's solve and one for
-    # the vacuum solve
+    # read stored energies: one pass for the section's solve, and one
+    # more for the vacuum solve that only a facing-ground section runs
     passes = []
     energies = fieldsolve._region_energies
 
-    def spy(prob, v):
+    def spy(prob, *rest):
         passes.append(prob.section)
-        return energies(prob, v)
+        return energies(prob, *rest)
 
     monkeypatch.setattr(fieldsolve, "_region_energies", spy)
-    sec = cpw_cross_section(GEOM, cell=2e-6, interlayer_thickness=20e-6)
+    for lid, want in ((None, [1, 1, 1, 1]), (20e-6, [1, 1, 1, 2])):
+        passes.clear()
+        sec = cpw_cross_section(GEOM, cell=2e-6, interlayer_thickness=lid)
+        sol = solve_potential(sec)
+        counts = [len(passes)]
+        for read in (capacitance_per_length, energy_participation,
+                     lambda s: extract_eps_eff_and_z0(sec, solution=s)):
+            read(sol)
+            counts.append(len(passes))
+        assert counts == want
+        assert passes[0] is sec and all(p is not sec for p in passes[1:])
+
+
+def full_grid_energies(sol):
+    """Region energies of the solution, in J/m, summed cell by cell over
+    the whole grid: the solver's own pass before it summed over the
+    solved cells only."""
+    prob, v = sol._problem, sol.potential
+    eps, cell = prob.eps, np.zeros(v.shape)
+    for t, a, b in prob.links:
+        e = t * np.square(v[a] - v[b])  # twice the face energy
+        share = eps[a] + eps[b]
+        np.divide(eps[b], share, out=share)
+        share *= e
+        cell[a] += share
+        e -= share
+        cell[b] += e
+    dv = v.ravel()[prob.pin_cell] - prob.pin_val
+    np.add.at(cell.reshape(-1), prob.pin_cell, prob.pin_coef * dv * dv)
+    return 0.5 * EPS_0 * np.bincount(prob.region_id.ravel(), cell.ravel(),
+                                     len(prob.region_names))
+
+
+# sections and the axes each folds on
+ENERGY_SECTIONS = {
+    "open": (lambda: cpw_cross_section(GEOM, cell=1e-6), [0, 1]),
+    "facing": (lambda: cpw_cross_section(GEOM, cell=1e-6,
+                                         interlayer_thickness=40e-6), [0]),
+    "x-only": (lambda: split_section(metal=13), [0]),
+    "y-only": (lambda: shifted_trace(cpw_cross_section(GEOM, cell=1e-6), 1),
+               [1]),
+    "unfoldable": (lambda: shifted_trace(small_cpw_section(), 1), []),
+}
+
+
+@pytest.mark.parametrize("name", [*ENERGY_SECTIONS, "plates"])
+def test_solved_cell_energies_match_full_grid(plate_section, name):
+    # each mirrored copy weighted by its fold scale and the dead band
+    # left out give every region the energy of the whole grid's pass
+    if name == "plates":
+        sec, axes = plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13), []
+    else:
+        build, axes = ENERGY_SECTIONS[name]
+        sec = build()
     sol = solve_potential(sec)
-    counts = [len(passes)]
-    for read in (capacitance_per_length, energy_participation,
-                 lambda s: extract_eps_eff_and_z0(sec, solution=s)):
-        read(sol)
-        counts.append(len(passes))
-    assert counts == [1, 1, 1, 2]
-    assert passes[0] is sec and passes[1] is not sec
+    assert [axis for axis, _ in sol._cells[1]] == axes
+    want = full_grid_energies(sol)
+    assert want.sum() > 0.0
+    for got, ref in zip(sol.energy, want):
+        assert got == pytest.approx(ref, rel=1e-13, abs=1e-13 * want.sum())
+
+
+def solve_spy(monkeypatch):
+    """Record every solve the module runs from here on."""
+    runs = []
+    solve = fieldsolve._solve
+
+    def spy(*args):
+        runs.append(solve(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(fieldsolve, "_solve", spy)
+    return runs
+
+
+def vacuum_solve(sec, sol, tol=fieldsolve.DEFAULT_TOL):
+    """(eps_eff, Z0) of the section from a forced all-vacuum solve started
+    at the section's solution sol."""
+    vac = replace(sec, regions=[replace(r, eps_r=1.0) for r in sec.regions])
+    sol_vac = fieldsolve._solve(fieldsolve._Problem(vac), sol.potential, tol,
+                                fieldsolve.DEFAULT_MAX_SWEEPS)
+    c, c_vac = capacitance_per_length(sol), capacitance_per_length(sol_vac)
+    return c / c_vac, 1.0 / (C_LIGHT * math.sqrt(c * c_vac))
+
+
+@pytest.mark.parametrize("cell", [2e-6, 1e-6, 0.5e-6])
+def test_open_section_solves_its_vacuum_section(monkeypatch, cell):
+    # mirrored across the metal plane, no face between two dielectrics
+    # carries a drop, so the section's potential solves the vacuum
+    # section too and no second solve runs; a trace off centre in x
+    # leaves the y-fold, and with it the identity
+    runs = solve_spy(monkeypatch)
+    sections = [cpw_cross_section(replace(GEOM, eps_substrate=sub,
+                                          eps_superstrate=sup), cell=cell)
+                for sub in (2.2, 6.45, 9.8, 11.45, 11.9) for sup in (1.0, 2.2)]
+    sections.append(shifted_trace(sections[-2], 1))
+    for sec in sections:
+        sol = solve_potential(sec)
+        want = vacuum_solve(sec, sol)
+        n = len(runs)
+        got = extract_eps_eff_and_z0(sec, solution=sol)
+        assert len(runs) == n
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=2e-14, abs=0.0)
+
+
+FALLBACKS = {
+    "facing": (lambda: cpw_cross_section(GEOM, cell=1e-6,
+                                         interlayer_thickness=40e-6), None),
+    # the trace a cell above its grounds: no fold in y
+    "trace-raised": (lambda: shifted_trace(cpw_cross_section(GEOM, cell=1e-6),
+                                           0, up=1), None),
+    # a solution at the default tol, asked for 1e-12
+    "tighter-tol": (lambda: cpw_cross_section(GEOM, cell=1e-6), 1e-12),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACKS)
+def test_vacuum_solve_runs_where_the_identity_fails(monkeypatch, name):
+    # a drop across a mixed face, or a vacuum residual above tol, keeps
+    # the vacuum solve, with the same bits as one run directly
+    build, tol = FALLBACKS[name]
+    tol = tol or fieldsolve.DEFAULT_TOL
+    sec = build()
+    sol = solve_potential(sec)
+    runs = solve_spy(monkeypatch)
+    got = extract_eps_eff_and_z0(sec, tol=tol, solution=sol)
+    assert len(runs) == 1
+    if name == "tighter-tol":
+        assert runs[0].iterations > 0
+    assert got == vacuum_solve(sec, sol, tol)
 
 
 def test_sparse_direct_solve_oracle_at_1um():
