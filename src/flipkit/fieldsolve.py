@@ -27,12 +27,10 @@ once, over the cells it solved, each mirrored copy weighted by its fold
 scale.  From it the module takes the per-unit-length capacitance (C =
 2U/V^2), each region's share of the energy, and, with the all-vacuum
 capacitance, the effective permittivity and characteristic impedance of
-a transmission-line section.  Where no face between two permittivities
-carries a potential drop (an open CPW, whose fold mirrors the potential
-across the metal plane), each cell's equation is its all-vacuum one
-scaled by the cell's eps, so the same potential solves the vacuum
-section and the vacuum capacitance follows from the region energies;
-other sections take a second, all-vacuum solve.
+a transmission-line section.  The all-vacuum section has one coupling
+per axis, so it needs no iteration: a sine transform across x and a
+closed form along y between the face lines that carry metal leave only
+those lines' free faces as unknowns, one small dense solve.
 
 The box walls are grounded by default.  Tests and idealized parallel
 plate sections may instead ask for insulated (zero normal flux) walls,
@@ -176,7 +174,7 @@ class FieldSolution:
     energy is the field energy of each region of section.regions over
     the whole section, in J/m, summed once by the solve over the cells
     it solved (see _region_energies).  _cells names those cells (see
-    _copies) and _r is their recomputed residual b - A v.
+    _copies).
     """
 
     section: CrossSection
@@ -186,7 +184,6 @@ class FieldSolution:
     energy: np.ndarray
     _problem: "_Problem"
     _cells: tuple
-    _r: np.ndarray
 
 
 class _Problem:
@@ -197,10 +194,11 @@ class _Problem:
     either side.  pin_cell (flat cell index), pin_coef and pin_val list
     every face of a cell that touches a grounded wall or a strip.  diag
     and b are the operator diagonal and right-hand side, pins the part
-    of diag that the pins make up.  mixed holds, per links entry, the
-    index of its faces between two different permittivities.  Couplings
-    and pins are in units of EPS_0 and include the cell aspect ratio.
-    This is the only place that reads the wall types.
+    of diag that the pins make up.  strips lists each conductor as
+    (columns it covers, face line, potential), and grounded says per
+    axis, x then y, whether its walls are grounded.  Couplings and pins
+    are in units of EPS_0 and include the cell aspect ratio.  This is
+    the only place that reads the wall types.
     """
 
     def __init__(self, section: CrossSection):
@@ -233,7 +231,9 @@ class _Problem:
         # electrodes: a strip cuts its face line, so no coupling crosses
         # it, and pins the cell on either side
         self.potentials = [cond.potential for cond in section.conductors]
-        if section.x_bc == "grounded" or section.y_bc == "grounded":
+        self.grounded = [bc == "grounded" for bc in (section.x_bc,
+                                                     section.y_bc)]
+        if any(self.grounded):
             self.potentials.append(0.0)
         if not self.potentials:
             raise ValueError("no electrodes in the section")
@@ -257,8 +257,9 @@ class _Problem:
             cut[cols, m - 1] = True
             strips.append((cols, int(m), cond.potential))
 
+        self.strips = strips
         cells = np.arange(nx * ny).reshape(nx, ny)
-        pins, self.mixed = [], []
+        pins = []
 
         def pin(at, ratio, value):
             """Pin the cells at index `at` to value across half a cell."""
@@ -270,7 +271,6 @@ class _Problem:
             itself where equal: 2 e e / (e + e) misses 6.45 by an ulp."""
             ea, eb = eps[a], eps[b]
             t, mixed = ratio * ea, ea != eb
-            self.mixed.append(np.nonzero(mixed))
             ea, eb = ea[mixed], eb[mixed]
             t[mixed] = ratio * (2.0 * ea * eb / (ea + eb))
             return t
@@ -281,10 +281,10 @@ class _Problem:
         self.fx = couple(*x_faces, hy / hx)
         self.fy = np.where(cut, 0.0, couple(*y_faces, hx / hy))
         self.links = [(self.fx, *x_faces), (self.fy, *y_faces)]
-        if section.x_bc == "grounded":
+        if self.grounded[0]:
             for i in (0, -1):
                 pin((i, every), hy / hx, 0.0)
-        if section.y_bc == "grounded":
+        if self.grounded[1]:
             for j in (0, -1):
                 pin((every, j), hx / hy, 0.0)
         for cols, m, pot in strips:
@@ -699,7 +699,7 @@ def _solve(prob: _Problem, start: np.ndarray | None, tol: float,
     return FieldSolution(section=prob.section, potential=v,
                          iterations=iterations, residual=rel,
                          energy=_region_energies(prob, v, fx, fy, cells),
-                         _problem=prob, _cells=cells, _r=fine.join(r))
+                         _problem=prob, _cells=cells)
 
 
 def _region_energies(prob: _Problem, v: np.ndarray, fx: np.ndarray,
@@ -712,7 +712,9 @@ def _region_energies(prob: _Problem, v: np.ndarray, fx: np.ndarray,
     Faces are summed over the solved cells only, coupled by fx and fy:
     a mirror copy holds its fold scale times each cell's energy, in the
     region of the mirror cell; a fold's middle faces carry no drop, nor
-    does the dead band.  The few pins are summed from v itself.
+    does the dead band.  While there are fewer tuples of the copies'
+    regions than cells, the cells are first summed per tuple, keyed in
+    one bincount.  The few pins are summed from v itself.
     """
     (_, u), (_, eps) = (_copies(a, cells)[0] for a in (v, prob.eps))
     cell = np.zeros(u.shape)
@@ -724,9 +726,19 @@ def _region_energies(prob: _Problem, v: np.ndarray, fx: np.ndarray,
         cell[a] += share
         e -= share
         cell[b] += e
+    copies = _copies(prob.region_id, cells)
     n = len(prob.region_names)
+    bins = n ** len(copies)
+    if bins < cell.size:  # then each copy's region is a digit of the key
+        key = np.zeros(cell.shape, dtype=np.intp)
+        for _, rid in copies:
+            key *= n
+            key += rid
+        cell = np.bincount(key.ravel(), cell.ravel(), bins)
+        copies = zip((w for w, _ in copies),
+                     np.indices((n,) * len(copies)).reshape(len(copies), -1))
     energy = sum(w * np.bincount(rid.ravel(), cell.ravel(), n)
-                 for w, rid in _copies(prob.region_id, cells))
+                 for w, rid in copies)
     dv = v.ravel()[prob.pin_cell] - prob.pin_val
     energy += np.bincount(prob.region_id.ravel()[prob.pin_cell],
                           prob.pin_coef * dv * dv, n)
@@ -762,17 +774,13 @@ def extract_eps_eff_and_z0(section: CrossSection, tol: float = DEFAULT_TOL,
     """(eps_eff, Z0) of a line cross-section: eps_eff = C / C_vac and Z0
     = 1 / (c sqrt(C C_vac)), C_vac with every region at eps_r = 1.
 
-    When no face between two different permittivities carries a
-    potential drop in the section's solution, each cell's equation is
-    its all-vacuum one scaled by the cell's eps, so that solution also
-    solves the vacuum section, to the residual r / eps cell by cell, and
-    C_vac = 2 sum_r (U_r / eps_r) / V^2 from the region energies U_r.
-    An open CPW holds it exactly: its fold mirrors the potential across
-    the metal plane.  When that vacuum residual meets tol as well, no
-    second solve runs.  Otherwise the vacuum section is solved, starting
-    from the section's solution.  For an already-all-vacuum section the
-    ratio is exactly one either way.  Pass a solution already computed
-    for this section to skip the first solve.
+    C_vac is the exact discrete capacitance of the all-vacuum section,
+    by a direct solve on the free faces of its metal lines
+    (_vacuum_capacitance); only a section with more of those than
+    _Multigrid.COARSEST_CELLS solves it by conjugate gradients instead,
+    from the section's solution.  For an already-all-vacuum section
+    C_vac is C itself, so eps_eff is exactly one.  Pass a solution
+    already computed for this section to skip the first solve.
     """
     if solution is not None and solution.section is not section:
         raise ValueError("solution belongs to a different section")
@@ -780,38 +788,120 @@ def extract_eps_eff_and_z0(section: CrossSection, tol: float = DEFAULT_TOL,
     sol = solution if solution is not None else solve_potential(
         section, tol=tol, max_sweeps=max_sweeps)
     c_actual = capacitance_per_length(sol)
-
-    energy = _vacuum_energy(sol, tol)
-    if energy is not None:  # the same potential and electrodes
-        sol_vac = replace(sol, energy=energy)
-    else:
+    c_vac = (c_actual if all(r.eps_r == 1.0 for r in section.regions)
+             else _vacuum_capacitance(sol._problem))
+    if c_vac is None:
         vac = replace(section, regions=[replace(r, eps_r=1.0)
                                         for r in section.regions])
-        sol_vac = _solve(_Problem(vac), sol.potential, tol, max_sweeps)
-    c_vac = capacitance_per_length(sol_vac)
+        c_vac = capacitance_per_length(
+            _solve(_Problem(vac), sol.potential, tol, max_sweeps))
     eps_eff = c_actual / c_vac
     z0 = 1.0 / (C_LIGHT * math.sqrt(c_actual * c_vac))
     return eps_eff, z0
 
 
-def _vacuum_energy(sol: FieldSolution, tol: float) -> np.ndarray | None:
-    """Region energies of the all-vacuum section at sol's potential, or
-    None unless no mixed face carries a drop and the vacuum residual,
-    |r / eps| over every copy of the solved cells, is <= tol |b / eps|.
+def _vacuum_capacitance(prob: _Problem) -> float | None:
+    """C' in F/m of prob's section with every region at eps_r = 1, by a
+    direct solve; None with more than COARSEST_CELLS free faces.
+
+    That section couples every x face by rx and every y face by ry, so
+    the sine basis (cosine between insulated walls) diagonalizes its x
+    operator, mode k with eigenvalue 4 rx sin^2(pi k / 2 nx).  On a face
+    line that carries metal, a free face's coupling ry is split, exactly,
+    into two of 2 ry through a face node, so every face of the line pins
+    both its cells: to a strip's potential, or to the node's.  Between
+    two such lines, or a line and a y wall, each mode is then a chain
+    with an energy form in its ends' face potentials (_band_form), and
+    the nodes minimize the sum of those forms: a dense solve on the free
+    faces alone, the capacitance-matrix method (Buzbee, Dorr, George and
+    Golub, SIAM J. Numer. Anal. 8, 722, 1971).
     """
-    prob, v = sol._problem, sol.potential
-    if not all(np.array_equal(v[a][m], v[b][m])
-               for (_, a, b), m in zip(prob.links, prob.mixed)):
+    sec = prob.section
+    nx, rx, ry = sec.nx, sec.hy / sec.hx, sec.hx / sec.hy
+    faces: dict[int, np.ndarray] = {}  # face line -> potentials, NaN free
+    for cols, m, pot in prob.strips:
+        faces.setdefault(m, np.full(nx, np.nan))[cols] = pot
+    free_faces = sum(np.isnan(g).sum() for g in faces.values())
+    if free_faces > _Multigrid.COARSEST_CELLS:
         return None
-    rr = bb = 0.0
-    for (w, eps), (_, b) in zip(*(_copies(a, sol._cells)
-                                  for a in (prob.eps, prob.b))):
-        r, b = sol._r / eps, b / eps
-        rr += w * w * _dot(r, r)
-        bb += _dot(b, b)
-    if not math.sqrt(rr) <= tol * math.sqrt(bb):
-        return None
-    return sol.energy / [reg.eps_r for reg in sol.section.regions]
+    k, wave, lone = ((np.arange(1, nx + 1), np.sin, nx) if prob.grounded[0]
+                     else (np.arange(nx), np.cos, 0))
+    lam = 4.0 * rx * np.square(np.sin(0.5 * np.pi / nx * k))
+    norm = np.where(k == lone, math.sqrt(1.0 / nx), math.sqrt(2.0 / nx))
+
+    lines = sorted(faces)
+    diag, cross = [np.zeros(nx) for _ in lines], []
+    ends = [0, *lines, sec.ny]
+    for lo, hi in zip(ends, ends[1:]):
+        pinned = [m in faces or prob.grounded[1] for m in (lo, hi)]
+        if not any(pinned):
+            continue
+        own, across = _band_form(hi - lo, lam, ry, insulated=not all(pinned))
+        for m in (lo, hi):
+            if m in faces:
+                diag[lines.index(m)] += own
+        if lo in faces and hi in faces:
+            cross.append(across)
+
+    # per line, the modes of its known potentials and the basis at its
+    # free faces (columns at zero need neither); then the Hessian h and
+    # gradient r of the energy in the free faces' potentials
+    known, free = [], []
+    for m in lines:
+        cols = np.flatnonzero(faces[m] != 0.0)
+        g = faces[m][cols]
+        basis = norm * wave(np.outer(2 * cols + 1, k) % (4 * nx)
+                            * (0.5 * np.pi / nx))
+        fixed = ~np.isnan(g)
+        known.append(np.einsum("ik,i->k", basis[fixed], g[fixed]))
+        free.append(basis[~fixed])
+    at = np.cumsum([0] + [len(q) for q in free])
+    h, r = np.zeros((at[-1], at[-1])), np.zeros(at[-1])
+    for j, q in enumerate(free):
+        rows = slice(at[j], at[j + 1])
+        h[rows, rows] = np.einsum("ik,k,jk->ij", q, diag[j], q)
+        drive = diag[j] * known[j]
+        if j:
+            drive += cross[j - 1] * known[j - 1]
+        if j + 1 < len(lines):
+            drive += cross[j] * known[j + 1]
+            above = slice(at[j + 1], at[j + 2])
+            h[rows, above] = np.einsum("ik,k,jk->ij", q, cross[j], free[j + 1])
+            h[above, rows] = h[rows, above].T
+        r[rows] = np.einsum("ik,k->i", q, drive)
+    x = _cholesky_inverse(h)
+    f = -np.einsum("ji,j->i", x, np.einsum("ij,j->i", x, r))
+    modes = [g + np.einsum("ik,i->k", q, f[at[j]:at[j + 1]])
+             for j, (g, q) in enumerate(zip(known, free))]
+    two_u = (sum(_dot(d, g * g) for d, g in zip(diag, modes)) +
+             2.0 * sum(_dot(c, a * b)
+                       for c, a, b in zip(cross, modes, modes[1:])))
+    span = max(prob.potentials) - min(prob.potentials)
+    return EPS_0 * two_u / (span * span)
+
+
+def _band_form(n: int, lam: np.ndarray, ry: float,
+               insulated: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Energy form of a band of n rows per x mode of eigenvalue lam.
+
+    Each mode of the band is a chain of n cells coupled by ry, alpha =
+    2 + lam / ry = 2 cosh(theta) on the diagonal, pinned across half a
+    cell (2 ry) to a face potential at either end.  Its least energy is
+    U = (own (g_lo^2 + g_hi^2) + 2 across g_lo g_hi) / 2, with own =
+    2 ry tanh(theta / 2) coth(n theta) and across = -2 ry tanh(theta /
+    2) / sinh(n theta): at lam = 0, ry / n and -ry / n, n couplings ry
+    in series.  With an insulated wall at one end, own is 2 ry
+    tanh(theta / 2) tanh(n theta) at the other one.  Written in
+    e^(-n theta), nothing overflows however long the chain.
+    """
+    s = np.sqrt(lam / (4.0 * ry))  # sinh(theta / 2)
+    t = s / np.sqrt(1.0 + s * s)  # tanh(theta / 2)
+    n_theta = 2.0 * n * np.arcsinh(s)
+    e, d = np.exp(-n_theta), -np.expm1(-2.0 * n_theta)
+    if insulated:
+        return 2.0 * ry * t * d / (1.0 + e * e), np.zeros_like(lam)
+    q = np.divide(t, d, out=np.full_like(t, 0.25 / n), where=d > 0.0)
+    return 2.0 * ry * q * (1.0 + e * e), -4.0 * ry * q * e
 
 
 def cpw_cross_section(geometry: CpwGeometry, cell: float,

@@ -597,8 +597,8 @@ def test_energy_pass_matches_face_sums(oracle_section):
 
 def test_one_energy_pass_per_solve(monkeypatch):
     # C', then participation, then eps_eff and Z0 of the same solution
-    # read stored energies: one pass for the section's solve, and one
-    # more for the vacuum solve that only a facing-ground section runs
+    # read stored energies: one pass for the section's solve, and none
+    # for its vacuum capacitance, open or facing, which is a direct solve
     passes = []
     energies = fieldsolve._region_energies
 
@@ -607,7 +607,7 @@ def test_one_energy_pass_per_solve(monkeypatch):
         return energies(prob, *rest)
 
     monkeypatch.setattr(fieldsolve, "_region_energies", spy)
-    for lid, want in ((None, [1, 1, 1, 1]), (20e-6, [1, 1, 1, 2])):
+    for lid in (None, 20e-6):
         passes.clear()
         sec = cpw_cross_section(GEOM, cell=2e-6, interlayer_thickness=lid)
         sol = solve_potential(sec)
@@ -616,8 +616,8 @@ def test_one_energy_pass_per_solve(monkeypatch):
                      lambda s: extract_eps_eff_and_z0(sec, solution=s)):
             read(sol)
             counts.append(len(passes))
-        assert counts == want
-        assert passes[0] is sec and all(p is not sec for p in passes[1:])
+        assert counts == [1, 1, 1, 1]
+        assert passes == [sec]
 
 
 def full_grid_energies(sol):
@@ -640,6 +640,17 @@ def full_grid_energies(sol):
                                      len(prob.region_names))
 
 
+def striped(sec, eps_rs):
+    """The section with its regions replaced by equal vertical stripes,
+    one per eps_r, left to right."""
+    x0, y0 = sec.origin
+    w = sec.width / len(eps_rs)
+    return replace(sec, regions=[
+        DielectricRegion(f"stripe{k}", Rect(x0 + k * w, x0 + (k + 1) * w,
+                                            y0, y0 + sec.height), e)
+        for k, e in enumerate(eps_rs)])
+
+
 # sections and the axes each folds on
 ENERGY_SECTIONS = {
     "open": (lambda: cpw_cross_section(GEOM, cell=1e-6), [0, 1]),
@@ -649,6 +660,10 @@ ENERGY_SECTIONS = {
     "y-only": (lambda: shifted_trace(cpw_cross_section(GEOM, cell=1e-6), 1),
                [1]),
     "unfoldable": (lambda: shifted_trace(small_cpw_section(), 1), []),
+    # 5^4 tuples of the four copies' regions, more than its 20 x 20
+    # solved cells: one bincount per copy
+    "many-regions": (lambda: striped(small_cpw_section(None),
+                                     [2.2, 3.9, 11.9, 3.9, 2.2]), [0, 1]),
 }
 
 
@@ -694,10 +709,8 @@ def vacuum_solve(sec, sol, tol=fieldsolve.DEFAULT_TOL):
 
 @pytest.mark.parametrize("cell", [2e-6, 1e-6, 0.5e-6])
 def test_open_section_solves_its_vacuum_section(monkeypatch, cell):
-    # mirrored across the metal plane, no face between two dielectrics
-    # carries a drop, so the section's potential solves the vacuum
-    # section too and no second solve runs; a trace off centre in x
-    # leaves the y-fold, and with it the identity
+    # the vacuum section is solved directly, with no second CG solve,
+    # and agrees with one; a trace off centre in x leaves the y-fold
     runs = solve_spy(monkeypatch)
     sections = [cpw_cross_section(replace(GEOM, eps_substrate=sub,
                                           eps_superstrate=sup), cell=cell)
@@ -713,31 +726,128 @@ def test_open_section_solves_its_vacuum_section(monkeypatch, cell):
             assert g == pytest.approx(w, rel=2e-14, abs=0.0)
 
 
-FALLBACKS = {
-    "facing": (lambda: cpw_cross_section(GEOM, cell=1e-6,
-                                         interlayer_thickness=40e-6), None),
-    # the trace a cell above its grounds: no fold in y
-    "trace-raised": (lambda: shifted_trace(cpw_cross_section(GEOM, cell=1e-6),
-                                           0, up=1), None),
-    # a solution at the default tol, asked for 1e-12
-    "tighter-tol": (lambda: cpw_cross_section(GEOM, cell=1e-6), 1e-12),
+@pytest.mark.parametrize("cell", [2e-6, 1e-6, 0.5e-6])
+@pytest.mark.parametrize("lid", ["one-cell", 20e-6, 40e-6, 80e-6])
+def test_facing_sections_run_no_vacuum_solve(monkeypatch, cell, lid):
+    # a facing CPW section, too, takes its vacuum capacitance from the
+    # direct solve, the facing ground one cell up included
+    sec = cpw_cross_section(GEOM, cell=cell, interlayer_thickness=(
+        cell if lid == "one-cell" else lid))
+    assert len(sec.conductors) == 4
+    sol = solve_potential(sec)
+    runs = solve_spy(monkeypatch)
+    extract_eps_eff_and_z0(sec, solution=sol)
+    assert runs == []
+
+
+def test_vacuum_solve_runs_past_the_free_face_bound(monkeypatch):
+    # the trace a cell above its grounds at 0.5 um leaves more free faces
+    # than COARSEST_CELLS on its two metal lines: the vacuum section is
+    # then solved by CG, with the same bits as one run directly
+    sec = shifted_trace(cpw_cross_section(GEOM, cell=0.5e-6), 0, up=1)
+    sol = solve_potential(sec)
+    free = sec.nx * 2 - sum(cols.sum() for cols, _, _ in
+                            sol._problem.strips)
+    assert free > fieldsolve._Multigrid.COARSEST_CELLS
+    assert fieldsolve._vacuum_capacitance(sol._problem) is None
+    runs = solve_spy(monkeypatch)
+    got = extract_eps_eff_and_z0(sec, solution=sol)
+    assert len(runs) == 1
+    assert got == vacuum_solve(sec, sol)
+
+
+def squashed(sec):
+    """The section with its cells half as tall: hy = hx / 2."""
+    return replace(sec, height=0.5 * sec.height,
+                   origin=(sec.origin[0], 0.5 * sec.origin[1]))
+
+
+# sections whose all-vacuum copy the direct solve must get exactly, at
+# 2 um cells unless named
+VACUUM_SECTIONS = {
+    "open": lambda: cpw_cross_section(GEOM, cell=2e-6),
+    **{f"facing-{name}": lambda lid=lid: cpw_cross_section(
+        GEOM, cell=2e-6, interlayer_thickness=lid)
+       for name, lid in (("one-cell", 2e-6), ("20um", 20e-6),
+                         ("40um", 40e-6), ("80um", 80e-6))},
+    "trace-off-centre": lambda: shifted_trace(
+        cpw_cross_section(GEOM, cell=2e-6), 1),
+    # two metal lines, each with free faces
+    "trace-raised": lambda: shifted_trace(
+        cpw_cross_section(GEOM, cell=2e-6), 0, up=1),
+    "insulated-x": lambda: replace(cpw_cross_section(GEOM, cell=2e-6),
+                                   x_bc="neumann"),
+    "insulated-y": lambda: replace(cpw_cross_section(
+        GEOM, cell=2e-6, interlayer_thickness=40e-6), y_bc="neumann"),
+    "insulated-both": lambda: replace(cpw_cross_section(GEOM, cell=2e-6),
+                                      x_bc="neumann", y_bc="neumann"),
+    "hx-twice-hy": lambda: squashed(cpw_cross_section(
+        GEOM, cell=2e-6, interlayer_thickness=20e-6)),
+    # strips at 1 V and 0.4 V on two lines, odd sizes, 1 um cells
+    **{f"layered-{x_bc}-{y_bc}": lambda x_bc=x_bc, y_bc=y_bc:
+       layered_strip_section(33, 21, x_bc, y_bc)
+       for x_bc, y_bc in (("grounded", "grounded"), ("neumann", "grounded"),
+                          ("grounded", "neumann"))},
 }
 
 
-@pytest.mark.parametrize("name", FALLBACKS)
-def test_vacuum_solve_runs_where_the_identity_fails(monkeypatch, name):
-    # a drop across a mixed face, or a vacuum residual above tol, keeps
-    # the vacuum solve, with the same bits as one run directly
-    build, tol = FALLBACKS[name]
-    tol = tol or fieldsolve.DEFAULT_TOL
-    sec = build()
-    sol = solve_potential(sec)
-    runs = solve_spy(monkeypatch)
-    got = extract_eps_eff_and_z0(sec, tol=tol, solution=sol)
-    assert len(runs) == 1
-    if name == "tighter-tol":
-        assert runs[0].iterations > 0
-    assert got == vacuum_solve(sec, sol, tol)
+@pytest.mark.parametrize("name", VACUUM_SECTIONS)
+def test_vacuum_capacitance_matches_sparse_lu(name):
+    # the direct solve against a sparse LU solve of this file's own
+    # cell-by-cell assembly of the all-vacuum section
+    sparse = pytest.importorskip("scipy.sparse")
+    splinalg = pytest.importorskip("scipy.sparse.linalg")
+    sec = VACUUM_SECTIONS[name]()
+    vac = replace(sec, regions=[replace(r, eps_r=1.0) for r in sec.regions])
+    cells, links, pins = oracle_system(vac)
+    rows, cols, vals, b = oracle_triplets(cells, links, pins)
+    a = sparse.csc_matrix((vals, (rows, cols)), shape=(len(cells),) * 2)
+    v = splinalg.spsolve(a, b).reshape(vac.nx, vac.ny)
+    want = oracle_capacitance(vac, v, links, pins)
+    got = fieldsolve._vacuum_capacitance(fieldsolve._Problem(sec))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def chain_form(n, lam, ry, insulated):
+    """(own, across) of _band_form by a plain recurrence down the chain.
+
+    y_j is the conductance from cell j to the lower face (held at zero)
+    through the cells below it, plus its own shunt lam: no differences
+    are taken, so nothing cancels.  own is the upper face's pin 2 ry in
+    series with y_(n-1); across is minus the current into the lower face
+    for a unit upper face, the voltage divided down the chain.
+    """
+    def series(a, b):
+        return a * b / (a + b)
+
+    y = [lam + (0.0 if insulated else 2.0 * ry)]
+    for _ in range(n - 1):
+        y.append(lam + series(ry, y[-1]))
+    v = 2.0 * ry / (2.0 * ry + y[-1])  # cell n - 1
+    for j in range(n - 2, -1, -1):
+        v = v * ry / (ry + y[j])  # cell j
+    return series(2.0 * ry, y[-1]), -2.0 * ry * v
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 2048])
+@pytest.mark.parametrize("insulated", [False, True],
+                         ids=["pinned", "insulated"])
+def test_band_form_matches_tridiagonal_recurrence(n, insulated):
+    # the closed form in e^(-n theta), from lam = 0 (insulated x walls)
+    # through the smallest grounded-wall mode of a 2048-cell box to
+    # modes whose coupling across the band underflows
+    ry = 0.5
+    lam = np.array([0.0, 4.0 * 2.0 * math.sin(math.pi / 4096) ** 2, 1e-9,
+                    1e-3, 0.3, 2.0, 8.0, 1e3])
+    own, across = fieldsolve._band_form(n, lam, ry, insulated)
+    want_own, want_across = chain_form(n, lam, ry, insulated)
+    assert np.all(np.abs(own - want_own) <= 1e-13 * want_own)
+    if insulated:
+        assert own[0] == 0.0  # no pin below, no x flux: no field
+    else:
+        assert np.all(np.abs(across - want_across) <=
+                      1e-13 * np.abs(want_across))
+        assert own[0] == pytest.approx(ry / n, rel=1e-15)
 
 
 def test_sparse_direct_solve_oracle_at_1um():
