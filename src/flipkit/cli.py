@@ -459,10 +459,12 @@ def build_parser() -> _Parser:
                    help="facing-chip ground height above the trace")
     p.add_argument("--tol", type=_scalar, default=fieldsolve.DEFAULT_TOL,
                    help="stop once the relative residual |b - Av| / |b| "
-                        "is at most this")
+                        "is at most this; a CPW section's direct start "
+                        "meets any tol above ~1e-15 with no iteration")
     p.add_argument("--max-sweeps", type=int,
                    default=fieldsolve.DEFAULT_MAX_SWEEPS,
-                   help="cap on multigrid-preconditioned CG iterations")
+                   help="cap on multigrid-preconditioned CG iterations, "
+                        "which run only if the direct start misses tol")
     p.add_argument("--dump-potential",
                    help="write the potential grid as x,y,V CSV rows")
     p.set_defaults(func=_cmd_fieldsolve)

@@ -27,10 +27,11 @@ once, over the cells it solved, each mirrored copy weighted by its fold
 scale.  From it the module takes the per-unit-length capacitance (C =
 2U/V^2), each region's share of the energy, and, with the all-vacuum
 capacitance, the effective permittivity and characteristic impedance of
-a transmission-line section.  The all-vacuum section has one coupling
-per axis, so it needs no iteration: a sine transform across x and a
-closed form along y between the face lines that carry metal leave only
-those lines' free faces as unknowns, one small dense solve.
+a transmission-line section.  A section whose permittivity depends on y
+alone and changes only on face lines that carry metal, as a CPW's and
+its all-vacuum copy's do, needs no iteration: a sine transform across x
+and a closed form along y leave those lines' free faces as unknowns, one
+small dense solve, and give the exact potential that CG starts from.
 
 The box walls are grounded by default.  Tests and idealized parallel
 plate sections may instead ask for insulated (zero normal flux) walls,
@@ -169,7 +170,8 @@ class FieldSolution:
     """Converged potential with the assembled problem kept for reuse.
 
     iterations counts conjugate-gradient steps of the reduced solve
-    (folded and cut down, see solve_potential); residual is the final
+    (folded and cut down, see solve_potential), 0 when the direct start
+    already met the tolerance; residual is the final
     |b - A v| / |b| of the full system, which the reduced one shares.
     energy is the field energy of each region of section.regions over
     the whole section, in J/m, summed once by the solve over the cells
@@ -528,17 +530,20 @@ def solve_potential(section: CrossSection, tol: float = DEFAULT_TOL,
 
     Conjugate gradients on the flux-conserving system, preconditioned
     by one multigrid W-cycle, stop once the relative residual
-    |b - A v| / |b| is at most tol.  Only the cells that carry field are
-    solved: rows behind a full-width strip with no source beyond it are
-    dropped, where the potential is exactly zero, and a system whose
-    halves are scaled mirror images in x or y is solved on one half
-    (an open CPW on a quarter of its cells).  The residual is the full
-    system's either way.  The iteration count does not grow with the
-    grid: at the default tol, CPW sections take 8-11 from 4 um down to
-    0.25 um cells, counted on the reduced system.  Raises
-    ConvergenceError when max_sweeps iterations do not get there.
+    |b - A v| / |b| is at most tol.  They start from the exact potential
+    of a section layered in y (_direct_start), as every CPW section is,
+    and take 0 iterations unless tol is below its rounding residual,
+    ~1e-15; from zero, 8-11 at the default tol, 4 to 0.25 um cells.
+    Only the cells that carry field are solved: rows behind a full-width
+    strip with no source beyond it are dropped, where the potential is
+    exactly zero, and a system whose halves are scaled mirror images in
+    x or y is solved on one half (an open CPW on a quarter of its
+    cells).  The residual is the full system's either way, and
+    iterations are counted on the reduced one.  Raises ConvergenceError
+    when max_sweeps iterations do not get there.
     """
-    return _solve(_Problem(section), None, tol, max_sweeps)
+    prob = _Problem(section)
+    return _solve(prob, _direct_start(prob), tol, max_sweeps)
 
 
 def _live_rows(fy: np.ndarray, b: np.ndarray) -> tuple[int, int]:
@@ -775,8 +780,8 @@ def extract_eps_eff_and_z0(section: CrossSection, tol: float = DEFAULT_TOL,
     = 1 / (c sqrt(C C_vac)), C_vac with every region at eps_r = 1.
 
     C_vac is the exact discrete capacitance of the all-vacuum section,
-    by a direct solve on the free faces of its metal lines
-    (_vacuum_capacitance); only a section with more of those than
+    by the face solve that gives a layered section its potential
+    (_vacuum_capacitance); only a section with more free faces than
     _Multigrid.COARSEST_CELLS solves it by conjugate gradients instead,
     from the section's solution.  For an already-all-vacuum section
     C_vac is C itself, so eps_eff is exactly one.  Pass a solution
@@ -801,20 +806,29 @@ def extract_eps_eff_and_z0(section: CrossSection, tol: float = DEFAULT_TOL,
 
 
 def _vacuum_capacitance(prob: _Problem) -> float | None:
-    """C' in F/m of prob's section with every region at eps_r = 1, by a
-    direct solve; None with more than COARSEST_CELLS free faces.
+    """C' in F/m of prob's section with every region at eps_r = 1, by
+    _face_solve; None where that declines."""
+    solved = _face_solve(prob, np.ones(prob.section.ny))
+    span = max(prob.potentials) - min(prob.potentials)
+    return solved and EPS_0 * solved[-1] / (span * span)
 
-    That section couples every x face by rx and every y face by ry, so
-    the sine basis (cosine between insulated walls) diagonalizes its x
-    operator, mode k with eigenvalue 4 rx sin^2(pi k / 2 nx).  On a face
-    line that carries metal, a free face's coupling ry is split, exactly,
-    into two of 2 ry through a face node, so every face of the line pins
-    both its cells: to a strip's potential, or to the node's.  Between
-    two such lines, or a line and a y wall, each mode is then a chain
-    with an energy form in its ends' face potentials (_band_form), and
-    the nodes minimize the sum of those forms: a dense solve on the free
-    faces alone, the capacitance-matrix method (Buzbee, Dorr, George and
-    Golub, SIAM J. Numer. Anal. 8, 722, 1971).
+
+def _face_solve(prob: _Problem, eps: np.ndarray):
+    """(lam, bands, modes, 2U / EPS_0) of prob's system with eps[j] in row
+    j: bands as (lo, hi, pinned ends), modes each metal line's faces in
+    the x basis; None if eps changes in a band or over COARSEST_CELLS
+    faces are free.
+
+    In a band between two face lines that carry metal, or a line and a
+    y wall, the sine basis (cosine between insulated walls) diagonalizes
+    the x operator, mode k with eigenvalue eps lam, lam = 4 rx sin^2(pi
+    k / 2 nx).  A metal line's free face, 2 eps ry from each side in
+    series, is split exactly through a face node, so each face pins its
+    two cells to a strip or to the node.  Each mode of a band is then a
+    chain, eps times _band_form's energy in its ends, and the nodes
+    minimize the sum: a dense solve on the free faces, the capacitance-
+    matrix method (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
+    722, 1971).
     """
     sec = prob.section
     nx, rx, ry = sec.nx, sec.hy / sec.hx, sec.hx / sec.hy
@@ -830,13 +844,17 @@ def _vacuum_capacitance(prob: _Problem) -> float | None:
     norm = np.where(k == lone, math.sqrt(1.0 / nx), math.sqrt(2.0 / nx))
 
     lines = sorted(faces)
-    diag, cross = [np.zeros(nx) for _ in lines], []
+    diag, cross, bands = [np.zeros(nx) for _ in lines], [], []
     ends = [0, *lines, sec.ny]
     for lo, hi in zip(ends, ends[1:]):
+        if np.any(eps[lo:hi] != eps[lo]):
+            return None
         pinned = [m in faces or prob.grounded[1] for m in (lo, hi)]
         if not any(pinned):
             continue
-        own, across = _band_form(hi - lo, lam, ry, insulated=not all(pinned))
+        bands.append((lo, hi, pinned))
+        own, across = (eps[lo] * f for f in _band_form(
+            hi - lo, lam, ry, insulated=not all(pinned)))
         for m in (lo, hi):
             if m in faces:
                 diag[lines.index(m)] += own
@@ -876,8 +894,59 @@ def _vacuum_capacitance(prob: _Problem) -> float | None:
     two_u = (sum(_dot(d, g * g) for d, g in zip(diag, modes)) +
              2.0 * sum(_dot(c, a * b)
                        for c, a, b in zip(cross, modes, modes[1:])))
-    span = max(prob.potentials) - min(prob.potentials)
-    return EPS_0 * two_u / (span * span)
+    return lam, bands, dict(zip(lines, modes)), two_u
+
+
+def _direct_start(prob: _Problem) -> np.ndarray | None:
+    """The exact potential of a section whose eps depends on y alone, from
+    _face_solve; None where that declines.  In a band of n rows, mode k
+    at y = j + 1/2 above the lower face is (G_lo sinh((n - y) theta) +
+    G_hi sinh(y theta)) / sinh(n theta), G = g / cosh(theta / 2) for the
+    faces' modes g: the chain pinned across half a cell at each end.  A
+    cosh replaces the sinh next to an insulated wall; at lam = 0 it is
+    linear.  Bands with no drive (behind a facing ground) stay zero.  A
+    real FFT (pocketfft, no BLAS) brings each row back across x.
+    """
+    eps = prob.eps
+    solved = (eps == eps[:1]).all() and _face_solve(prob, eps[0])
+    if not solved:
+        return None
+    lam, bands, modes, _ = solved
+    nx, ny = eps.shape
+    s = np.sqrt(lam / (4.0 * prob.section.hx / prob.section.hy))
+    theta = 2.0 * np.arcsinh(s)  # s = sinh(theta / 2)
+    c = np.zeros((ny, nx))  # per row, the potential's modes
+    live = []
+    for lo, hi, pinned in bands:
+        if not any(modes[m].any() for m in (lo, hi) if m in modes):
+            continue
+        live += [lo, hi]
+        n, y = hi - lo, np.arange(hi - lo) + 0.5
+        # e^(-y theta) (1 -+ e^(-2 (n - y) theta)) / (1 -+ e^(-2 n theta)),
+        # + next to an insulated wall
+        shift = 0.0 if all(pinned) else 2.0
+        p = np.expm1(2.0 * np.multiply.outer(y - n, theta))
+        p += shift
+        d = np.expm1(-2.0 * n * theta) + shift
+        p *= np.divide(1.0 / np.sqrt(1.0 + s * s), d, out=np.zeros(nx),
+                       where=d != 0.0)  # and 1 / cosh(theta / 2)
+        p *= np.exp(-np.multiply.outer(y, theta))
+        p[:, d == 0.0] = 1.0 - y[:, None] / n
+        for m, prof in ((lo, p), (hi, p[::-1])):
+            if m in modes:  # not a wall
+                c[lo:hi] += modes[m] * prof
+    # nx irfft of 2 nx points sums c_k norm_k e^(i pi k (2 i + 1) / 2 nx)
+    # over k; the sine's part is the real part times -i
+    k = np.arange(nx) + prob.grounded[0]
+    w = math.sqrt(2.0 / nx) * np.exp(0.5j * np.pi / nx * k) * (
+        -1j if prob.grounded[0] else 1.0)
+    w[k % nx == 0] *= math.sqrt(2.0)  # norm 1 / sqrt(nx), counted once
+    lo, hi = min(live, default=0), max(live, default=0)
+    spec = np.zeros((hi - lo, nx + 1), dtype=complex)
+    np.multiply(c[lo:hi], w, out=spec[:, k[0]:k[0] + nx])
+    v = np.zeros((nx, ny))
+    v[:, lo:hi] = nx * np.fft.irfft(spec, 2 * nx)[:, :nx].T
+    return v
 
 
 def _band_form(n: int, lam: np.ndarray, ry: float,

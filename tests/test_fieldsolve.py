@@ -152,10 +152,17 @@ def test_interlayer_lid_draws_energy():
     assert p["interlayer"] > 0.0
 
 
+def cg_solve(sec, tol=fieldsolve.DEFAULT_TOL,
+             max_sweeps=fieldsolve.DEFAULT_MAX_SWEEPS):
+    """Conjugate gradients on the section from a zero start, as
+    solve_potential runs them on a section with no direct start."""
+    return fieldsolve._solve(fieldsolve._Problem(sec), None, tol, max_sweeps)
+
+
 def test_convergence_error_carries_state():
     sec = cpw_cross_section(GEOM, cell=2e-6)
     with pytest.raises(ConvergenceError):
-        solve_potential(sec, tol=1e-14, max_sweeps=5)
+        cg_solve(sec, tol=1e-14, max_sweeps=5)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
@@ -272,81 +279,87 @@ def test_rejects_conductor_with_height():
 # ------------------------------------------------------- direct-solve oracles
 
 def contains(rect, x, y):
-    """Whether the point (x, y) lies in rect, edges included."""
-    return rect.x0 <= x <= rect.x1 and rect.y0 <= y <= rect.y1
+    """Whether the points (x, y) lie in rect, edges included."""
+    return (rect.x0 <= x) & (x <= rect.x1) & (rect.y0 <= y) & (y <= rect.y1)
 
 
 def oracle_system(sec):
-    """The flux-conserving system assembled cell by cell from the section.
+    """The flux-conserving system assembled face by face from the section.
 
-    Independent of the solver's vectorized assembly: a face between two
-    cells carries the harmonic-mean permittivity; a cell next to a
-    grounded wall or a strip is pinned across half a cell (2 eps).
-    Returns (cell list, links between cells, pins to fixed potentials);
-    each link is (a, b, t) and each pin (a, potential, t), t in units of
-    EPS_0.
+    Independent of the solver's own assembly: a face between two cells
+    carries the harmonic-mean permittivity; a cell next to a grounded
+    wall or a strip is pinned across half a cell (2 eps).  Returns
+    (region, links, pins): the region index of each cell, the links
+    (a, b, t) between cells and the pins (a, potential, t) to fixed
+    potentials, as arrays over flat cell indices, t in units of EPS_0.
     """
     xs, ys = sec.cell_centers()
+    xg, yg = xs[:, None], ys[None, :]
     nx, ny, hx, hy = sec.nx, sec.ny, sec.hx, sec.hy
-    eps, strip_at = {}, {}
-    for i in range(nx):
-        for j in range(ny):
-            for reg in sec.regions:
-                if contains(reg.rect, xs[i], ys[j]):
-                    eps[i, j] = reg.eps_r
+    region = np.full((nx, ny), -1)
+    for k, reg in enumerate(sec.regions):
+        region[contains(reg.rect, xg, yg)] = k
+    eps = np.array([r.eps_r for r in sec.regions])[region]
+    strip = np.full((nx, ny + 1), np.nan)  # strip potential on face line m
     for cond in sec.conductors:
         m = round((cond.rect.y0 - sec.origin[1]) / hy)
-        for i in range(nx):
-            if cond.rect.x0 <= xs[i] <= cond.rect.x1:
-                strip_at[i, m] = cond.potential  # face below row m
-    links, pins = [], []
+        strip[(cond.rect.x0 <= xs) & (xs <= cond.rect.x1), m] = cond.potential
+    cell = np.arange(nx * ny).reshape(nx, ny)
+    every = slice(None)
+    below, above = (every, slice(None, -1)), (every, slice(1, None))
+    cut = ~np.isnan(strip[:, 1:-1])  # the face above row j, below j + 1
 
-    def face(a, b, ratio):
-        harm = 2.0 * eps[a] * eps[b] / (eps[a] + eps[b])
-        links.append((a, b, harm * ratio))
+    def harm(a, b):
+        return 2.0 * eps[a] * eps[b] / (eps[a] + eps[b])
 
-    def wall(a, ratio):
-        pins.append((a, 0.0, 2.0 * eps[a] * ratio))
+    x_faces = (slice(None, -1), slice(1, None))
+    links = [(cell[x_faces[0]], cell[x_faces[1]], harm(*x_faces) * hy / hx),
+             (cell[below][~cut], cell[above][~cut],
+              harm(below, above)[~cut] * hx / hy)]
+    pins = [(cell[side][cut], strip[:, 1:-1][cut],
+             2.0 * eps[side][cut] * hx / hy) for side in (below, above)]
+    for bc, ratio, axis in ((sec.x_bc, hy / hx, 0), (sec.y_bc, hx / hy, 1)):
+        if bc == "grounded":
+            for at in (0, -1):
+                c, e = (np.take(a, [at], axis) for a in (cell, eps))
+                pins.append((c, np.zeros(c.shape), 2.0 * e * ratio))
+    def flat(items):
+        return tuple(np.concatenate([np.ravel(q) for q in group])
+                     for group in zip(*items))
 
-    for i in range(nx):
-        for j in range(ny):
-            a = (i, j)
-            if i + 1 < nx:
-                face(a, (i + 1, j), hy / hx)
-            if j + 1 < ny:
-                if (i, j + 1) in strip_at:
-                    pot = strip_at[i, j + 1]
-                    for c in (a, (i, j + 1)):
-                        pins.append((c, pot, 2.0 * eps[c] * hx / hy))
-                else:
-                    face(a, (i, j + 1), hx / hy)
-            if sec.x_bc == "grounded" and i in (0, nx - 1):
-                wall(a, hy / hx)
-            if sec.y_bc == "grounded" and j in (0, ny - 1):
-                wall(a, hx / hy)
-    return list(np.ndindex(nx, ny)), links, pins
+    return region, flat(links), flat(pins)
 
 
-def oracle_triplets(cells, links, pins):
-    index = {c: k for k, c in enumerate(cells)}
-    rows, cols, vals = [], [], []
-    b = np.zeros(len(cells))
-    for a, c, t in links:
-        ka, kc = index[a], index[c]
-        rows += [ka, kc, ka, kc]
-        cols += [ka, kc, kc, ka]
-        vals += [t, t, -t, -t]
-    for a, pot, t in pins:
-        rows.append(index[a])
-        cols.append(index[a])
-        vals.append(t)
-        b[index[a]] += t * pot
-    return np.array(rows), np.array(cols), np.array(vals), b
+def oracle_triplets(links, pins, n):
+    """(rows, cols, vals, b) of the n-cell system of links and pins."""
+    (a, c, t), (p, pot, tp) = links, pins
+    rows = np.concatenate([a, c, a, c, p])
+    cols = np.concatenate([a, c, c, a, p])
+    vals = np.concatenate([t, t, -t, -t, tp])
+    return rows, cols, vals, np.bincount(p, tp * pot, n)
 
 
-def oracle_capacitance(sec, v, links, pins):
-    energy = 0.5 * (sum(t * (v[a] - v[c]) ** 2 for a, c, t in links) +
-                    sum(t * (v[a] - pot) ** 2 for a, pot, t in pins))
+def oracle_energies(sec, v, system):
+    """Field energy per region of the map v, in J/m.
+
+    A link's energy splits eps_b / (eps_a + eps_b) to side a and the
+    rest to side b; a pin's energy is wholly its own cell's.
+    """
+    region, (a, c, t), (p, pot, tp) = system
+    eps_r = np.array([r.eps_r for r in sec.regions])
+    v, rid, n = v.ravel(), region.ravel(), len(sec.regions)
+    e = 0.5 * t * (v[a] - v[c]) ** 2
+    ea, ec = eps_r[rid[a]], eps_r[rid[c]]
+    return EPS_0 * (np.bincount(rid[a], e * ec / (ea + ec), n) +
+                    np.bincount(rid[c], e * ea / (ea + ec), n) +
+                    np.bincount(rid[p], 0.5 * tp * (v[p] - pot) ** 2, n))
+
+
+def oracle_capacitance(sec, v, system):
+    _, (a, c, t), (p, pot, tp) = system
+    v = v.ravel()
+    energy = 0.5 * (np.sum(t * (v[a] - v[c]) ** 2) +
+                    np.sum(tp * (v[p] - pot) ** 2))
     pots = [c.potential for c in sec.conductors]
     if "grounded" in (sec.x_bc, sec.y_bc):
         pots.append(0.0)
@@ -355,36 +368,30 @@ def oracle_capacitance(sec, v, links, pins):
 
 
 def dense_oracle(sec):
-    cells, links, pins = oracle_system(sec)
-    rows, cols, vals, b = oracle_triplets(cells, links, pins)
-    a = np.zeros((len(cells), len(cells)))
+    system = oracle_system(sec)
+    n = sec.nx * sec.ny
+    rows, cols, vals, b = oracle_triplets(*system[1:], n)
+    a = np.zeros((n, n))
     np.add.at(a, (rows, cols), vals)
-    v = np.linalg.solve(a, b).reshape(sec.nx, sec.ny)
-    return v, links, pins
+    return np.linalg.solve(a, b).reshape(sec.nx, sec.ny), system
 
 
-def oracle_participation(sec, v, links, pins):
-    """Energy share per region from the oracle's links and pins.
+def sparse_oracle(sec):
+    """The section's potential by a sparse LU solve of oracle_system."""
+    sparse = pytest.importorskip("scipy.sparse")
+    splinalg = pytest.importorskip("scipy.sparse.linalg")
+    system = oracle_system(sec)
+    n = sec.nx * sec.ny
+    rows, cols, vals, b = oracle_triplets(*system[1:], n)
+    a = sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    v = splinalg.spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
+    return v.reshape(sec.nx, sec.ny), system
 
-    A link's energy splits eps_b / (eps_a + eps_b) to side a and the
-    rest to side b; a pin's energy is wholly its own cell's.
-    """
-    xs, ys = sec.cell_centers()
 
-    def region(c):
-        return next(r for r in sec.regions
-                    if contains(r.rect, xs[c[0]], ys[c[1]]))
-
-    energy = {r.name: 0.0 for r in sec.regions}
-    for a, c, t in links:
-        ra, rc = region(a), region(c)
-        e = 0.5 * t * (v[a] - v[c]) ** 2
-        energy[ra.name] += e * rc.eps_r / (ra.eps_r + rc.eps_r)
-        energy[rc.name] += e * ra.eps_r / (ra.eps_r + rc.eps_r)
-    for a, pot, t in pins:
-        energy[region(a).name] += 0.5 * t * (v[a] - pot) ** 2
-    total = sum(energy.values())
-    return {name: e / total for name, e in energy.items()}
+def oracle_participation(sec, v, system):
+    """Energy share per region of the oracle's links and pins."""
+    energy = oracle_energies(sec, v, system)
+    return {r.name: e / energy.sum() for r, e in zip(sec.regions, energy)}
 
 
 def layered_strip_section(nx, ny, x_bc, y_bc):
@@ -535,8 +542,8 @@ def test_dense_direct_solve_oracle(oracle_section):
     sec = oracle_section
     # C' at the default tolerance; the potential itself once the residual
     # is driven near rounding
-    v_ref, links, pins = dense_oracle(sec)
-    c_ref = oracle_capacitance(sec, v_ref, links, pins)
+    v_ref, system = dense_oracle(sec)
+    c_ref = oracle_capacitance(sec, v_ref, system)
     sol = solve_potential(sec)
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-9)
     assert sol.residual <= fieldsolve.DEFAULT_TOL
@@ -547,8 +554,8 @@ def test_dense_direct_solve_oracle(oracle_section):
 def test_dense_participation_oracle(oracle_section):
     # every region's share at the default tolerance, against the shares
     # of the dense solution's link and pin energies
-    v_ref, links, pins = dense_oracle(oracle_section)
-    want = oracle_participation(oracle_section, v_ref, links, pins)
+    v_ref, system = dense_oracle(oracle_section)
+    want = oracle_participation(oracle_section, v_ref, system)
     got = energy_participation(solve_potential(oracle_section))
     assert got.keys() == want.keys()
     for name, share in want.items():
@@ -707,10 +714,12 @@ def vacuum_solve(sec, sol, tol=fieldsolve.DEFAULT_TOL):
     return c / c_vac, 1.0 / (C_LIGHT * math.sqrt(c * c_vac))
 
 
-@pytest.mark.parametrize("cell", [2e-6, 1e-6, 0.5e-6])
+@pytest.mark.parametrize("cell", [2e-6, 1e-6])
 def test_open_section_solves_its_vacuum_section(monkeypatch, cell):
     # the vacuum section is solved directly, with no second CG solve,
-    # and agrees with one; a trace off centre in x leaves the y-fold
+    # and agrees with one; a trace off centre in x leaves the y-fold.
+    # At 0.5 um a CG solve at tol 1e-8 is no oracle for the direct one:
+    # test_vacuum_capacitance_matches_sparse_lu checks it there
     runs = solve_spy(monkeypatch)
     sections = [cpw_cross_section(replace(GEOM, eps_substrate=sub,
                                           eps_superstrate=sup), cell=cell)
@@ -772,6 +781,10 @@ VACUUM_SECTIONS = {
                          ("40um", 40e-6), ("80um", 80e-6))},
     "trace-off-centre": lambda: shifted_trace(
         cpw_cross_section(GEOM, cell=2e-6), 1),
+    # 188k cells, each eps of the open sections above at 0.5 um
+    "open-0.5um": lambda: cpw_cross_section(GEOM, cell=0.5e-6),
+    "trace-off-centre-0.5um": lambda: shifted_trace(
+        cpw_cross_section(GEOM, cell=0.5e-6), 1),
     # two metal lines, each with free faces
     "trace-raised": lambda: shifted_trace(
         cpw_cross_section(GEOM, cell=2e-6), 0, up=1),
@@ -795,17 +808,118 @@ VACUUM_SECTIONS = {
 def test_vacuum_capacitance_matches_sparse_lu(name):
     # the direct solve against a sparse LU solve of this file's own
     # cell-by-cell assembly of the all-vacuum section
-    sparse = pytest.importorskip("scipy.sparse")
-    splinalg = pytest.importorskip("scipy.sparse.linalg")
     sec = VACUUM_SECTIONS[name]()
     vac = replace(sec, regions=[replace(r, eps_r=1.0) for r in sec.regions])
-    cells, links, pins = oracle_system(vac)
-    rows, cols, vals, b = oracle_triplets(cells, links, pins)
-    a = sparse.csc_matrix((vals, (rows, cols)), shape=(len(cells),) * 2)
-    v = splinalg.spsolve(a, b).reshape(vac.nx, vac.ny)
-    want = oracle_capacitance(vac, v, links, pins)
+    want = oracle_capacitance(vac, *sparse_oracle(vac))
     got = fieldsolve._vacuum_capacitance(fieldsolve._Problem(sec))
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# ----------------------------------------------------- the direct start
+
+def start_spy(monkeypatch):
+    """Record every direct start the module computes from here on."""
+    starts = []
+    direct = fieldsolve._direct_start
+
+    def spy(prob):
+        starts.append(direct(prob))
+        return starts[-1]
+
+    monkeypatch.setattr(fieldsolve, "_direct_start", spy)
+    return starts
+
+
+@pytest.mark.parametrize("cell", [2e-6, 1e-6, 0.5e-6])
+@pytest.mark.parametrize("eps", [9.8, 11.45, 11.9])
+@pytest.mark.parametrize("lid", [None, 40e-6], ids=["open", "facing"])
+def test_cpw_sections_take_the_direct_start(monkeypatch, cell, eps, lid):
+    # a CPW section is layered in y, so CG starts from its exact potential
+    # and stops at once, with the residual at rounding
+    starts = start_spy(monkeypatch)
+    sec = cpw_cross_section(replace(GEOM, eps_substrate=eps), cell=cell,
+                            interlayer_thickness=lid)
+    sol = solve_potential(sec)
+    assert len(starts) == 1 and starts[0] is not None
+    assert sol.iterations == 0
+    assert sol.residual <= 1e-14
+
+
+# sections the direct start declines, and CG solves from zero
+UNLAYERED_SECTIONS = {
+    "eps-varies-in-x": lambda: split_section(patch_eps=5.0),
+    "stripes": lambda: striped(small_cpw_section(None),
+                               [2.2, 3.9, 11.9, 3.9, 2.2]),
+    "eps-changes-in-band": lambda: split_section(boundary=13),
+    "free-faces-over-bound": lambda: shifted_trace(
+        cpw_cross_section(GEOM, cell=0.5e-6), 0, up=1),
+}
+
+
+@pytest.mark.parametrize("name", UNLAYERED_SECTIONS)
+def test_direct_start_declines_unlayered_sections(monkeypatch, name):
+    # eps varying in x, eps changing between two metal lines, or more
+    # free faces than COARSEST_CELLS: CG runs from zero, with the bits of
+    # a solve given no start
+    sec = UNLAYERED_SECTIONS[name]()
+    starts = start_spy(monkeypatch)
+    sol = solve_potential(sec)
+    assert starts == [None]
+    want = cg_solve(sec)
+    assert sol.iterations == want.iterations > 0
+    assert sol.residual == want.residual
+    assert np.array_equal(sol.potential, want.potential)
+    assert np.array_equal(sol.energy, want.energy)
+
+
+@pytest.mark.parametrize("nx", [16, 32])
+def test_narrow_plates_take_the_direct_start(plate_section, nx):
+    # with insulated side walls CG takes 14 iterations at 32 cells wide
+    # (1 at 16, whose folded grid is its own coarsest); plates are
+    # layered, so they take none
+    sec = plate_section(eps_r=6.45, nx=nx, ny=32)
+    sol = solve_potential(sec)
+    assert sol.iterations == 0
+    want = cg_solve(sec, tol=1e-12)
+    assert want.iterations > 0
+    assert capacitance_per_length(sol) == pytest.approx(
+        capacitance_per_length(want), rel=1e-13)
+
+
+# sections at 0.5 um cells, 188k, for the sparse LU oracle
+HALF_MICRON_SECTIONS = {
+    "open": lambda: cpw_cross_section(GEOM, cell=0.5e-6),
+    **{f"facing-{d}um": lambda d=d: cpw_cross_section(
+        GEOM, cell=0.5e-6, interlayer_thickness=d * 1e-6)
+       for d in (20, 40, 80)},
+    "trace-off-centre": lambda: shifted_trace(
+        cpw_cross_section(GEOM, cell=0.5e-6), 1),
+    "insulated-x": lambda: replace(cpw_cross_section(GEOM, cell=0.5e-6),
+                                   x_bc="neumann"),
+    "insulated-y": lambda: replace(cpw_cross_section(
+        GEOM, cell=0.5e-6, interlayer_thickness=40e-6), y_bc="neumann"),
+}
+
+
+PLATE_SIZES = {"plates": {"nx": 17, "ny": 23, "gap_cells": 13},
+               "narrow-plates": {"nx": 16, "ny": 32}}
+
+
+@pytest.mark.parametrize("name", [*HALF_MICRON_SECTIONS, *PLATE_SIZES])
+def test_direct_start_matches_sparse_lu(plate_section, name):
+    # the direct map and the region energies of the solve that starts
+    # from it, against a sparse LU solve of this file's own assembly
+    if name in PLATE_SIZES:
+        sec = plate_section(eps_r=6.45, **PLATE_SIZES[name])
+    else:
+        sec = HALF_MICRON_SECTIONS[name]()
+    v_ref, system = sparse_oracle(sec)
+    v = fieldsolve._direct_start(fieldsolve._Problem(sec))
+    assert np.abs(v - v_ref).max() <= 1e-12
+    sol = solve_potential(sec)
+    assert sol.iterations == 0
+    want = oracle_energies(sec, v_ref, system)
+    assert np.all(np.abs(sol.energy - want) <= 1e-12 * want.sum())
 
 
 def chain_form(n, lam, ry, insulated):
@@ -851,16 +965,10 @@ def test_band_form_matches_tridiagonal_recurrence(n, insulated):
 
 
 def test_sparse_direct_solve_oracle_at_1um():
-    sparse = pytest.importorskip("scipy.sparse")
-    splinalg = pytest.importorskip("scipy.sparse.linalg")
     geom = CpwGeometry(trace_width=10e-6, gap=5.806e-6, eps_substrate=11.9,
                        eps_superstrate=1.0)
     sec = cpw_cross_section(geom, cell=1e-6, interlayer_thickness=30e-6)
-    cells, links, pins = oracle_system(sec)
-    rows, cols, vals, b = oracle_triplets(cells, links, pins)
-    a = sparse.csc_matrix((vals, (rows, cols)), shape=(len(cells),) * 2)
-    v = splinalg.spsolve(a, b).reshape(sec.nx, sec.ny)
-    c_ref = oracle_capacitance(sec, v, links, pins)
+    c_ref = oracle_capacitance(sec, *sparse_oracle(sec))
     sol = solve_potential(sec)
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-9)
 
@@ -956,10 +1064,10 @@ def test_folded_solve_matches_full_grid_assembly(monkeypatch, plate_section,
     sol = solve_potential(sec, tol=1e-13)
     assert shapes[0] == {"open": (20, 20), "facing": (20, 25),
                          "open-eps-2.2": (20, 20), "plates": (17, 18)}[name]
-    v_ref, links, pins = dense_oracle(sec)
-    c_ref = oracle_capacitance(sec, v_ref, links, pins)
+    v_ref, system = dense_oracle(sec)
+    c_ref = oracle_capacitance(sec, v_ref, system)
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-12)
-    want = oracle_participation(sec, v_ref, links, pins)
+    want = oracle_participation(sec, v_ref, system)
     got = energy_participation(sol)
     for region, share in want.items():
         assert got[region] == pytest.approx(share, rel=1e-12), region
@@ -983,15 +1091,16 @@ def test_vacuum_start_comes_back_unchanged():
 def test_iteration_count_flat_in_grid_size():
     # a V-cycle or plain relaxation needs more iterations on finer grids;
     # the preconditioned solve should not
-    counts = [solve_potential(cpw_cross_section(GEOM, cell=c)).iterations
+    counts = [cg_solve(cpw_cross_section(GEOM, cell=c)).iterations
               for c in (2e-6, 1e-6, 0.5e-6)]
+    assert counts[0] > 0
     assert all(abs(n - counts[0]) <= 3 for n in counts), counts
 
 
 def test_convergence_error_says_what_to_change():
     sec = cpw_cross_section(GEOM, cell=2e-6)
     with pytest.raises(ConvergenceError) as info:
-        solve_potential(sec, max_sweeps=2)
+        cg_solve(sec, max_sweeps=2)
     for knob in ("--max-sweeps", "--tol", "--cell"):
         assert knob in str(info.value)
 
