@@ -309,8 +309,7 @@ def _cmd_fieldsolve(args) -> dict:
             f"({args.cell:.6g} m) and below the box half-height "
             f"({0.5 * section.height:.6g} m); change --interlayer, --cell "
             "or --box-factor")
-    sol = fieldsolve.solve_potential(section, tol=args.tol,
-                                     max_sweeps=args.max_sweeps)
+    sol = fieldsolve.solve_potential(section, tol=args.tol)
     if args.dump_potential:
         x, y = np.meshgrid(*section.cell_centers())  # rows run y, then x
         table = SweepTable("x_m", x.ravel().tolist(), {
@@ -319,7 +318,7 @@ def _cmd_fieldsolve(args) -> dict:
     c = fieldsolve.capacitance_per_length(sol)
     participation = fieldsolve.energy_participation(sol)
     eps_eff, z0 = fieldsolve.extract_eps_eff_and_z0(
-        section, tol=args.tol, max_sweeps=args.max_sweeps, solution=sol)
+        section, tol=args.tol, solution=sol)
     return {
         "nx": section.nx,
         "ny": section.ny,
@@ -458,13 +457,9 @@ def build_parser() -> _Parser:
     p.add_argument("--interlayer", dest="interlayer_thickness", type=_length,
                    help="facing-chip ground height above the trace")
     p.add_argument("--tol", type=_scalar, default=fieldsolve.DEFAULT_TOL,
-                   help="stop once the relative residual |b - Av| / |b| "
-                        "is at most this; a CPW section's direct start "
-                        "meets any tol above ~1e-15 with no iteration")
-    p.add_argument("--max-sweeps", type=int,
-                   default=fieldsolve.DEFAULT_MAX_SWEEPS,
-                   help="cap on multigrid-preconditioned CG iterations, "
-                        "which run only if the direct start misses tol")
+                   help="bound on the direct solve's relative residual "
+                        "|b - Av| / |b|, which rounding puts at ~1e-15; "
+                        "above it the solve exits 2")
     p.add_argument("--dump-potential",
                    help="write the potential grid as x,y,V CSV rows")
     p.set_defaults(func=_cmd_fieldsolve)

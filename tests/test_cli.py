@@ -89,7 +89,7 @@ def test_bad_length_unit_keeps_its_message(capsys):
     # quantity grammar now refuses it before the library sees it
     (["match", "--line-z0", "nan", "--band", "4GHz:8GHz"],
      "argument --line-z0: cannot parse scalar value 'nan'"),
-    # a tol <= 0 ran --max-sweeps iterations and exited 2
+    # a tol <= 0 is bad input, not a residual above it
     (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
       "--cell", "2um", "--tol", "-1"], "--tol must be positive and finite"),
     (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
@@ -143,8 +143,6 @@ def test_bad_length_unit_keeps_its_message(capsys):
     (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
       "--cell", "1um", "--box-factor", "103"], "--cell 1e-06 m makes the "
      "box 2060 cells wide, above 2048: raise --cell or lower --box-factor"),
-    (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
-      "--cell", "2um", "--max-sweeps", "0"], "--max-sweeps must be >= 1"),
 ], ids=["fieldsolve-s", "fieldsolve-eps-sub", "cpw-w", "cpw-eps-sup",
         "transmon-c", "transmon-cutoff", "match-points", "match-eps-eff-0",
         "match-eps-eff-negative", "match-line-z0-nan",
@@ -155,7 +153,7 @@ def test_bad_length_unit_keeps_its_message(capsys):
         "fieldsolve-cell", "fieldsolve-cell-coarse", "fieldsolve-interlayer",
         "cpw-z0", "smatrix-points-cap", "match-points-cap",
         "transmon-cutoff-cap", "fieldsolve-cell-cap",
-        "fieldsolve-box-factor-cap", "fieldsolve-max-sweeps"])
+        "fieldsolve-box-factor-cap"])
 def test_library_error_names_the_flag(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"flipkit: {message}\n")
@@ -203,8 +201,7 @@ VALUE_FLAG_FIELDS = {
                    "--eps-sub": "eps_substrate",
                    "--eps-sup": "eps_superstrate", "--cell": "cell",
                    "--box-factor": "box_factor",
-                   "--interlayer": "interlayer_thickness", "--tol": "tol",
-                   "--max-sweeps": "max_sweeps"},
+                   "--interlayer": "interlayer_thickness", "--tol": "tol"},
     "analyze": {},
     "sweep": {},
 }
@@ -546,12 +543,13 @@ def test_fieldsolve_potential_matches_reference_bytes(capsys, tmp_path):
 
 
 def test_fieldsolve_nonconvergence_exit_2(capsys):
-    # the direct start meets any tol above its rounding residual, ~1e-15,
-    # at once; below it, conjugate gradients run out of iterations
+    # the direct solve's residual is at rounding, ~1e-15: a tol below it
+    # is a numerical failure, and the message says which flag to change
     code, _, err = run(capsys, "fieldsolve", "--w", "10um", "--s", "5.806um",
                        "--eps-sub", "11.9", "--cell", "2um",
-                       "--tol", "1e-17", "--max-sweeps", "3")
+                       "--tol", "1e-17")
     assert code == 2
+    assert "(--tol)" in err
 
 
 @pytest.mark.parametrize("interlayer", ["0.5mm", "1um"],
@@ -843,7 +841,7 @@ print(json.dumps(loaded))
 
 def test_report_path_never_loads_numpy_fft():
     # importing numpy.fft costs a cold start ~5 ms; only the field
-    # solver's direct start uses it, so neither the import nor the
+    # solver's direct solve uses it, so neither the import nor the
     # preset report may load it
     argv = [["analyze", "--json"],
             ["fieldsolve", "--w", "4um", "--s", "2um", "--eps-sub", "11.9",

@@ -59,6 +59,16 @@ def test_equal_potentials_give_field_free_solution(plate_section):
     assert np.allclose(sol.potential, 1.0, atol=1e-7)
 
 
+def test_no_source_gives_the_zero_map():
+    # every electrode at 0 V: b = 0, so the map is exactly zero, with
+    # residual 0 rather than 0 / 0
+    sec = box_section([Conductor("lid", Rect(1e-6, 7e-6, 4e-6, 4e-6), 0.0)])
+    sol = solve_potential(sec)
+    assert np.all(sol.potential == 0.0)
+    assert sol.residual == 0.0
+    assert np.all(sol.energy == 0.0)
+
+
 def test_capacitance_monotone_in_separation(plate_section):
     caps = [capacitance_per_length(solve_potential(plate_section(
         gap_cells=g))) for g in (8, 16, 24)]
@@ -152,23 +162,21 @@ def test_interlayer_lid_draws_energy():
     assert p["interlayer"] > 0.0
 
 
-def cg_solve(sec, tol=fieldsolve.DEFAULT_TOL,
-             max_sweeps=fieldsolve.DEFAULT_MAX_SWEEPS):
-    """Conjugate gradients on the section from a zero start, as
-    solve_potential runs them on a section with no direct start."""
-    return fieldsolve._solve(fieldsolve._Problem(sec), None, tol, max_sweeps)
-
-
 def test_convergence_error_carries_state():
+    # a tol below the direct solve's rounding residual raises, with that
+    # residual and the tol in the message
     sec = cpw_cross_section(GEOM, cell=2e-6)
-    with pytest.raises(ConvergenceError):
-        cg_solve(sec, tol=1e-14, max_sweeps=5)
+    residual = solve_potential(sec).residual
+    with pytest.raises(ConvergenceError, match=f"^relative residual "
+                       f"{residual:.3e} of the direct solve is above tol "
+                       "1.000e-17"):
+        solve_potential(sec, tol=1e-17)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
 def test_bad_tol_rejected(tol):
-    # tol <= 0 ran max_sweeps iterations and then failed to converge;
-    # tol = inf returned the unsolved start (0 iterations, residual 1)
+    # a tol that is not positive and finite is bad input, not a
+    # residual above it
     sec = cpw_cross_section(GEOM, cell=4e-6)
     with pytest.raises(ValueError, match="^tol must be positive and finite$"):
         solve_potential(sec, tol=tol)
@@ -176,19 +184,6 @@ def test_bad_tol_rejected(tol):
     for solution in (None, sol):
         with pytest.raises(ValueError, match="^tol must be positive"):
             extract_eps_eff_and_z0(sec, tol=tol, solution=solution)
-
-
-@pytest.mark.parametrize("max_sweeps", [0, -1])
-def test_bad_max_sweeps_rejected(max_sweeps):
-    # no iteration allowed is bad input, not a convergence failure
-    sec = cpw_cross_section(GEOM, cell=4e-6)
-    with pytest.raises(ValueError, match="^max_sweeps must be >= 1$"):
-        solve_potential(sec, max_sweeps=max_sweeps)
-    sol = solve_potential(sec)
-    for solution in (None, sol):
-        with pytest.raises(ValueError, match="^max_sweeps must be >= 1$"):
-            extract_eps_eff_and_z0(sec, max_sweeps=max_sweeps,
-                                   solution=solution)
 
 
 @pytest.mark.parametrize("eps_r", [0.0, -1.0, math.nan, math.inf])
@@ -412,8 +407,7 @@ def layered_strip_section(nx, ny, x_bc, y_bc):
             Conductor("ground", Rect(0, 3e-6, y_face, y_face), 0.0)])
 
 
-# the 40 x 40 CPW section of tests/reference/fieldsolve_potential.csv:
-# mirror-symmetric about x = 0, so it is solved on half the cells
+# the 40 x 40 CPW section of tests/reference/fieldsolve_potential.csv
 SMALL_CPW = CpwGeometry(trace_width=4e-6, gap=2e-6, eps_substrate=11.9,
                         eps_superstrate=1.0)
 
@@ -450,7 +444,7 @@ def odd_cpw_section():
 
 
 def open_small_cpw(eps_substrate):
-    """The 40 x 40 section with no lid: a scaled mirror image in y."""
+    """The 40 x 40 section with no lid."""
     return cpw_cross_section(replace(SMALL_CPW, eps_substrate=eps_substrate),
                              cell=2e-6)
 
@@ -493,26 +487,18 @@ def strip_pair_section(low):
                               low)])
 
 
-FOLD_SECTIONS = {
-    "cpw-facing": small_cpw_section,  # folds
+# small sections for the dense oracle, beside the layered strip ones
+ORACLE_SECTIONS = {
+    "cpw-facing": small_cpw_section,
     # one gap closes and the other doubles
     "cpw-trace-moved": lambda: shifted_trace(small_cpw_section(), 1),
     "cpw-odd-nx": odd_cpw_section,
-}
-
-# sections and the fine grid each must solve on: folded in y at the
-# middle face line, or not at all in y
-Y_FOLD_SECTIONS = {
-    **{f"open-eps-{e}": (lambda e=e: open_small_cpw(e), (20, 20))
+    **{f"open-eps-{e}": lambda e=e: open_small_cpw(e)
        for e in (1.42, 2.2, 6.45, 9.8, 11.45)},
-    "y-split": (split_section, (12, 12)),
-    "y-odd-ny": (lambda: split_section(ny=25), (12, 25)),
-    "y-strip-off-mid": (lambda: split_section(metal=13), (12, 24)),
-    "y-boundary-off-mid": (lambda: split_section(boundary=13), (12, 24)),
-    "y-patch-one-side": (lambda: split_section(patch_eps=5.0), (12, 24)),
-    "y-strip-pair": (lambda: strip_pair_section(1.0), (12, 12)),
-    # the same couplings and pins, but a mirror image in b only at 1 V
-    "y-strip-pair-0V": (lambda: strip_pair_section(0.0), (12, 24)),
+    "y-split": split_section,
+    "y-odd-ny": lambda: split_section(ny=25),
+    "y-strip-pair": lambda: strip_pair_section(1.0),
+    "y-strip-pair-0V": lambda: strip_pair_section(0.0),
 }
 
 
@@ -521,27 +507,22 @@ Y_FOLD_SECTIONS = {
     (20, 17, "neumann", "grounded"),
     (13, 11, "grounded", "neumann"),
     "plates",
-    *FOLD_SECTIONS,
-    *Y_FOLD_SECTIONS,
-], ids=["grounded", "neumann-x", "neumann-y", "plates", *FOLD_SECTIONS,
-        *Y_FOLD_SECTIONS])
+    *ORACLE_SECTIONS,
+], ids=["grounded", "neumann-x", "neumann-y", "plates", *ORACLE_SECTIONS])
 def oracle_section(request, plate_section):
     """Small sections for the dense oracle: every wall type, strips on
-    several face lines, odd sizes, and sections on and off each fold and
-    with a dead band behind a full-width strip (plates, cpw-facing)."""
+    several face lines, odd sizes and mirror images, and a dead band
+    behind a full-width strip (plates, cpw-facing)."""
     if request.param == "plates":
         return plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13)
-    if request.param in FOLD_SECTIONS:
-        return FOLD_SECTIONS[request.param]()
-    if request.param in Y_FOLD_SECTIONS:
-        return Y_FOLD_SECTIONS[request.param][0]()
+    if request.param in ORACLE_SECTIONS:
+        return ORACLE_SECTIONS[request.param]()
     return layered_strip_section(*request.param)
 
 
 def test_dense_direct_solve_oracle(oracle_section):
     sec = oracle_section
-    # C' at the default tolerance; the potential itself once the residual
-    # is driven near rounding
+    # C' and the potential, at the default tolerance and at a tight one
     v_ref, system = dense_oracle(sec)
     c_ref = oracle_capacitance(sec, v_ref, system)
     sol = solve_potential(sec)
@@ -552,7 +533,7 @@ def test_dense_direct_solve_oracle(oracle_section):
 
 
 def test_dense_participation_oracle(oracle_section):
-    # every region's share at the default tolerance, against the shares
+    # every region's share, against the shares
     # of the dense solution's link and pin energies
     v_ref, system = dense_oracle(oracle_section)
     want = oracle_participation(oracle_section, v_ref, system)
@@ -607,13 +588,13 @@ def test_one_energy_pass_per_solve(monkeypatch):
     # read stored energies: one pass for the section's solve, and none
     # for its vacuum capacitance, open or facing, which is a direct solve
     passes = []
-    energies = fieldsolve._region_energies
+    energies = fieldsolve._residual_and_energies
 
     def spy(prob, *rest):
         passes.append(prob.section)
         return energies(prob, *rest)
 
-    monkeypatch.setattr(fieldsolve, "_region_energies", spy)
+    monkeypatch.setattr(fieldsolve, "_residual_and_energies", spy)
     for lid in (None, 20e-6):
         passes.clear()
         sec = cpw_cross_section(GEOM, cell=2e-6, interlayer_thickness=lid)
@@ -629,8 +610,8 @@ def test_one_energy_pass_per_solve(monkeypatch):
 
 def full_grid_energies(sol):
     """Region energies of the solution, in J/m, summed cell by cell over
-    the whole grid: the solver's own pass before it summed over the
-    solved cells only."""
+    the whole grid, where the solve sums over the rows that carry field,
+    with each face's split from the two cells' own eps."""
     prob, v = sol._problem, sol.potential
     eps, cell = prob.eps, np.zeros(v.shape)
     for t, a, b in prob.links:
@@ -658,33 +639,27 @@ def striped(sec, eps_rs):
         for k, e in enumerate(eps_rs)])
 
 
-# sections and the axes each folds on
+# named for their mirror symmetries: an open CPW is a (scaled) mirror
+# image in x and in y, a facing one in x only, and a trace off centre
+# takes away the one in x
 ENERGY_SECTIONS = {
-    "open": (lambda: cpw_cross_section(GEOM, cell=1e-6), [0, 1]),
-    "facing": (lambda: cpw_cross_section(GEOM, cell=1e-6,
-                                         interlayer_thickness=40e-6), [0]),
-    "x-only": (lambda: split_section(metal=13), [0]),
-    "y-only": (lambda: shifted_trace(cpw_cross_section(GEOM, cell=1e-6), 1),
-               [1]),
-    "unfoldable": (lambda: shifted_trace(small_cpw_section(), 1), []),
-    # 5^4 tuples of the four copies' regions, more than its 20 x 20
-    # solved cells: one bincount per copy
-    "many-regions": (lambda: striped(small_cpw_section(None),
-                                     [2.2, 3.9, 11.9, 3.9, 2.2]), [0, 1]),
+    "open": lambda: cpw_cross_section(GEOM, cell=1e-6),
+    "facing": lambda: cpw_cross_section(GEOM, cell=1e-6,
+                                        interlayer_thickness=40e-6),
+    "y-only": lambda: shifted_trace(cpw_cross_section(GEOM, cell=1e-6), 1),
+    "unfoldable": lambda: shifted_trace(small_cpw_section(), 1),
 }
 
 
 @pytest.mark.parametrize("name", [*ENERGY_SECTIONS, "plates"])
 def test_solved_cell_energies_match_full_grid(plate_section, name):
-    # each mirrored copy weighted by its fold scale and the dead band
-    # left out give every region the energy of the whole grid's pass
+    # the dead band left out and the split per row give every region the
+    # energy of the whole grid's pass
     if name == "plates":
-        sec, axes = plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13), []
+        sec = plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13)
     else:
-        build, axes = ENERGY_SECTIONS[name]
-        sec = build()
+        sec = ENERGY_SECTIONS[name]()
     sol = solve_potential(sec)
-    assert [axis for axis, _ in sol._cells[1]] == axes
     want = full_grid_energies(sol)
     assert want.sum() > 0.0
     for got, ref in zip(sol.energy, want):
@@ -694,43 +669,41 @@ def test_solved_cell_energies_match_full_grid(plate_section, name):
 def solve_spy(monkeypatch):
     """Record every solve the module runs from here on."""
     runs = []
-    solve = fieldsolve._solve
+    solve = fieldsolve.solve_potential
 
-    def spy(*args):
-        runs.append(solve(*args))
+    def spy(*args, **kwargs):
+        runs.append(solve(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(fieldsolve, "_solve", spy)
+    monkeypatch.setattr(fieldsolve, "solve_potential", spy)
     return runs
 
 
-def vacuum_solve(sec, sol, tol=fieldsolve.DEFAULT_TOL):
-    """(eps_eff, Z0) of the section from a forced all-vacuum solve started
-    at the section's solution sol."""
+def vacuum_oracle(sec):
+    """C' of the section's all-vacuum copy by a sparse LU solve."""
     vac = replace(sec, regions=[replace(r, eps_r=1.0) for r in sec.regions])
-    sol_vac = fieldsolve._solve(fieldsolve._Problem(vac), sol.potential, tol,
-                                fieldsolve.DEFAULT_MAX_SWEEPS)
-    c, c_vac = capacitance_per_length(sol), capacitance_per_length(sol_vac)
-    return c / c_vac, 1.0 / (C_LIGHT * math.sqrt(c * c_vac))
+    return oracle_capacitance(vac, *sparse_oracle(vac))
 
 
 @pytest.mark.parametrize("cell", [2e-6, 1e-6])
 def test_open_section_solves_its_vacuum_section(monkeypatch, cell):
-    # the vacuum section is solved directly, with no second CG solve,
-    # and agrees with one; a trace off centre in x leaves the y-fold.
-    # At 0.5 um a CG solve at tol 1e-8 is no oracle for the direct one:
-    # test_vacuum_capacitance_matches_sparse_lu checks it there
+    # the vacuum section is solved directly, with no second solve, and
+    # agrees with a sparse LU solve of it; it does not depend on eps, so
+    # the centred trace and the one off centre in x have one each
     runs = solve_spy(monkeypatch)
     sections = [cpw_cross_section(replace(GEOM, eps_substrate=sub,
                                           eps_superstrate=sup), cell=cell)
                 for sub in (2.2, 6.45, 9.8, 11.45, 11.9) for sup in (1.0, 2.2)]
     sections.append(shifted_trace(sections[-2], 1))
+    c_vac = {sec.conductors[0].rect: vacuum_oracle(sec)
+             for sec in (sections[0], sections[-1])}
     for sec in sections:
         sol = solve_potential(sec)
-        want = vacuum_solve(sec, sol)
-        n = len(runs)
+        c = capacitance_per_length(sol)
+        want_vac = c_vac[sec.conductors[0].rect]
+        want = c / want_vac, 1.0 / (C_LIGHT * math.sqrt(c * want_vac))
         got = extract_eps_eff_and_z0(sec, solution=sol)
-        assert len(runs) == n
+        assert runs == []
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=2e-14, abs=0.0)
 
@@ -739,7 +712,7 @@ def test_open_section_solves_its_vacuum_section(monkeypatch, cell):
 @pytest.mark.parametrize("lid", ["one-cell", 20e-6, 40e-6, 80e-6])
 def test_facing_sections_run_no_vacuum_solve(monkeypatch, cell, lid):
     # a facing CPW section, too, takes its vacuum capacitance from the
-    # direct solve, the facing ground one cell up included
+    # face solve, the facing ground one cell up included
     sec = cpw_cross_section(GEOM, cell=cell, interlayer_thickness=(
         cell if lid == "one-cell" else lid))
     assert len(sec.conductors) == 4
@@ -747,22 +720,6 @@ def test_facing_sections_run_no_vacuum_solve(monkeypatch, cell, lid):
     runs = solve_spy(monkeypatch)
     extract_eps_eff_and_z0(sec, solution=sol)
     assert runs == []
-
-
-def test_vacuum_solve_runs_past_the_free_face_bound(monkeypatch):
-    # the trace a cell above its grounds at 0.5 um leaves more free faces
-    # than COARSEST_CELLS on its two metal lines: the vacuum section is
-    # then solved by CG, with the same bits as one run directly
-    sec = shifted_trace(cpw_cross_section(GEOM, cell=0.5e-6), 0, up=1)
-    sol = solve_potential(sec)
-    free = sec.nx * 2 - sum(cols.sum() for cols, _, _ in
-                            sol._problem.strips)
-    assert free > fieldsolve._Multigrid.COARSEST_CELLS
-    assert fieldsolve._vacuum_capacitance(sol._problem) is None
-    runs = solve_spy(monkeypatch)
-    got = extract_eps_eff_and_z0(sec, solution=sol)
-    assert len(runs) == 1
-    assert got == vacuum_solve(sec, sol)
 
 
 def squashed(sec):
@@ -815,75 +772,92 @@ def test_vacuum_capacitance_matches_sparse_lu(name):
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-# ----------------------------------------------------- the direct start
+# ----------------------------------------------------- the direct solve
 
-def start_spy(monkeypatch):
-    """Record every direct start the module computes from here on."""
-    starts = []
-    direct = fieldsolve._direct_start
-
-    def spy(prob):
-        starts.append(direct(prob))
-        return starts[-1]
-
-    monkeypatch.setattr(fieldsolve, "_direct_start", spy)
-    return starts
-
-
-@pytest.mark.parametrize("cell", [2e-6, 1e-6, 0.5e-6])
+@pytest.mark.parametrize("cell", [2e-6, 1e-6, 0.5e-6, 0.25e-6])
 @pytest.mark.parametrize("eps", [9.8, 11.45, 11.9])
 @pytest.mark.parametrize("lid", [None, 40e-6], ids=["open", "facing"])
-def test_cpw_sections_take_the_direct_start(monkeypatch, cell, eps, lid):
-    # a CPW section is layered in y, so CG starts from its exact potential
-    # and stops at once, with the residual at rounding
-    starts = start_spy(monkeypatch)
+def test_cpw_sections_take_the_direct_start(cell, eps, lid):
+    # a CPW section is layered in y, so the direct solve takes it, with
+    # the residual at rounding
     sec = cpw_cross_section(replace(GEOM, eps_substrate=eps), cell=cell,
                             interlayer_thickness=lid)
     sol = solve_potential(sec)
-    assert len(starts) == 1 and starts[0] is not None
     assert sol.iterations == 0
     assert sol.residual <= 1e-14
 
 
-# sections the direct start declines, and CG solves from zero
+# sections the direct solve refuses, each with the reason it gives
 UNLAYERED_SECTIONS = {
-    "eps-varies-in-x": lambda: split_section(patch_eps=5.0),
-    "stripes": lambda: striped(small_cpw_section(None),
-                               [2.2, 3.9, 11.9, 3.9, 2.2]),
-    "eps-changes-in-band": lambda: split_section(boundary=13),
-    "free-faces-over-bound": lambda: shifted_trace(
+    "eps-varies-in-x": (lambda: split_section(patch_eps=5.0),
+                        "eps_r varies across x in the row at y = 7.5e-06 m"),
+    "stripes": (lambda: striped(small_cpw_section(None),
+                                [2.2, 3.9, 11.9, 3.9, 2.2]),
+                "eps_r varies across x in the row at y = -3.9e-05 m"),
+    "eps-changes-in-band": (lambda: split_section(boundary=13),
+                            "eps_r changes at y = 1.3e-05 m, on a face line "
+                            "with no metal"),
+    "free-faces-over-bound": (lambda: shifted_trace(
         cpw_cross_section(GEOM, cell=0.5e-6), 0, up=1),
+        "the metal lines leave 458 faces free, above the 256"),
+    "y-strip-off-mid": (lambda: split_section(metal=13),
+                        "eps_r changes at y = 1.2e-05 m, on a face line "
+                        "with no metal"),
+    "y-boundary-off-mid": (lambda: split_section(boundary=13),
+                           "eps_r changes at y = 1.3e-05 m, on a face line "
+                           "with no metal"),
+    "y-patch-one-side": (lambda: split_section(patch_eps=5.0),
+                         "eps_r varies across x in the row at y = 7.5e-06 m"),
 }
 
 
 @pytest.mark.parametrize("name", UNLAYERED_SECTIONS)
-def test_direct_start_declines_unlayered_sections(monkeypatch, name):
+def test_direct_start_declines_unlayered_sections(name):
     # eps varying in x, eps changing between two metal lines, or more
-    # free faces than COARSEST_CELLS: CG runs from zero, with the bits of
-    # a solve given no start
-    sec = UNLAYERED_SECTIONS[name]()
-    starts = start_spy(monkeypatch)
-    sol = solve_potential(sec)
-    assert starts == [None]
-    want = cg_solve(sec)
-    assert sol.iterations == want.iterations > 0
-    assert sol.residual == want.residual
-    assert np.array_equal(sol.potential, want.potential)
-    assert np.array_equal(sol.energy, want.energy)
+    # free faces than MAX_FREE_FACES: a ValueError that says which
+    build, reason = UNLAYERED_SECTIONS[name]
+    sec = build()
+    for solve in (solve_potential, extract_eps_eff_and_z0):
+        with pytest.raises(ValueError, match=f"^{reason}"):
+            solve(sec)
+
+
+def test_cpw_sections_stay_under_the_free_face_cap():
+    # a CPW section's free faces are its two gaps on the metal plane (the
+    # facing ground is full width), at most the box's aperture in cells
+    # plus the snapping; the widest gaps come with the narrowest trace
+    # the grid takes at the largest box.  Counted from the conductors'
+    # rectangles: a solve of 2048^2 cells would peak at ~0.45 GB
+    assert (fieldsolve.MAX_CELLS_PER_SIDE / fieldsolve.MIN_BOX_FACTOR + 2
+            <= fieldsolve.MAX_FREE_FACES)
+    cell = 1e-6
+    w = 1.01 * cell  # half of it snaps to one cell
+    gap = 0.5 * (fieldsolve.MAX_CELLS_PER_SIDE / fieldsolve.MIN_BOX_FACTOR
+                 * cell - w) * (1.0 - 1e-12)
+    geom = replace(GEOM, trace_width=w, gap=gap)
+    sec = cpw_cross_section(geom, cell=cell, interlayer_thickness=40e-6)
+    assert sec.nx == fieldsolve.MAX_CELLS_PER_SIDE
+    xs, _ = sec.cell_centers()
+    lines = {}
+    for c in sec.conductors:
+        covered = lines.setdefault(c.rect.y0, np.zeros(sec.nx, dtype=bool))
+        covered |= (c.rect.x0 <= xs) & (xs <= c.rect.x1)
+    free = sum(int((~covered).sum()) for covered in lines.values())
+    assert 0 < free <= fieldsolve.MAX_FREE_FACES
+    with pytest.raises(ValueError, match="cell too coarse"):
+        cpw_cross_section(replace(geom, trace_width=0.99 * cell), cell=cell)
 
 
 @pytest.mark.parametrize("nx", [16, 32])
 def test_narrow_plates_take_the_direct_start(plate_section, nx):
-    # with insulated side walls CG takes 14 iterations at 32 cells wide
-    # (1 at 16, whose folded grid is its own coarsest); plates are
-    # layered, so they take none
+    # with insulated side walls, plates are layered: C' of the direct
+    # solve against the dense solve of this file's own assembly
     sec = plate_section(eps_r=6.45, nx=nx, ny=32)
     sol = solve_potential(sec)
     assert sol.iterations == 0
-    want = cg_solve(sec, tol=1e-12)
-    assert want.iterations > 0
+    v_ref, system = dense_oracle(sec)
     assert capacitance_per_length(sol) == pytest.approx(
-        capacitance_per_length(want), rel=1e-13)
+        oracle_capacitance(sec, v_ref, system), rel=1e-13)
 
 
 # sections at 0.5 um cells, 188k, for the sparse LU oracle
@@ -907,14 +881,14 @@ PLATE_SIZES = {"plates": {"nx": 17, "ny": 23, "gap_cells": 13},
 
 @pytest.mark.parametrize("name", [*HALF_MICRON_SECTIONS, *PLATE_SIZES])
 def test_direct_start_matches_sparse_lu(plate_section, name):
-    # the direct map and the region energies of the solve that starts
-    # from it, against a sparse LU solve of this file's own assembly
+    # the direct map and the region energies of the solve, against a
+    # sparse LU solve of this file's own assembly
     if name in PLATE_SIZES:
         sec = plate_section(eps_r=6.45, **PLATE_SIZES[name])
     else:
         sec = HALF_MICRON_SECTIONS[name]()
     v_ref, system = sparse_oracle(sec)
-    v = fieldsolve._direct_start(fieldsolve._Problem(sec))
+    v, _ = fieldsolve._direct_map(fieldsolve._Problem(sec))
     assert np.abs(v - v_ref).max() <= 1e-12
     sol = solve_potential(sec)
     assert sol.iterations == 0
@@ -973,21 +947,7 @@ def test_sparse_direct_solve_oracle_at_1um():
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-9)
 
 
-# ------------------------------- folding at symmetry planes, dead bands
-
-def fine_shapes(monkeypatch):
-    """Record the shape of every grid the solver builds, the fine one
-    first: the cells left once the system is folded and cut down."""
-    shapes = []
-    level = fieldsolve._Level
-
-    def spy(diag, fx, fy):
-        shapes.append(diag.shape)
-        return level(diag, fx, fy)
-
-    monkeypatch.setattr(fieldsolve, "_Level", spy)
-    return shapes
-
+# ---------------------------------------------------------- dead bands
 
 def lid_row(sec):
     """The first row above the facing ground."""
@@ -996,74 +956,35 @@ def lid_row(sec):
 
 
 @pytest.mark.parametrize("cell", [2e-6, 1e-6, 0.5e-6])
-@pytest.mark.parametrize("lid", [None, 40e-6], ids=["open", "facing"])
-def test_cpw_potential_is_exactly_mirror_symmetric(monkeypatch, cell, lid):
-    # open: even about the metal plane too, on a quarter of the cells;
-    # facing: exactly zero above the lid, which the solve stops below
-    sec = cpw_cross_section(GEOM, cell=cell, interlayer_thickness=lid)
-    shapes = fine_shapes(monkeypatch)
+def test_facing_potential_is_exactly_zero_above_the_lid(cell):
+    # nothing drives the band above a full-width facing ground
+    sec = cpw_cross_section(GEOM, cell=cell, interlayer_thickness=40e-6)
     v = solve_potential(sec).potential
     assert v.shape == (sec.nx, sec.ny)
-    assert np.array_equal(v, v[::-1])
-    if lid is None:
-        assert shapes[0] == (sec.nx // 2, sec.ny // 2)
-        assert np.array_equal(v, v[:, ::-1])
-    else:
-        top = lid_row(sec)
-        assert shapes[0] == (sec.nx // 2, top)
-        assert np.all(v[:, top:] == 0.0)
-        assert np.all(v[:, :top] != 0.0)
+    top = lid_row(sec)
+    assert np.all(v[:, top:] == 0.0)
+    assert np.all(v[:, :top] != 0.0)
 
 
-@pytest.mark.parametrize("name", FOLD_SECTIONS)
-def test_fold_only_exact_mirror_images(monkeypatch, name):
-    # an off-centre trace or an odd nx runs the full width; the dense
-    # oracle tests check all three solutions
-    sec = FOLD_SECTIONS[name]()
-    shapes = fine_shapes(monkeypatch)
-    solve_potential(sec)
-    assert shapes[0][0] == (sec.nx // 2 if name == "cpw-facing" else sec.nx)
-
-
-@pytest.mark.parametrize("name", Y_FOLD_SECTIONS)
-def test_fold_in_y_only_exact_scaled_mirror_images(monkeypatch, name):
-    # the substrate half is eps_sub times the vacuum half's mirror image;
-    # an odd ny, a strip or a region boundary one cell off the mid-line,
-    # a patch with another scale on one side, or mirrored strips at
-    # different potentials keep every row
-    build, want = Y_FOLD_SECTIONS[name]
-    shapes = fine_shapes(monkeypatch)
-    v = solve_potential(build()).potential
-    assert shapes[0] == want
-    if want[1] < v.shape[1]:
-        assert np.array_equal(v, v[:, ::-1])
-
-
-def test_dead_band_is_dropped_exactly(monkeypatch, plate_section):
+def test_dead_band_is_dropped_exactly(plate_section):
     # below a full-width plate at 0 V nothing drives the field; above
     # one at 1 V the cells are pinned to 1 V, a source, so they stay
     sec = plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13)
-    shapes = fine_shapes(monkeypatch)
     v = solve_potential(sec).potential
-    assert shapes[0] == (17, 18)
     assert np.all(v[:, :5] == 0.0)
     assert np.abs(v[:, 18:] - 1.0).max() <= 1e-7
 
 
 @pytest.mark.parametrize("name", ["open", "facing", "open-eps-2.2", "plates"])
-def test_folded_solve_matches_full_grid_assembly(monkeypatch, plate_section,
-                                                name):
-    # the folded or cut-down solve driven to 1e-13, against the dense
-    # solve of this file's cell-by-cell assembly of the whole grid
+def test_direct_solve_matches_full_grid_assembly(plate_section, name):
+    # the solve at tol 1e-13, against the dense solve of this file's
+    # cell-by-cell assembly of the whole grid
     sec = {"open": lambda: small_cpw_section(None),
            "facing": small_cpw_section,
            "open-eps-2.2": lambda: open_small_cpw(2.2),
            "plates": lambda: plate_section(eps_r=6.45, nx=17, ny=23,
                                            gap_cells=13)}[name]()
-    shapes = fine_shapes(monkeypatch)
     sol = solve_potential(sec, tol=1e-13)
-    assert shapes[0] == {"open": (20, 20), "facing": (20, 25),
-                         "open-eps-2.2": (20, 20), "plates": (17, 18)}[name]
     v_ref, system = dense_oracle(sec)
     c_ref = oracle_capacitance(sec, v_ref, system)
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-12)
@@ -1073,75 +994,13 @@ def test_folded_solve_matches_full_grid_assembly(monkeypatch, plate_section,
         assert got[region] == pytest.approx(share, rel=1e-12), region
 
 
-def test_vacuum_start_comes_back_unchanged():
-    # an all-vacuum section folds the same way for both solves of the
-    # eps_eff extraction, so the converged start is returned as it is
-    vac = CpwGeometry(trace_width=10e-6, gap=5.806e-6, eps_substrate=1.0,
-                      eps_superstrate=1.0)
-    for lid in (None, 40e-6):
-        sec = cpw_cross_section(vac, cell=2e-6, interlayer_thickness=lid)
-        sol = solve_potential(sec)
-        again = fieldsolve._solve(sol._problem, sol.potential,
-                                  fieldsolve.DEFAULT_TOL,
-                                  fieldsolve.DEFAULT_MAX_SWEEPS)
-        assert again.iterations == 0
-        assert np.array_equal(again.potential, sol.potential)
-
-
-def test_iteration_count_flat_in_grid_size():
-    # a V-cycle or plain relaxation needs more iterations on finer grids;
-    # the preconditioned solve should not
-    counts = [cg_solve(cpw_cross_section(GEOM, cell=c)).iterations
-              for c in (2e-6, 1e-6, 0.5e-6)]
-    assert counts[0] > 0
-    assert all(abs(n - counts[0]) <= 3 for n in counts), counts
-
-
 def test_convergence_error_says_what_to_change():
     sec = cpw_cross_section(GEOM, cell=2e-6)
-    with pytest.raises(ConvergenceError) as info:
-        cg_solve(sec, max_sweeps=2)
-    for knob in ("--max-sweeps", "--tol", "--cell"):
-        assert knob in str(info.value)
+    with pytest.raises(ConvergenceError, match=r"loosen tol \(--tol\)$"):
+        solve_potential(sec, tol=1e-17)
 
 
-# ------------------------------------------------------ multigrid internals
-
-CYCLE_SECTIONS = {
-    "open": lambda: cpw_cross_section(GEOM, cell=2e-6),
-    "facing": lambda: cpw_cross_section(GEOM, cell=2e-6,
-                                        interlayer_thickness=20e-6),
-    "odd": lambda: layered_strip_section(33, 21, "grounded", "grounded"),
-}
-
-
-def multigrid(sec):
-    """The solver's preconditioner for a section, as v -> M v on its
-    nx x ny grid, with the hierarchy."""
-    prob = fieldsolve._Problem(sec)
-    fine = fieldsolve._Level(prob.diag, prob.fx, prob.fy)
-    mg = fieldsolve._Multigrid(fine)
-
-    def precondition(v):
-        fine.r[...] = fine.split(v)
-        return fine.join(mg())
-
-    return precondition, mg
-
-
-@pytest.mark.parametrize("name", CYCLE_SECTIONS)
-def test_preconditioner_is_symmetric_positive_definite(name):
-    # conjugate gradients needs M symmetric and positive definite on the
-    # cells; one cycle applied to random a and b must show both
-    sec = CYCLE_SECTIONS[name]()
-    precondition, _ = multigrid(sec)
-    rng = np.random.default_rng(11)
-    a, b = (rng.standard_normal((sec.nx, sec.ny)) for _ in range(2))
-    ma, mb = precondition(a), precondition(b)
-    gap = abs(np.sum(ma * b) - np.sum(a * mb))
-    assert gap <= 1e-12 * np.linalg.norm(ma) * np.linalg.norm(b)
-    assert np.sum(ma * a) > 0.0 and np.sum(mb * b) > 0.0
-
+# --------------------------------------------------- the face solve's inverse
 
 def spd_matrices():
     rng = np.random.default_rng(5)
@@ -1168,32 +1027,7 @@ def test_cholesky_inverse_matches_lapack(name):
 ], ids=["zero", "negative", "nan", "indefinite"])
 def test_cholesky_inverse_refuses_non_positive_pivot(a, k, pivot):
     # a pivot that is not positive raises, where the square root of it
-    # would carry NaN into every coarse correction
-    with pytest.raises(ValueError, match=f"^coarsest operator is not "
-                       f"positive definite: pivot {k} is {pivot}$"):
+    # would carry NaN into the face solve
+    with pytest.raises(ValueError, match=f"^matrix is not positive "
+                       f"definite: pivot {k} is {pivot}$"):
         fieldsolve._cholesky_inverse(np.array(a))
-
-
-@pytest.mark.parametrize("name", ["open", "facing", "odd"])
-def test_coarsest_inverse_matches_lapack(name):
-    # the coarsest operator, column by column from the level's own
-    # stencil, over its active cells in row-major order; the coarsest
-    # visit, applied to each unit vector, must give A^-1 column by column
-    _, mg = multigrid(CYCLE_SECTIONS[name]())
-    last, k_last = mg.levels[-1], len(mg.levels) - 1
-    cells = np.flatnonzero(last.diag[:last.nx, :last.ny] > 0.0)
-    u, au = np.zeros_like(last.x), np.zeros_like(last.r)
-    columns, solved = [], []
-    for k in cells:
-        v = np.zeros(last.nx * last.ny)
-        v[k] = 1.0
-        u[:, :, 1:-1, 1:-1] = last.split(v.reshape(last.nx, last.ny))
-        last.apply(last.bind(u), au)
-        u[:, :, 1:-1, 1:-1] = au
-        columns.append(last.join(u).ravel()[cells])
-        last.r[...] = last.split(v.reshape(last.nx, last.ny))
-        solved.append(last.join(mg(k_last)).ravel()[cells])
-    want = np.linalg.inv(np.array(columns).T)
-    assert len(want) <= mg.COARSEST_CELLS
-    got = np.array(solved).T
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
