@@ -309,7 +309,7 @@ def _cmd_fieldsolve(args) -> dict:
             f"({args.cell:.6g} m) and below the box half-height "
             f"({0.5 * section.height:.6g} m); change --interlayer, --cell "
             "or --box-factor")
-    sol = fieldsolve.solve_potential(section, tol=args.tol)
+    sol = fieldsolve.solve_potential(section)
     if args.dump_potential:
         x, y = np.meshgrid(*section.cell_centers())  # rows run y, then x
         table = SweepTable("x_m", x.ravel().tolist(), {
@@ -317,8 +317,7 @@ def _cmd_fieldsolve(args) -> dict:
         _write_text(args.dump_potential, table.to_csv())
     c = fieldsolve.capacitance_per_length(sol)
     participation = fieldsolve.energy_participation(sol)
-    eps_eff, z0 = fieldsolve.extract_eps_eff_and_z0(
-        section, tol=args.tol, solution=sol)
+    eps_eff, z0 = fieldsolve.extract_eps_eff_and_z0(section, solution=sol)
     return {
         "nx": section.nx,
         "ny": section.ny,
@@ -456,10 +455,6 @@ def build_parser() -> _Parser:
                    default=fieldsolve.MIN_BOX_FACTOR)
     p.add_argument("--interlayer", dest="interlayer_thickness", type=_length,
                    help="facing-chip ground height above the trace")
-    p.add_argument("--tol", type=_scalar, default=fieldsolve.DEFAULT_TOL,
-                   help="bound on the direct solve's relative residual "
-                        "|b - Av| / |b|, which rounding puts at ~1e-15; "
-                        "above it the solve exits 2")
     p.add_argument("--dump-potential",
                    help="write the potential grid as x,y,V CSV rows")
     p.set_defaults(func=_cmd_fieldsolve)

@@ -9,25 +9,22 @@ cells, each carrying the harmonic mean of the two permittivities (the
 exact series composition for interfaces aligned with the grid), and
 pins, one per face where a cell meets a fixed potential (a grounded
 wall, or either side of a strip), which tie the cell to that potential
-across half a cell.  The solver and the energy extraction both read
-this one model.
+across half a cell.
 
-The solver takes a section whose permittivity depends on y alone and
-changes only on face lines that carry metal, as a CPW's and its
+The solver takes a section whose dielectric regions each span the box's
+width and meet only on face lines that carry metal, as a CPW's and its
 all-vacuum copy's do, and refuses any other.  A sine transform across x
 and a closed form along y leave those lines' free faces as the only
-unknowns, one small dense solve (the capacitance-matrix method), and
-give the exact discrete potential.  Its residual, recomputed from the
-system above, confirms it.  Rows behind a face line cut by metal across
-the whole width, with no source beyond it (the band behind a full-width
-facing ground), hold exactly zero and are left out.
-
-Each solve sums the discrete field energy of every dielectric region
-once, over the rows that carry field.  From it the module takes the
-per-unit-length capacitance (C = 2U/V^2), each region's share of the
-energy, and, with the all-vacuum capacitance from the same face solve,
-the effective permittivity and characteristic impedance of a
-transmission-line section.
+unknowns, one small dense solve (the capacitance-matrix method) whose
+residual is checked.  The same face solve gives the field energy of
+each band between two such lines, and so of each region, exactly.  From
+those energies the module takes the per-unit-length capacitance (C =
+2U/V^2) and each region's share of the energy; with a face solve of the
+all-vacuum copy, it also takes the effective permittivity and
+characteristic impedance of a transmission-line section.  None of this
+builds an nx x ny array.  The potential map is expanded from the face
+solution only when it is read, and its residual, recomputed from the
+cell system above over the whole grid, is checked then.
 
 The box walls are grounded by default.  Tests and idealized parallel
 plate sections may instead ask for insulated (zero normal flux) walls,
@@ -36,6 +33,7 @@ which kill fringing where a closed form is the reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,16 +56,21 @@ __all__ = [
     "cpw_cross_section",
 ]
 
-DEFAULT_TOL = 1e-8
-MAX_CELLS_PER_SIDE = 2048  # a CPW section peaks at ~110 B per cell
+# a read of the potential map peaks at ~60 B per cell (250 MB at 2042^2
+# cells, traced by tracemalloc); a solve without it at ~7 MB there
+MAX_CELLS_PER_SIDE = 2048
 MIN_BOX_FACTOR = 10.0  # CPW box width in apertures; also the default
 # unknowns of the face solve's dense system; a CPW section's metal plane
 # leaves at most MAX_CELLS_PER_SIDE / MIN_BOX_FACTOR + 2 of them
 MAX_FREE_FACES = 256
+# bound on the relative residuals of the face solve and of the map, which
+# rounding puts at ~1e-15
+RESIDUAL_BOUND = 1e-12
 
 
 class ConvergenceError(RuntimeError):
-    """The solver failed to reach the residual tolerance."""
+    """A residual of the direct solve is above RESIDUAL_BOUND: the solver
+    is wrong."""
 
 
 @dataclass(frozen=True)
@@ -165,67 +168,71 @@ class CrossSection:
 
 @dataclass
 class FieldSolution:
-    """Solved potential with the assembled problem kept for reuse.
+    """A solved section: region energies now, the potential map on read.
 
-    residual is |b - A v| / |b| of the potential, recomputed from the
-    assembled system.  iterations is always 0, since the solve is
-    direct; it stays because the CLI's JSON output and its goldens carry
-    it, and benchmark tooling reads it.  energy is the field energy of
-    each region of section.regions over the whole section, in J/m,
-    summed once by the solve (see _residual_and_energies).
+    residual is the face system's |h f + r| / |r| (see _face_solve).
+    iterations is always 0, since the solve is direct; it stays because
+    the CLI's JSON output and its goldens carry it, and benchmark tooling
+    reads it.  energy is the field energy of each region of
+    section.regions, in J/m, summed over the face solve's bands.
+    potential, the nx x ny map, is built from the stored face solution on
+    its first read, when its residual |b - A v| / |b| over the whole grid
+    is checked too; until then the solution holds no nx x ny array.
     """
 
     section: CrossSection
-    potential: np.ndarray
     iterations: int
     residual: float
     energy: np.ndarray
     _problem: "_Problem"
+    _faces: tuple  # lam, bands and modes of _face_solve
+
+    @functools.cached_property
+    def potential(self) -> np.ndarray:
+        v = _direct_map(self._problem, *self._faces)
+        _check(_map_residual(self._problem, v), "potential map")
+        return v
 
 
 class _Problem:
-    """The section's discrete system: cell couplings plus pins.
+    """What the face solve reads of a section, checked.
 
-    fx and fy couple neighbouring cells across interior x and y faces,
-    zero across a strip; links lists each with the index of its cells on
-    either side.  pin_cell (flat cell index), pin_coef and pin_val list
-    every face of a cell that touches a grounded wall or a strip; pins
-    sums pin_coef per cell, and b is the right-hand side.  strips lists
-    each conductor as (columns it covers, face line, potential), and
-    grounded says per axis, x then y, whether its walls are grounded.
-    Couplings and pins are in units of EPS_0 and include the cell aspect
-    ratio.  This is the only place that reads the wall types.
+    region and eps give each row's region index and eps_r; faces maps
+    each face line that carries metal to the potential of its nx faces,
+    NaN where a face is free; grounded says per axis, x then y, whether
+    its walls are grounded.  Every region must span the box's width, and
+    regions may meet only on a face line that carries metal, with at most
+    MAX_FREE_FACES free faces on all lines: a ValueError says which fails.
     """
 
     def __init__(self, section: CrossSection):
         self.section = section
-        nx, ny = section.nx, section.ny
-        hx, hy = section.hx, section.hy
+        nx, ny, hy, oy = section.nx, section.ny, section.hy, section.origin[1]
         xs, ys = section.cell_centers()
 
-        # paint dielectric regions; every cell must be claimed once
-        region_id = np.full((nx, ny), -1, dtype=int)
-        eps = np.zeros((nx, ny))
         self.region_names = [r.name for r in section.regions]
         if len(set(self.region_names)) != len(self.region_names):
             raise ValueError("region names must be unique")
-        xg = xs[:, None]
-        yg = ys[None, :]
+        region = np.full(ny, -1)
         for ridx, reg in enumerate(section.regions):
-            inside = ((xg >= reg.rect.x0) & (xg <= reg.rect.x1) &
-                      (yg >= reg.rect.y0) & (yg <= reg.rect.y1))
-            clash = inside & (region_id >= 0)
-            if clash.any():
+            r = reg.rect
+            rows = (ys >= r.y0) & (ys <= r.y1)
+            cols = (xs >= r.x0) & (xs <= r.x1)
+            if not (rows.any() and cols.any()):
+                continue
+            if not cols.all():
+                raise ValueError(f"region {reg.name!r} does not span the "
+                                 "box's width, as the field solver needs")
+            if (region[rows] >= 0).any():
                 raise ValueError(f"region {reg.name!r} overlaps another")
-            region_id[inside] = ridx
-            eps[inside] = reg.eps_r
-        if (region_id < 0).any():
-            raise ValueError("dielectric regions do not cover the domain")
-        self.region_id = region_id
-        self.eps = eps
+            region[rows] = ridx
+        if (region < 0).any():
+            y = oy + (np.flatnonzero(region < 0)[0] + 0.5) * hy
+            raise ValueError(f"no dielectric region covers the row at "
+                             f"y = {y:.6g} m")
+        self.region = region
+        self.eps = np.array([r.eps_r for r in section.regions])[region]
 
-        # electrodes: a strip cuts its face line, so no coupling crosses
-        # it, and pins the cell on either side
         self.potentials = [cond.potential for cond in section.conductors]
         self.grounded = [bc == "grounded" for bc in (section.x_bc,
                                                      section.y_bc)]
@@ -233,11 +240,10 @@ class _Problem:
             self.potentials.append(0.0)
         if not self.potentials:
             raise ValueError("no electrodes in the section")
-        strips: list[tuple[np.ndarray, int, float]] = []
-        cut = np.zeros((nx, ny - 1), dtype=bool)  # face below row m at m - 1
+        self.faces: dict[int, np.ndarray] = {}
         for cond in section.conductors:
             r = cond.rect
-            fy = (r.y0 - section.origin[1]) / hy
+            fy = (r.y0 - oy) / hy
             m = round(fy)
             if abs(fy - m) > 1e-6:
                 raise ValueError(
@@ -248,51 +254,22 @@ class _Problem:
             cols = (xs >= r.x0) & (xs <= r.x1)
             if not cols.any():
                 raise ValueError(f"strip {cond.name!r} covers no cells")
-            if cut[cols, m - 1].any():
+            line = self.faces.setdefault(int(m), np.full(nx, np.nan))
+            if not np.isnan(line[cols]).all():
                 raise ValueError("strips overlap on a shared face")
-            cut[cols, m - 1] = True
-            strips.append((cols, int(m), cond.potential))
+            line[cols] = cond.potential
 
-        self.strips = strips
-        cells = np.arange(nx * ny).reshape(nx, ny)
-        pins = []
-
-        def pin(at, ratio, value):
-            """Pin the cells at index `at` to value across half a cell."""
-            coef = ratio * (2.0 * eps[at])
-            pins.append((cells[at], coef, np.full_like(coef, value)))
-
-        def couple(a, b, ratio):
-            """Harmonic-mean couplings between the cells a and b, eps
-            itself where equal: 2 e e / (e + e) misses 6.45 by an ulp."""
-            ea, eb = eps[a], eps[b]
-            t, mixed = ratio * ea, ea != eb
-            ea, eb = ea[mixed], eb[mixed]
-            t[mixed] = ratio * (2.0 * ea * eb / (ea + eb))
-            return t
-
-        every = slice(None)
-        x_faces = ((slice(None, -1), every), (slice(1, None), every))
-        y_faces = ((every, slice(None, -1)), (every, slice(1, None)))
-        self.fx = couple(*x_faces, hy / hx)
-        self.fy = np.where(cut, 0.0, couple(*y_faces, hx / hy))
-        self.links = [(self.fx, *x_faces), (self.fy, *y_faces)]
-        if self.grounded[0]:
-            for i in (0, -1):
-                pin((i, every), hy / hx, 0.0)
-        if self.grounded[1]:
-            for j in (0, -1):
-                pin((every, j), hx / hy, 0.0)
-        for cols, m, pot in strips:
-            for j in (m - 1, m):
-                pin((cols, j), hx / hy, pot)
-        self.pin_cell, self.pin_coef, self.pin_val = (
-            np.concatenate(group) for group in zip(*pins))
-
-        self.pins = np.bincount(self.pin_cell, weights=self.pin_coef,
-                                minlength=nx * ny).reshape(nx, ny)
-        self.b = np.bincount(self.pin_cell, self.pin_coef * self.pin_val,
-                             nx * ny).reshape(nx, ny)
+        for m in np.flatnonzero(region[1:] != region[:-1]) + 1:
+            if m not in self.faces:
+                lo, hi = (self.region_names[i] for i in region[m - 1:m + 1])
+                raise ValueError(
+                    f"regions {lo!r} and {hi!r} meet at y = {oy + m * hy:.6g}"
+                    " m, on a face line with no metal: the field solver "
+                    "needs regions to meet on a metal line")
+        free = sum(int(np.isnan(g).sum()) for g in self.faces.values())
+        if free > MAX_FREE_FACES:
+            raise ValueError(f"the metal lines leave {free} faces free, "
+                             f"above the {MAX_FREE_FACES} the field solver takes")
 
 
 def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
@@ -320,82 +297,40 @@ def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     # a numpy reduction, not np.vdot: pairwise summation gives the same
     # bits at any BLAS thread count, and no BLAS worker is left spinning
     return float((a * b).sum())
 
 
-def solve_potential(section: CrossSection,
-                    tol: float = DEFAULT_TOL) -> FieldSolution:
-    """Solve the section to a potential map, directly.
-
-    The section's permittivity must depend on y alone and change only on
-    face lines that carry metal, and those lines may leave at most
-    MAX_FREE_FACES faces free of metal, as every section that
-    cpw_cross_section builds does; any other section is a ValueError
-    that says which of these fails.  The map (_direct_map) is exact up
-    to rounding: its relative residual |b - A v| / |b|, recomputed from
-    the assembled system, is ~1e-15, and a ConvergenceError is raised
-    when it is above tol.  Rows behind a full-width strip with no source
-    beyond it hold exactly zero and are left out of the residual and
-    energy passes.
-    """
-    _check_tol(tol)
-    prob = _Problem(section)
-    v, rows = _direct_map(prob)
-    rel, energy = _residual_and_energies(prob, v, rows)
-    if not rel <= tol:
+def _check(rel: float, what: str) -> None:
+    if not rel <= RESIDUAL_BOUND:  # also NaN
         raise ConvergenceError(
-            f"relative residual {rel:.3e} of the direct solve is above tol "
-            f"{tol:.3e}; rounding alone leaves ~1e-15, so loosen tol (--tol)")
-    return FieldSolution(section=section, potential=v, iterations=0,
-                         residual=rel, energy=energy, _problem=prob)
+            f"relative residual {rel:.3e} of the {what} is above "
+            f"{RESIDUAL_BOUND:.0e}, where rounding leaves ~1e-15: the field "
+            "solver is wrong")
 
 
-def _residual_and_energies(prob: _Problem, v: np.ndarray,
-                           rows: slice) -> tuple[float, np.ndarray]:
-    """(|b - A v| / |b|, field energy of each region in J/m) of the map
-    v, face by face over rows, outside which v and b are zero and no
-    face couples to them (see _direct_map).
+def solve_potential(section: CrossSection) -> FieldSolution:
+    """Solve the section directly, to its region energies.
 
-    A coupling t carries the flux q = t dv across its face from the cell
-    a on one side to the cell c on the other, which A v sums per cell
-    with the pins' flux, and stores q dv / 2; for two dielectrics in
-    series the drop splits inversely to eps, putting eps_c / (eps_a +
-    eps_c) of that in the cell a.  As _direct_map requires, eps depends
-    on y alone, so that split is one half across x faces and one number
-    per row across y faces.  A pin's energy is wholly its cell's; the
-    few pins are summed from v itself.  |b| = 0 counts as 1, so that the
-    zero map of a section with no source has residual 0.
+    Every region must span the box's width and regions may meet only on
+    face lines that carry metal, which may leave at most MAX_FREE_FACES
+    faces free, as every section that cpw_cross_section builds does; any
+    other section is a ValueError that says which of these fails.  The
+    face solve (_face_solve) gives each band's energy, exact up to
+    rounding; its residual is ~1e-15, and one above RESIDUAL_BOUND is a
+    ConvergenceError.  No nx x ny array is built until the solution's
+    potential is read.
     """
-    u, eps, b = v[:, rows], prob.eps[0, rows], prob.b[:, rows]
-    r = b - prob.pins[:, rows] * u
-    cell = np.zeros(u.shape)
-    faces = zip((prob.fx[:, rows], prob.fy[:, rows.start:rows.stop - 1]),
-                prob.links, (0.5, eps[1:] / (eps[:-1] + eps[1:])))
-    for t, (_, a, c), split in faces:
-        d = u[a] - u[c]
-        q = t * d
-        r[a] -= q
-        r[c] += q
-        q *= d  # twice the face energy
-        d = np.multiply(q, split, out=d)
-        cell[a] += d
-        q -= d
-        cell[c] += q
-    rel = math.sqrt(_dot(r, r)) / (math.sqrt(_dot(b, b)) or 1.0)
-    n = len(prob.region_names)
-    energy = np.bincount(prob.region_id[:, rows].ravel(), cell.ravel(), n)
-    dv = v.ravel()[prob.pin_cell] - prob.pin_val
-    energy += np.bincount(prob.region_id.ravel()[prob.pin_cell],
-                          prob.pin_coef * dv * dv, n)
-    return rel, 0.5 * EPS_0 * energy
+    prob = _Problem(section)
+    lam, bands, modes, rel = _face_solve(prob, prob.eps)
+    energy = np.zeros(len(prob.region_names))
+    for lo, _, _, two_u in bands:
+        energy[prob.region[lo]] += two_u
+    return FieldSolution(section=section, iterations=0, residual=rel,
+                         energy=0.5 * EPS_0 * energy, _problem=prob,
+                         _faces=(lam, bands, modes))
 
 
 def capacitance_per_length(sol: FieldSolution) -> float:
@@ -420,22 +355,21 @@ def energy_participation(sol: FieldSolution) -> dict[str, float]:
             for name, u in zip(sol._problem.region_names, sol.energy)}
 
 
-def extract_eps_eff_and_z0(section: CrossSection, tol: float = DEFAULT_TOL,
+def extract_eps_eff_and_z0(section: CrossSection,
                            solution: FieldSolution | None = None
                            ) -> tuple[float, float]:
     """(eps_eff, Z0) of a line cross-section: eps_eff = C / C_vac and Z0
     = 1 / (c sqrt(C C_vac)), C_vac with every region at eps_r = 1.
 
     C_vac is the exact discrete capacitance of the all-vacuum section,
-    by the face solve that gives the section its potential
-    (_vacuum_capacitance).  For an already-all-vacuum section C_vac is C
-    itself, so eps_eff is exactly one.  Pass a solution already computed
-    for this section to skip the solve.
+    by a face solve of the same problem (_vacuum_capacitance).  For an
+    already-all-vacuum section C_vac is C itself, so eps_eff is exactly
+    one.  Pass a solution already computed for this section to skip the
+    solve.
     """
     if solution is not None and solution.section is not section:
         raise ValueError("solution belongs to a different section")
-    _check_tol(tol)
-    sol = solution if solution is not None else solve_potential(section, tol)
+    sol = solution if solution is not None else solve_potential(section)
     c_actual = capacitance_per_length(sol)
     c_vac = (c_actual if all(r.eps_r == 1.0 for r in section.regions)
              else _vacuum_capacitance(sol._problem))
@@ -447,16 +381,16 @@ def extract_eps_eff_and_z0(section: CrossSection, tol: float = DEFAULT_TOL,
 def _vacuum_capacitance(prob: _Problem) -> float:
     """C' in F/m of prob's section with every region at eps_r = 1, by
     _face_solve."""
-    two_u = _face_solve(prob, np.ones(prob.section.ny))[-1]
+    bands = _face_solve(prob, np.ones(prob.section.ny))[1]
     span = max(prob.potentials) - min(prob.potentials)
-    return EPS_0 * two_u / (span * span)
+    return EPS_0 * sum(two_u for *_, two_u in bands) / (span * span)
 
 
 def _face_solve(prob: _Problem, eps: np.ndarray):
-    """(lam, bands, modes, 2U / EPS_0) of prob's system with eps[j] in row
-    j: bands as (lo, hi, pinned ends), modes each metal line's faces in
-    the x basis.  A ValueError refuses more than MAX_FREE_FACES free
-    faces, or eps changing on a face line with no metal.
+    """(lam, bands, modes, residual) of prob's system with eps[j] in row
+    j: bands as (lo, hi, pinned ends, 2U / EPS_0 of the band), modes each
+    metal line's faces in the x basis, and residual the dense system's
+    |h f + r| / |r|, a ConvergenceError above RESIDUAL_BOUND.
 
     In a band between two face lines that carry metal, or a line and a
     y wall, the sine basis (cosine between insulated walls) diagonalizes
@@ -467,38 +401,27 @@ def _face_solve(prob: _Problem, eps: np.ndarray):
     chain, eps times _band_form's energy in its ends, and the nodes
     minimize the sum: a dense solve on the free faces, the capacitance-
     matrix method (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
-    722, 1971).
+    722, 1971).  The node's split puts each half of a free face's energy
+    in its own band, so a band's energy is that of its cells, all in one
+    region.
     """
-    sec = prob.section
+    sec, faces = prob.section, prob.faces
     nx, rx, ry = sec.nx, sec.hy / sec.hx, sec.hx / sec.hy
-    faces: dict[int, np.ndarray] = {}  # face line -> potentials, NaN free
-    for cols, m, pot in prob.strips:
-        faces.setdefault(m, np.full(nx, np.nan))[cols] = pot
-    free_faces = sum(np.isnan(g).sum() for g in faces.values())
-    if free_faces > MAX_FREE_FACES:
-        raise ValueError(f"the metal lines leave {free_faces} faces free, "
-                         f"above the {MAX_FREE_FACES} the field solver takes")
     k, wave, lone = ((np.arange(1, nx + 1), np.sin, nx) if prob.grounded[0]
                      else (np.arange(nx), np.cos, 0))
     lam = 4.0 * rx * np.square(np.sin(0.5 * np.pi / nx * k))
     norm = np.where(k == lone, math.sqrt(1.0 / nx), math.sqrt(2.0 / nx))
 
     lines = sorted(faces)
-    diag, cross, bands = [np.zeros(nx) for _ in lines], [], []
+    diag, cross, forms = [np.zeros(nx) for _ in lines], [], []
     ends = [0, *lines, sec.ny]
     for lo, hi in zip(ends, ends[1:]):
-        change = np.flatnonzero(eps[lo:hi] != eps[lo])
-        if change.size:
-            y = sec.origin[1] + (lo + change[0]) * sec.hy
-            raise ValueError(f"eps_r changes at y = {y:.6g} m, on a face line "
-                             "with no metal: the field solver needs every "
-                             "change of eps_r on a metal line")
         pinned = [m in faces or prob.grounded[1] for m in (lo, hi)]
         if not any(pinned):
             continue
-        bands.append((lo, hi, pinned))
         own, across = (eps[lo] * f for f in _band_form(
             hi - lo, lam, ry, insulated=not all(pinned)))
+        forms.append((lo, hi, pinned, own, across))
         for m in (lo, hi):
             if m in faces:
                 diag[lines.index(m)] += own
@@ -533,43 +456,41 @@ def _face_solve(prob: _Problem, eps: np.ndarray):
         r[rows] = np.einsum("ik,k->i", q, drive)
     x = _cholesky_inverse(h)
     f = -np.einsum("ji,j->i", x, np.einsum("ij,j->i", x, r))
-    modes = [g + np.einsum("ik,i->k", q, f[at[j]:at[j + 1]])
-             for j, (g, q) in enumerate(zip(known, free))]
-    two_u = (sum(_dot(d, g * g) for d, g in zip(diag, modes)) +
-             2.0 * sum(_dot(c, a * b)
-                       for c, a, b in zip(cross, modes, modes[1:])))
-    return lam, bands, dict(zip(lines, modes)), two_u
+    res = np.einsum("ij,j->i", h, f) + r
+    rel = math.sqrt(_dot(res, res)) / (math.sqrt(_dot(r, r)) or 1.0)
+    _check(rel, "face solve")
+    modes = {m: g + np.einsum("ik,i->k", q, f[at[j]:at[j + 1]])
+             for j, (m, g, q) in enumerate(zip(lines, known, free))}
+    bands = []
+    for lo, hi, pinned, own, across in forms:
+        g = [modes[m] for m in (lo, hi) if m in modes]
+        two_u = sum(_dot(own, q * q) for q in g)
+        if len(g) == 2:
+            two_u += 2.0 * _dot(across, g[0] * g[1])
+        bands.append((lo, hi, pinned, two_u))
+    return lam, bands, modes, rel
 
 
-def _direct_map(prob: _Problem) -> tuple[np.ndarray, slice]:
-    """The exact potential of a section whose eps depends on y alone, from
-    _face_solve, and the rows outside which it is exactly zero; a
-    ValueError where eps varies across x.
+def _direct_map(prob: _Problem, lam: np.ndarray, bands: list,
+                modes: dict) -> np.ndarray:
+    """The exact potential of prob's section from its face solution.
 
     In a band of n rows, mode k at y = j + 1/2 above the lower face is
     (G_lo sinh((n - y) theta) + G_hi sinh(y theta)) / sinh(n theta), G =
     g / cosh(theta / 2) for the faces' modes g: the chain pinned across
     half a cell at each end.  A cosh replaces the sinh next to an
     insulated wall; at lam = 0 it is linear.  Bands with no drive
-    (behind a facing ground) stay zero, and the rows returned span the
-    others, all rows when none is driven.  They end at a y wall or a
-    full-width strip at 0 V, since a line with a free face next to a
-    driven band has nonzero modes and drives the band beyond it.  A real
-    FFT (pocketfft, no BLAS) brings each row back across x.
+    (behind a facing ground) stay zero, and only the rows between the
+    driven ones are transformed.  A real FFT (pocketfft, no BLAS) brings
+    each row back across x.
     """
-    sec, eps = prob.section, prob.eps
-    varies = np.flatnonzero((eps != eps[:1]).any(axis=0))
-    if varies.size:
-        y = sec.origin[1] + (varies[0] + 0.5) * sec.hy
-        raise ValueError(f"eps_r varies across x in the row at y = {y:.6g} m: "
-                         "the field solver needs eps_r to depend on y alone")
-    lam, bands, modes, _ = _face_solve(prob, eps[0])
-    nx, ny = eps.shape
+    sec = prob.section
+    nx, ny = sec.nx, sec.ny
     s = np.sqrt(lam / (4.0 * sec.hx / sec.hy))
     theta = 2.0 * np.arcsinh(s)  # s = sinh(theta / 2)
     c = np.zeros((ny, nx))  # per row, the potential's modes
     live = []
-    for lo, hi, pinned in bands:
+    for lo, hi, pinned, _ in bands:
         if not any(modes[m].any() for m in (lo, hi) if m in modes):
             continue
         live += [lo, hi]
@@ -598,7 +519,44 @@ def _direct_map(prob: _Problem) -> tuple[np.ndarray, slice]:
     np.multiply(c[lo:hi], w, out=spec[:, k[0]:k[0] + nx])
     v = np.zeros((nx, ny))
     v[:, lo:hi] = nx * np.fft.irfft(spec, 2 * nx)[:, :nx].T
-    return v, slice(lo, hi)
+    return v
+
+
+def _map_residual(prob: _Problem, v: np.ndarray) -> float:
+    """|b - A v| / |b| of the map v over the whole grid, |b| = 0 counting
+    as 1 (the zero map of a section with no source has residual 0).
+
+    A and b are assembled per row, since eps depends on y alone: a
+    coupling t carries the flux t dv across its face, eps rx across x
+    faces and ry times the harmonic mean of the two rows' eps (eps itself
+    where equal: 2 e e / (e + e) misses 6.45 by an ulp) across y faces,
+    none across a strip; a pin ties a cell to a grounded wall or a strip
+    by 2 eps rx or 2 eps ry.
+    """
+    sec, eps = prob.section, prob.eps
+    rx, ry = sec.hy / sec.hx, sec.hx / sec.hy
+    below, above = eps[:-1], eps[1:]
+    qx = rx * eps * np.diff(v, axis=0)
+    qy = ry * np.where(below == above, below,
+                       2.0 * below * above / (below + above)) * np.diff(v)
+    b, r = np.zeros(v.shape), np.zeros(v.shape)
+    for m, g in prob.faces.items():
+        on = ~np.isnan(g)
+        qy[on, m - 1] = 0.0
+        for j in (m - 1, m):
+            b[on, j] += 2.0 * ry * eps[j] * g[on]
+            r[on, j] -= 2.0 * ry * eps[j] * v[on, j]
+    for i in (0, -1):
+        if prob.grounded[0]:
+            r[i] -= 2.0 * rx * eps * v[i]
+        if prob.grounded[1]:
+            r[:, i] -= 2.0 * ry * eps[i] * v[:, i]
+    r[:-1] += qx
+    r[1:] -= qx
+    r[:, :-1] += qy
+    r[:, 1:] -= qy
+    r += b
+    return math.sqrt(_dot(r, r)) / (math.sqrt(_dot(b, b)) or 1.0)
 
 
 def _band_form(n: int, lam: np.ndarray, ry: float,

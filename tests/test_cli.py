@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from flipkit import cli, device
+from flipkit import cli, device, fieldsolve
 
 CPW_ARGS = ["cpw", "--w", "10um", "--s", "5.806um",
             "--eps-sub", "11.9", "--eps-sup", "1"]
@@ -89,11 +89,6 @@ def test_bad_length_unit_keeps_its_message(capsys):
     # quantity grammar now refuses it before the library sees it
     (["match", "--line-z0", "nan", "--band", "4GHz:8GHz"],
      "argument --line-z0: cannot parse scalar value 'nan'"),
-    # a tol <= 0 is bad input, not a residual above it
-    (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
-      "--cell", "2um", "--tol", "-1"], "--tol must be positive and finite"),
-    (["fieldsolve", "--w", "10um", "--s", "5um", "--eps-sub", "11.9",
-      "--cell", "2um", "--tol", "0"], "--tol must be positive and finite"),
     # a band reaching down to or below 0 Hz printed a negative band_lo_hz
     (["match", "--line-z0", "49.53", "--band", "-4GHz:8GHz", "--json"],
      "argument --band: band must lie above 0 Hz, got '-4GHz:8GHz'"),
@@ -146,7 +141,7 @@ def test_bad_length_unit_keeps_its_message(capsys):
 ], ids=["fieldsolve-s", "fieldsolve-eps-sub", "cpw-w", "cpw-eps-sup",
         "transmon-c", "transmon-cutoff", "match-points", "match-eps-eff-0",
         "match-eps-eff-negative", "match-line-z0-nan",
-        "fieldsolve-tol-negative", "fieldsolve-tol-0", "match-band-negative",
+        "match-band-negative",
         "match-band-0", "transmon-cj-negative", "smatrix-points",
         "smatrix-fr", "smatrix-ql", "smatrix-qc", "smatrix-ql-above-qc",
         "smatrix-span-negative", "smatrix-span-0", "match-line-length",
@@ -180,7 +175,7 @@ def test_no_flag_parses_with_float():
     # grammar of units.parse_quantity
     for sub in SUBCOMMANDS.values():
         assert all(action.type is not float for action in sub._actions)
-    assert len(SCALAR_FLAGS) == 16
+    assert len(SCALAR_FLAGS) == 15
 
 
 # value flag -> the library field it feeds, per subcommand
@@ -201,7 +196,7 @@ VALUE_FLAG_FIELDS = {
                    "--eps-sub": "eps_substrate",
                    "--eps-sup": "eps_superstrate", "--cell": "cell",
                    "--box-factor": "box_factor",
-                   "--interlayer": "interlayer_thickness", "--tol": "tol"},
+                   "--interlayer": "interlayer_thickness"},
     "analyze": {},
     "sweep": {},
 }
@@ -542,14 +537,41 @@ def test_fieldsolve_potential_matches_reference_bytes(capsys, tmp_path):
     assert dump.read_bytes() == want.read_bytes()
 
 
-def test_fieldsolve_nonconvergence_exit_2(capsys):
-    # the direct solve's residual is at rounding, ~1e-15: a tol below it
-    # is a numerical failure, and the message says which flag to change
-    code, _, err = run(capsys, "fieldsolve", "--w", "10um", "--s", "5.806um",
-                       "--eps-sub", "11.9", "--cell", "2um",
-                       "--tol", "1e-17")
+FIELDSOLVE_ARGS = ["fieldsolve", "--w", "10um", "--s", "5.806um",
+                   "--eps-sub", "11.9", "--cell", "2um"]
+
+
+def test_fieldsolve_nonconvergence_exit_2(capsys, monkeypatch):
+    # a face solve off by far more than rounding is a numerical failure:
+    # exit 2, with a message that says the solver is wrong
+    inverse = fieldsolve._cholesky_inverse
+    monkeypatch.setattr(fieldsolve, "_cholesky_inverse",
+                        lambda a: (1.0 + 1e-9) * inverse(a))
+    code, out, err = run(capsys, *FIELDSOLVE_ARGS, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("flipkit: relative residual 2.0")
+    assert err.endswith("the field solver is wrong\n")
+
+
+def test_fieldsolve_map_fault_exit_2(capsys, monkeypatch, tmp_path):
+    # a map off by far more than rounding fails only where it is built,
+    # for --dump-potential
+    direct_map = fieldsolve._direct_map
+    monkeypatch.setattr(fieldsolve, "_direct_map",
+                        lambda *a: (1.0 + 1e-9) * direct_map(*a))
+    assert run(capsys, *FIELDSOLVE_ARGS, "--json")[0] == 0
+    dump = tmp_path / "v.csv"
+    code, _, err = run(capsys, *FIELDSOLVE_ARGS, "--dump-potential", str(dump))
     assert code == 2
-    assert "(--tol)" in err
+    assert "of the potential map is above 1e-12" in err
+    assert not dump.exists()
+
+
+def test_tol_is_retired(capsys):
+    # the residual bound is fixed: --tol is no flag any more
+    code, out, err = run(capsys, *FIELDSOLVE_ARGS, "--tol", "1e-8")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --tol 1e-8" in err
 
 
 @pytest.mark.parametrize("interlayer", ["0.5mm", "1um"],
@@ -839,18 +861,19 @@ print(json.dumps(loaded))
 """
 
 
-def test_report_path_never_loads_numpy_fft():
-    # importing numpy.fft costs a cold start ~5 ms; only the field
-    # solver's direct solve uses it, so neither the import nor the
-    # preset report may load it
-    argv = [["analyze", "--json"],
-            ["fieldsolve", "--w", "4um", "--s", "2um", "--eps-sub", "11.9",
-             "--cell", "2um"]]
+def test_report_path_never_loads_numpy_fft(tmp_path):
+    # importing numpy.fft costs a cold start ~5 ms; only the potential
+    # map uses it, so neither the import, the preset report nor a field
+    # solve without --dump-potential may load it; the dump, last, does
+    section = ["fieldsolve", "--w", "4um", "--s", "2um", "--eps-sub", "11.9",
+               "--cell", "2um"]
+    argv = [["analyze", "--json"], [*section, "--json"],
+            [*section, "--dump-potential", str(tmp_path / "v.csv")]]
     proc = subprocess.run(
         [sys.executable, "-c", _FFT_SCRIPT, json.dumps(argv)],
         capture_output=True, text=True, env=source_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, False, True]
+    assert json.loads(proc.stdout) == [False, False, False, True]
 
 
 def test_numpy_is_the_only_runtime_dependency(tmp_path):

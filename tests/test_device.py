@@ -648,6 +648,27 @@ def test_participation_is_field_solved_when_not_configured():
                                                          abs=1e-12)
 
 
+def test_field_solved_participation_builds_no_map(monkeypatch):
+    # the report and the loss-tangent sweep take a solved participation
+    # from the face solve's energies: each solves, and neither builds the
+    # potential map
+    runs = {"solve_potential": [], "_direct_map": []}
+    for name, seen in runs.items():
+        def spy(*args, fn=getattr(fieldsolve, name), seen=seen):
+            seen.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(fieldsolve, name, spy)
+    solved = parse_config(edited_preset([
+        ("loss.participation.substrate = 0.922481\n", ""),
+        ("loss.participation.interlayer = 0.077519\n", ""),
+        ("fieldsolve.cell = 0.5 um", "fieldsolve.cell = 2 um")]))
+    analyze(solved)
+    assert (len(runs["solve_potential"]), runs["_direct_map"]) == (1, [])
+    device.sweep(solved, "loss_tangent", [0.0, 1e-4, 1e-3])
+    assert (len(runs["solve_potential"]), runs["_direct_map"]) == (2, [])
+
+
 def test_field_solve_grid_is_capped(spec):
     # a fine cell in a config without participation is refused before
     # the section is built; 2049 cells a side is one past the cap

@@ -5,6 +5,7 @@ acceptance suite re-runs the CPW extraction at production resolution.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -142,48 +143,54 @@ def test_participation_single_region(plate_section):
     assert p == {"fill": pytest.approx(1.0, abs=1e-12)}
 
 
-def test_participation_mirror_symmetric_split():
-    w, h = 32e-6, 32e-6
-    sec = CrossSection(
-        width=w, height=h, nx=32, ny=32,
-        regions=[DielectricRegion("left", Rect(0, w / 2, 0, h), 3.0),
-                 DielectricRegion("right", Rect(w / 2, w, 0, h), 3.0)],
-        conductors=[Conductor("top", Rect(0, w, h - h / 32, h - h / 32), 1.0),
-                    Conductor("bottom", Rect(0, w, h / 32, h / 32), 0.0)],
-        x_bc="neumann", y_bc="neumann")
-    p = energy_participation(solve_potential(sec))
-    assert p["left"] == pytest.approx(0.5, abs=1e-6)
-    assert p["right"] == pytest.approx(0.5, abs=1e-6)
-
-
 def test_interlayer_lid_draws_energy():
     with_lid = cpw_cross_section(GEOM, cell=2e-6, interlayer_thickness=20e-6)
     p = energy_participation(solve_potential(with_lid))
     assert p["interlayer"] > 0.0
 
 
-def test_convergence_error_carries_state():
-    # a tol below the direct solve's rounding residual raises, with that
-    # residual and the tol in the message
+def perturb_inverse(monkeypatch, scale=1.0 + 1e-9):
+    """Scale the face solve's Cholesky inverse, so that its solution is
+    off by twice that, far above rounding."""
+    inverse = fieldsolve._cholesky_inverse
+    monkeypatch.setattr(fieldsolve, "_cholesky_inverse",
+                        lambda a: scale * inverse(a))
+
+
+def test_convergence_error_carries_state(monkeypatch):
+    # a face solve off by 2e-9 raises, from the section's solve and from
+    # its vacuum capacitance, with that residual and the bound in the
+    # message; an exact one reads a residual at rounding
     sec = cpw_cross_section(GEOM, cell=2e-6)
-    residual = solve_potential(sec).residual
-    with pytest.raises(ConvergenceError, match=f"^relative residual "
-                       f"{residual:.3e} of the direct solve is above tol "
-                       "1.000e-17"):
-        solve_potential(sec, tol=1e-17)
-
-
-@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
-def test_bad_tol_rejected(tol):
-    # a tol that is not positive and finite is bad input, not a
-    # residual above it
-    sec = cpw_cross_section(GEOM, cell=4e-6)
-    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
-        solve_potential(sec, tol=tol)
     sol = solve_potential(sec)
-    for solution in (None, sol):
-        with pytest.raises(ValueError, match="^tol must be positive"):
-            extract_eps_eff_and_z0(sec, tol=tol, solution=solution)
+    assert 0.0 < sol.residual <= 1e-14
+    perturb_inverse(monkeypatch)
+    message = (r"^relative residual 2\.0\d\de-09 of the face solve is above "
+               "1e-12")
+    with pytest.raises(ConvergenceError, match=message):
+        solve_potential(sec)
+    with pytest.raises(ConvergenceError, match=message):
+        extract_eps_eff_and_z0(sec, solution=sol)
+    with pytest.raises(ConvergenceError, match=message):
+        fieldsolve._vacuum_capacitance(sol._problem)
+
+
+def test_map_fault_raises_on_reading_the_potential(monkeypatch):
+    # a map off by 1e-9 passes the face solve, whose energies stand, and
+    # raises where the map is read, on every read, since none is kept
+    sec = cpw_cross_section(GEOM, cell=2e-6, interlayer_thickness=20e-6)
+    direct_map = fieldsolve._direct_map
+    monkeypatch.setattr(fieldsolve, "_direct_map",
+                        lambda *a: (1.0 + 1e-9) * direct_map(*a))
+    sol = solve_potential(sec)
+    assert capacitance_per_length(sol) > 0.0
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match=r"^relative residual "
+                           r"1\.\d{3}e-09 of the potential map is above "
+                           "1e-12"):
+            sol.potential
+    monkeypatch.setattr(fieldsolve, "_direct_map", direct_map)
+    assert sol.potential.shape == (sec.nx, sec.ny)
 
 
 @pytest.mark.parametrize("eps_r", [0.0, -1.0, math.nan, math.inf])
@@ -230,6 +237,18 @@ def test_section_validation():
                         x_bc="neumann", y_bc="neumann")
     with pytest.raises(ValueError, match="^no electrodes in the section$"):
         solve_potential(bare)
+    # every row in exactly one region
+    lid = [Conductor("lid", Rect(1e-6, 7e-6, 4e-6, 4e-6), 1.0)]
+    for regions, message in (
+            ([Rect(0, 8e-6, 0, 4e-6), Rect(0, 8e-6, 3e-6, 8e-6)],
+             "^region 'r1' overlaps another$"),
+            ([Rect(0, 8e-6, 0, 4e-6), Rect(0, 8e-6, 5e-6, 8e-6)],
+             "^no dielectric region covers the row at y = 4.5e-06 m$")):
+        sec = replace(box_section(lid), regions=[
+            DielectricRegion(f"r{k}", rect, 1.0)
+            for k, rect in enumerate(regions)])
+        with pytest.raises(ValueError, match=message):
+            solve_potential(sec)
 
 
 def test_cpw_section_caps_the_grid():
@@ -522,14 +541,13 @@ def oracle_section(request, plate_section):
 
 def test_dense_direct_solve_oracle(oracle_section):
     sec = oracle_section
-    # C' and the potential, at the default tolerance and at a tight one
+    # C' and the potential
     v_ref, system = dense_oracle(sec)
     c_ref = oracle_capacitance(sec, v_ref, system)
     sol = solve_potential(sec)
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-9)
-    assert sol.residual <= fieldsolve.DEFAULT_TOL
-    tight = solve_potential(sec, tol=1e-12)
-    assert np.abs(tight.potential - v_ref).max() <= 1e-10
+    assert sol.residual <= fieldsolve.RESIDUAL_BOUND
+    assert np.abs(sol.potential - v_ref).max() <= 1e-10
 
 
 def test_dense_participation_oracle(oracle_section):
@@ -543,89 +561,92 @@ def test_dense_participation_oracle(oracle_section):
         assert abs(got[name] - share) <= 1e-9, name
 
 
-def face_energies(sol):
-    """Yield (energy, region_a, region_b, frac_a) per face group of the
-    solver's own system, in units of EPS_0.
-
-    One group per coupling array, between the cells a and b on its two
-    sides, and one for the pins, whose energy is wholly their own
-    cell's.  frac_a is the share of the face energy stored on side a;
-    for two dielectrics in series across a face the drop splits
-    inversely to eps, putting eps_b / (eps_a + eps_b) of it on side a.
-    """
-    prob = sol._problem
-    v, eps, rid = sol.potential, prob.eps, prob.region_id
-    for t, a, b in prob.links:
-        dv = v[a] - v[b]
-        yield 0.5 * t * dv * dv, rid[a], rid[b], eps[b] / (eps[a] + eps[b])
-    dv = v.ravel()[prob.pin_cell] - prob.pin_val
-    rp = rid.ravel()[prob.pin_cell]
-    yield 0.5 * prob.pin_coef * dv * dv, rp, rp, 1.0
+def map_energies(sol):
+    """Region energies of the solution's map, in J/m, summed cell by cell
+    over the whole grid by this file's own assembly (oracle_system)."""
+    return oracle_energies(sol.section, sol.potential,
+                           oracle_system(sol.section))
 
 
 def test_energy_pass_matches_face_sums(oracle_section):
-    # C' and each participation, read from the energies the solve
-    # stored, against the same solution's energies summed face by face
+    # C' and each participation, read from the energies of the face
+    # solve's bands, against the same solution's map summed face by face
     sol = solve_potential(oracle_section)
-    regions, shares = [], []
-    for e, ra, rb, fa in face_energies(sol):
-        regions += [ra.ravel(), rb.ravel()]
-        shares += [(e * fa).ravel(), (e * (1.0 - fa)).ravel()]
-    names = sol._problem.region_names
-    sums = np.bincount(np.concatenate(regions),
-                       weights=np.concatenate(shares), minlength=len(names))
+    sums = map_energies(sol)
     pots = sol._problem.potentials
-    c_ref = 2.0 * EPS_0 * sums.sum() / (max(pots) - min(pots)) ** 2
+    c_ref = 2.0 * sums.sum() / (max(pots) - min(pots)) ** 2
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-13)
     got = energy_participation(sol)
+    names = [r.name for r in oracle_section.regions]
     assert list(got) == names
     for name, u in zip(names, sums):
-        assert got[name] == pytest.approx(u / sums.sum(), rel=1e-13), name
+        assert got[name] == pytest.approx(u / sums.sum(), rel=1e-13,
+                                          abs=1e-13), name
+
+
+def calls(monkeypatch, name):
+    """Record the arguments of every call to fieldsolve.<name>."""
+    seen = []
+    fn = getattr(fieldsolve, name)
+
+    def spy(*args):
+        seen.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(fieldsolve, name, spy)
+    return seen
 
 
 def test_one_energy_pass_per_solve(monkeypatch):
     # C', then participation, then eps_eff and Z0 of the same solution
-    # read stored energies: one pass for the section's solve, and none
-    # for its vacuum capacitance, open or facing, which is a direct solve
-    passes = []
-    energies = fieldsolve._residual_and_energies
-
-    def spy(prob, *rest):
-        passes.append(prob.section)
-        return energies(prob, *rest)
-
-    monkeypatch.setattr(fieldsolve, "_residual_and_energies", spy)
+    # read the energies of one face solve; the vacuum capacitance takes
+    # one more, open or facing, and none of them builds the map
+    face_solves = calls(monkeypatch, "_face_solve")
+    maps = calls(monkeypatch, "_direct_map")
     for lid in (None, 20e-6):
-        passes.clear()
+        face_solves.clear()
         sec = cpw_cross_section(GEOM, cell=2e-6, interlayer_thickness=lid)
         sol = solve_potential(sec)
-        counts = [len(passes)]
+        counts = [len(face_solves)]
         for read in (capacitance_per_length, energy_participation,
                      lambda s: extract_eps_eff_and_z0(sec, solution=s)):
             read(sol)
-            counts.append(len(passes))
-        assert counts == [1, 1, 1, 1]
-        assert passes == [sec]
+            counts.append(len(face_solves))
+        assert counts == [1, 1, 1, 2]
+        assert [prob.section for prob, _ in face_solves] == [sec, sec]
+        assert np.all(face_solves[1][1] == 1.0)
+    assert maps == []
 
 
-def full_grid_energies(sol):
-    """Region energies of the solution, in J/m, summed cell by cell over
-    the whole grid, where the solve sums over the rows that carry field,
-    with each face's split from the two cells' own eps."""
-    prob, v = sol._problem, sol.potential
-    eps, cell = prob.eps, np.zeros(v.shape)
-    for t, a, b in prob.links:
-        e = t * np.square(v[a] - v[b])  # twice the face energy
-        share = eps[a] + eps[b]
-        np.divide(eps[b], share, out=share)
-        share *= e
-        cell[a] += share
-        e -= share
-        cell[b] += e
-    dv = v.ravel()[prob.pin_cell] - prob.pin_val
-    np.add.at(cell.reshape(-1), prob.pin_cell, prob.pin_coef * dv * dv)
-    return 0.5 * EPS_0 * np.bincount(prob.region_id.ravel(), cell.ravel(),
-                                     len(prob.region_names))
+def test_potential_is_built_once_on_first_read(monkeypatch):
+    maps = calls(monkeypatch, "_direct_map")
+    sol = solve_potential(cpw_cross_section(GEOM, cell=2e-6))
+    assert maps == []
+    first = sol.potential
+    assert sol.potential is first
+    assert len(maps) == 1
+
+
+def test_no_grid_array_unless_the_potential_is_read():
+    # at 0.25 um one nx x ny float array is 6 MB; the solve, C', the
+    # participations, eps_eff and Z0 peak below it, open or facing, and
+    # reading the map then allocates at least one
+    for lid in (None, 40e-6):
+        sec = cpw_cross_section(GEOM, cell=0.25e-6, interlayer_thickness=lid)
+        grid = sec.nx * sec.ny * 8
+        tracemalloc.start()
+        try:
+            sol = solve_potential(sec)
+            capacitance_per_length(sol)
+            energy_participation(sol)
+            extract_eps_eff_and_z0(sec, solution=sol)
+            _, no_map = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            sol.potential
+            _, with_map = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert no_map < 0.5 * grid < grid <= with_map, lid
 
 
 def striped(sec, eps_rs):
@@ -653,30 +674,17 @@ ENERGY_SECTIONS = {
 
 @pytest.mark.parametrize("name", [*ENERGY_SECTIONS, "plates"])
 def test_solved_cell_energies_match_full_grid(plate_section, name):
-    # the dead band left out and the split per row give every region the
-    # energy of the whole grid's pass
+    # the bands' energies give every region the energy of the whole
+    # grid's pass over the map
     if name == "plates":
         sec = plate_section(eps_r=6.45, nx=17, ny=23, gap_cells=13)
     else:
         sec = ENERGY_SECTIONS[name]()
     sol = solve_potential(sec)
-    want = full_grid_energies(sol)
+    want = map_energies(sol)
     assert want.sum() > 0.0
     for got, ref in zip(sol.energy, want):
         assert got == pytest.approx(ref, rel=1e-13, abs=1e-13 * want.sum())
-
-
-def solve_spy(monkeypatch):
-    """Record every solve the module runs from here on."""
-    runs = []
-    solve = fieldsolve.solve_potential
-
-    def spy(*args, **kwargs):
-        runs.append(solve(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(fieldsolve, "solve_potential", spy)
-    return runs
 
 
 def vacuum_oracle(sec):
@@ -690,7 +698,7 @@ def test_open_section_solves_its_vacuum_section(monkeypatch, cell):
     # the vacuum section is solved directly, with no second solve, and
     # agrees with a sparse LU solve of it; it does not depend on eps, so
     # the centred trace and the one off centre in x have one each
-    runs = solve_spy(monkeypatch)
+    runs = calls(monkeypatch, "solve_potential")
     sections = [cpw_cross_section(replace(GEOM, eps_substrate=sub,
                                           eps_superstrate=sup), cell=cell)
                 for sub in (2.2, 6.45, 9.8, 11.45, 11.9) for sup in (1.0, 2.2)]
@@ -717,7 +725,7 @@ def test_facing_sections_run_no_vacuum_solve(monkeypatch, cell, lid):
         cell if lid == "one-cell" else lid))
     assert len(sec.conductors) == 4
     sol = solve_potential(sec)
-    runs = solve_spy(monkeypatch)
+    runs = calls(monkeypatch, "solve_potential")
     extract_eps_eff_and_z0(sec, solution=sol)
     assert runs == []
 
@@ -787,34 +795,74 @@ def test_cpw_sections_take_the_direct_start(cell, eps, lid):
     assert sol.residual <= 1e-14
 
 
+@pytest.mark.parametrize("cell", [2e-6, 1e-6, 0.5e-6])
+@pytest.mark.parametrize("lid", [None, 40e-6], ids=["open", "facing"])
+def test_map_residual_is_at_rounding(cell, lid):
+    # the map's residual over the whole grid, from the system assembled
+    # per row, is rounding too, not only under the bound of its read
+    sol = solve_potential(cpw_cross_section(GEOM, cell=cell,
+                                            interlayer_thickness=lid))
+    assert fieldsolve._map_residual(sol._problem, sol.potential) <= 1e-14
+
+
+def mirror_split_section():
+    """Insulated plates 30 cells apart in a 32 x 32 box of 1 um cells, the
+    left and right halves two regions of the same eps_r."""
+    w = h = 32e-6
+    return CrossSection(
+        width=w, height=h, nx=32, ny=32,
+        regions=[DielectricRegion("left", Rect(0, w / 2, 0, h), 3.0),
+                 DielectricRegion("right", Rect(w / 2, w, 0, h), 3.0)],
+        conductors=[Conductor("top", Rect(0, w, h - h / 32, h - h / 32), 1.0),
+                    Conductor("bottom", Rect(0, w, h / 32, h / 32), 0.0)],
+        x_bc="neumann", y_bc="neumann")
+
+
+def stacked_fill(sec):
+    """The vacuum section with its fill split at mid height into two
+    regions, meeting where no metal is."""
+    w, h = sec.width, sec.height
+    return replace(sec, regions=[
+        DielectricRegion("lower", Rect(0, w, 0, h / 2), 1.0),
+        DielectricRegion("upper", Rect(0, w, h / 2, h), 1.0)])
+
+
 # sections the direct solve refuses, each with the reason it gives
 UNLAYERED_SECTIONS = {
     "eps-varies-in-x": (lambda: split_section(patch_eps=5.0),
-                        "eps_r varies across x in the row at y = 7.5e-06 m"),
+                        "region 'substrate' does not span the box's width"),
     "stripes": (lambda: striped(small_cpw_section(None),
                                 [2.2, 3.9, 11.9, 3.9, 2.2]),
-                "eps_r varies across x in the row at y = -3.9e-05 m"),
+                "region 'stripe0' does not span the box's width"),
     "eps-changes-in-band": (lambda: split_section(boundary=13),
-                            "eps_r changes at y = 1.3e-05 m, on a face line "
-                            "with no metal"),
+                            "regions 'substrate' and 'interlayer' meet at "
+                            "y = 1.3e-05 m, on a face line with no metal"),
     "free-faces-over-bound": (lambda: shifted_trace(
         cpw_cross_section(GEOM, cell=0.5e-6), 0, up=1),
         "the metal lines leave 458 faces free, above the 256"),
     "y-strip-off-mid": (lambda: split_section(metal=13),
-                        "eps_r changes at y = 1.2e-05 m, on a face line "
-                        "with no metal"),
+                        "regions 'substrate' and 'interlayer' meet at "
+                        "y = 1.2e-05 m, on a face line with no metal"),
     "y-boundary-off-mid": (lambda: split_section(boundary=13),
-                           "eps_r changes at y = 1.3e-05 m, on a face line "
-                           "with no metal"),
+                           "regions 'substrate' and 'interlayer' meet at "
+                           "y = 1.3e-05 m, on a face line with no metal"),
     "y-patch-one-side": (lambda: split_section(patch_eps=5.0),
-                         "eps_r varies across x in the row at y = 7.5e-06 m"),
+                         "region 'substrate' does not span the box's width"),
+    # same eps_r on both sides: a band must still lie in one region
+    "x-split-same-eps": (mirror_split_section,
+                         "region 'left' does not span the box's width"),
+    "regions-meet-off-metal": (lambda: stacked_fill(box_section([
+        Conductor("lid", Rect(1e-6, 7e-6, 6e-6, 6e-6), 1.0)])),
+        "regions 'lower' and 'upper' meet at y = 4e-06 m, on a face line "
+        "with no metal"),
 }
 
 
 @pytest.mark.parametrize("name", UNLAYERED_SECTIONS)
 def test_direct_start_declines_unlayered_sections(name):
-    # eps varying in x, eps changing between two metal lines, or more
-    # free faces than MAX_FREE_FACES: a ValueError that says which
+    # a region narrower than the box, regions meeting between two metal
+    # lines, or more free faces than MAX_FREE_FACES: a ValueError that
+    # says which
     build, reason = UNLAYERED_SECTIONS[name]
     sec = build()
     for solve in (solve_potential, extract_eps_eff_and_z0):
@@ -888,9 +936,8 @@ def test_direct_start_matches_sparse_lu(plate_section, name):
     else:
         sec = HALF_MICRON_SECTIONS[name]()
     v_ref, system = sparse_oracle(sec)
-    v, _ = fieldsolve._direct_map(fieldsolve._Problem(sec))
-    assert np.abs(v - v_ref).max() <= 1e-12
     sol = solve_potential(sec)
+    assert np.abs(sol.potential - v_ref).max() <= 1e-12
     assert sol.iterations == 0
     want = oracle_energies(sec, v_ref, system)
     assert np.all(np.abs(sol.energy - want) <= 1e-12 * want.sum())
@@ -977,14 +1024,14 @@ def test_dead_band_is_dropped_exactly(plate_section):
 
 @pytest.mark.parametrize("name", ["open", "facing", "open-eps-2.2", "plates"])
 def test_direct_solve_matches_full_grid_assembly(plate_section, name):
-    # the solve at tol 1e-13, against the dense solve of this file's
-    # cell-by-cell assembly of the whole grid
+    # the solve against the dense solve of this file's cell-by-cell
+    # assembly of the whole grid
     sec = {"open": lambda: small_cpw_section(None),
            "facing": small_cpw_section,
            "open-eps-2.2": lambda: open_small_cpw(2.2),
            "plates": lambda: plate_section(eps_r=6.45, nx=17, ny=23,
                                            gap_cells=13)}[name]()
-    sol = solve_potential(sec, tol=1e-13)
+    sol = solve_potential(sec)
     v_ref, system = dense_oracle(sec)
     c_ref = oracle_capacitance(sec, v_ref, system)
     assert capacitance_per_length(sol) == pytest.approx(c_ref, rel=1e-12)
@@ -994,10 +1041,14 @@ def test_direct_solve_matches_full_grid_assembly(plate_section, name):
         assert got[region] == pytest.approx(share, rel=1e-12), region
 
 
-def test_convergence_error_says_what_to_change():
+def test_convergence_error_says_what_to_change(monkeypatch):
+    # no setting moves the bound: a residual above it is a fault of the
+    # solver, and the message says so
     sec = cpw_cross_section(GEOM, cell=2e-6)
-    with pytest.raises(ConvergenceError, match=r"loosen tol \(--tol\)$"):
-        solve_potential(sec, tol=1e-17)
+    perturb_inverse(monkeypatch)
+    with pytest.raises(ConvergenceError, match="where rounding leaves "
+                       "~1e-15: the field solver is wrong$"):
+        solve_potential(sec)
 
 
 # --------------------------------------------------- the face solve's inverse
