@@ -114,7 +114,8 @@ def _parse_grid(text: str, dimension: str) -> list[float]:
         if start < 0.0 or stop <= 0.0 or start >= stop:
             raise ValueError("a log grid needs 0 <= start < stop, stop > 0")
         if start == 0.0:
-            tail = np.geomspace(1e-4 * stop, stop, n - 1)
+            # geomspace of one point is its start, not the stop
+            tail = np.geomspace(1e-4 * stop, stop, n - 1) if n > 2 else [stop]
             return [0.0] + [float(x) for x in tail]
         return [float(x) for x in np.geomspace(start, stop, n)]
     points = [value(tok) for tok in text.split(",") if tok.strip()]

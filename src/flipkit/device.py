@@ -293,14 +293,26 @@ def resolve_participation(spec: DeviceSpec) -> tuple[dict[str, float], str]:
     """Energy participation per dielectric region and where it came from.
 
     Config values win; otherwise the bottom chip's cross-section is
-    solved at the configured fieldsolve cell size.
+    solved at the configured fieldsolve cell size.  A facing chip that
+    snaps below one cell is refused: the section would leave it out.
     """
     if spec.participation is not None:
         return dict(spec.participation), "config:loss.participation"
-    section = fieldsolve.cpw_cross_section(
-        spec.bottom.geometry, cell=spec.fieldsolve_cell,
-        box_factor=spec.fieldsolve_box_factor,
-        interlayer_thickness=spec.interlayer_thickness)
+    try:
+        section = fieldsolve.cpw_cross_section(
+            spec.bottom.geometry, cell=spec.fieldsolve_cell,
+            box_factor=spec.fieldsolve_box_factor,
+            interlayer_thickness=spec.interlayer_thickness)
+    except ValueError as exc:  # the solver names its parameters
+        raise ConfigError([re.sub(r"\b(cell|box_factor)\b", r"fieldsolve.\1",
+                                  str(exc))]) from None
+    if spec.interlayer_thickness < spec.fieldsolve_cell and not any(
+            c.name == "facing_ground" for c in section.conductors):
+        raise ConfigError([
+            f"stack.interlayer_thickness {spec.interlayer_thickness:.6g} m "
+            "puts the facing ground below one fieldsolve.cell "
+            f"({spec.fieldsolve_cell:.6g} m), where the field solve leaves "
+            "it out: lower fieldsolve.cell or set loss.participation.*"])
     sol = fieldsolve.solve_potential(section)
     return (fieldsolve.energy_participation(sol),
             "fieldsolve.energy_participation")

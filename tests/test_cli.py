@@ -13,13 +13,11 @@ from pathlib import Path
 
 import pytest
 
+import goldens
 from flipkit import cli, device, fieldsolve
 
 CPW_ARGS = ["cpw", "--w", "10um", "--s", "5.806um",
             "--eps-sub", "11.9", "--eps-sup", "1"]
-
-# byte goldens of the commands the preset report does not run
-TEST_REFERENCE = Path(__file__).resolve().parent / "reference"
 
 
 def run(capsys, *argv):
@@ -312,17 +310,6 @@ def test_cpw_gap_synthesis(capsys):
     assert doc["gap_m"] == pytest.approx(5.806e-6, rel=0.04)
 
 
-@pytest.mark.parametrize("extra,name", [
-    ([], "cpw_synth.txt"),
-    (["--json"], "cpw_synth.json"),
-], ids=["text", "json"])
-def test_cpw_gap_synthesis_matches_reference_bytes(capsys, extra, name):
-    code, out, _ = run(capsys, "cpw", "--w", "10um", "--z0", "50",
-                       "--eps-sub", "11.9", *extra)
-    assert code == 0
-    assert out == (TEST_REFERENCE / name).read_text(encoding="utf-8")
-
-
 def test_cpw_unreachable_target_names_the_range(capsys):
     code, out, err = run(capsys, "cpw", "--w", "10um", "--z0", "1e4",
                          "--eps-sub", "11.9")
@@ -355,19 +342,6 @@ def test_transmon_c_eff_extra_row(capsys):
     assert doc["frequency_c_eff_hz"] == pytest.approx(4.85e9, rel=0.01)
 
 
-# one golden per route through the charge-basis oracle: at ng = 0 it
-# diagonalizes the two parity blocks, at ng = 0.5 the whole matrix
-@pytest.mark.parametrize("ng,name", [
-    ("0", "transmon_ng0.json"),
-    ("0.5", "transmon_ng05.json"),
-], ids=["ng0", "ng05"])
-def test_transmon_matches_reference_bytes(capsys, ng, name):
-    code, out, _ = run(capsys, "transmon", "--cj", "8fF", "--cs", "81fF",
-                       "--lj", "8.75nH", "--ng", ng, "--json")
-    assert code == 0
-    assert out == (TEST_REFERENCE / name).read_text(encoding="utf-8")
-
-
 # -------------------------------------------------------------- smatrix
 
 def test_smatrix_recovers_q(capsys, tmp_path):
@@ -383,22 +357,6 @@ def test_smatrix_recovers_q(capsys, tmp_path):
     assert header == "freq_hz,s21_re,s21_im"
 
 
-# a notch with Qc = 2 Ql, so the dip bottoms out at -6.02 dB
-SMATRIX_ARGS = ["smatrix", "--fr", "7.11524GHz", "--ql", "6618.16",
-                "--qc", "13236.32", "--points", "201"]
-
-
-def test_smatrix_matches_reference_bytes(capsys, tmp_path):
-    csv_path = tmp_path / "trace.csv"
-    code, _, _ = run(capsys, *SMATRIX_ARGS, "--out", str(csv_path))
-    assert code == 0
-    assert csv_path.read_text(encoding="utf-8") == \
-        (TEST_REFERENCE / "smatrix.csv").read_text(encoding="utf-8")
-    code, out, _ = run(capsys, *SMATRIX_ARGS, "--json")
-    assert code == 0
-    assert out == (TEST_REFERENCE / "smatrix.json").read_text(encoding="utf-8")
-
-
 @pytest.mark.parametrize("state,dressed", [("0", 7.1e9), ("1", 6.9e9)])
 def test_smatrix_default_grid_centres_on_the_dressed_dip(capsys, state,
                                                          dressed):
@@ -411,14 +369,6 @@ def test_smatrix_default_grid_centres_on_the_dressed_dip(capsys, state,
     doc = json.loads(out)
     assert doc["dressed_f_hz"] == doc["extracted_f_hz"] == dressed
     assert doc["extracted_q"] == pytest.approx(1000.0, rel=5e-3)
-
-
-def test_smatrix_dressed_matches_reference_bytes(capsys):
-    code, out, _ = run(capsys, "smatrix", "--fr", "7GHz", "--ql", "1000",
-                       "--qc", "2000", "--chi", "100MHz", "--json")
-    assert code == 0
-    assert out == (TEST_REFERENCE / "smatrix_dressed.json").read_text(
-        encoding="utf-8")
 
 
 def test_smatrix_plot_deterministic(capsys, tmp_path):
@@ -487,21 +437,6 @@ def test_match_caps_the_port_points(capsys, zstep):
                    "gives more than 100001 port points\n")
 
 
-# the README's port-match recipe, on the line Z0 that `flipkit cpw` gives
-MATCH_ARGS = ["match", "--line-z0", "49.5329732423", "--band", "4GHz:8GHz",
-              "--line-length", "3mm", "--eps-eff", "6.45", "--points", "2001"]
-
-
-def test_match_matches_reference_bytes(capsys, tmp_path):
-    csv_path = tmp_path / "match_scan.csv"
-    code, _, _ = run(capsys, *MATCH_ARGS, "--out", str(csv_path))
-    assert code == 0
-    assert csv_path.read_bytes() == (TEST_REFERENCE / "match.csv").read_bytes()
-    code, out, _ = run(capsys, *MATCH_ARGS, "--json")
-    assert code == 0
-    assert out == (TEST_REFERENCE / "match.json").read_text(encoding="utf-8")
-
-
 # ------------------------------------------------------------ fieldsolve
 
 def test_fieldsolve_coarse_cpw(capsys):
@@ -524,17 +459,6 @@ def test_fieldsolve_dump_potential(capsys, tmp_path):
     lines = dump.read_text().splitlines()
     assert lines[0] == "x_m,y_m,v"
     assert len(lines) > 100
-
-
-def test_fieldsolve_potential_matches_reference_bytes(capsys, tmp_path):
-    # the potential map itself, cell by cell, not only its integrals
-    dump = tmp_path / "v.csv"
-    code, _, _ = run(capsys, "fieldsolve", "--w", "4um", "--s", "2um",
-                     "--eps-sub", "11.9", "--cell", "2um",
-                     "--interlayer", "10um", "--dump-potential", str(dump))
-    assert code == 0
-    want = TEST_REFERENCE / "fieldsolve_potential.csv"
-    assert dump.read_bytes() == want.read_bytes()
 
 
 FIELDSOLVE_ARGS = ["fieldsolve", "--w", "10um", "--s", "5.806um",
@@ -595,18 +519,6 @@ def test_fieldsolve_facing_ground_inside_box(capsys):
     assert json.loads(out)["eps_eff"] < 6.45
 
 
-# the preset report runs no field solve, so the solver has goldens of its own
-@pytest.mark.parametrize("extra,name", [
-    ([], "fieldsolve_open.json"),
-    (["--interlayer", "40um"], "fieldsolve_facing.json"),
-], ids=["open", "facing"])
-def test_fieldsolve_matches_reference_bytes(capsys, extra, name):
-    code, out, _ = run(capsys, "fieldsolve", "--w", "10um", "--s", "5.806um",
-                       "--eps-sub", "11.9", "--cell", "1um", *extra, "--json")
-    assert code == 0
-    assert out == (TEST_REFERENCE / name).read_text(encoding="utf-8")
-
-
 # --------------------------------------------------------------- analyze
 
 def test_analyze_packaged_preset(capsys):
@@ -634,28 +546,6 @@ def test_analyze_out_file_matches_stdout(capsys, tmp_path):
     _, out, _ = run(capsys, "analyze", "--config", "paper-default",
                     "--json", "--out", str(path))
     assert path.read_text() == out
-
-
-@pytest.mark.parametrize("argv,name", [
-    (["analyze"], "preset_analyze.txt"),
-    (["analyze", "--json", "--config",
-      str(TEST_REFERENCE / "closed_form_lossy.cfg")],
-     "closed_form_lossy_analyze.json"),
-], ids=["preset-text", "closed-form-json"])
-def test_analyze_matches_reference_bytes(capsys, argv, name):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out == (TEST_REFERENCE / name).read_text(encoding="utf-8")
-
-
-def test_bad_config_reports_every_error(capsys):
-    # one error of each kind; the golden was written before the config
-    # keys moved into one table
-    code, out, err = run(capsys, "analyze", "--config",
-                         str(TEST_REFERENCE / "bad_config.cfg"))
-    assert (code, out) == (1, "")
-    assert err == (TEST_REFERENCE / "bad_config.stderr").read_text(
-        encoding="utf-8")
 
 
 def test_analyze_names_the_bad_key(capsys, tmp_path):
@@ -700,37 +590,25 @@ def test_closed_form_frequency_below_ej_ec_bound_exit_1(capsys, tmp_path,
 
 # -------------------------------------------------------------- golden
 
-# the benchmark's behaviour reference: preset report and both CLI sweeps
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+@pytest.mark.parametrize("golden", goldens.GOLDENS,
+                         ids=[golden.path.name for golden in goldens.GOLDENS])
+def test_output_matches_golden(capsys, tmp_path, golden):
+    def in_process(argv):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out.encode(), out.err.encode()
+
+    assert goldens.mismatches(golden, in_process, tmp_path) == []
 
 
-@pytest.mark.parametrize("argv,name", [
-    (["analyze", "--json"], "preset_analyze.json"),
-    (["sweep", "--param", "interlayer_thickness", "--grid",
-      "0.1mm:4mm:log25"], "preset_thickness.csv"),
-    (["sweep", "--param", "loss_tangent", "--grid", "0:1e-3:log25"],
-     "preset_loss.csv"),
-], ids=["analyze", "thickness-sweep", "loss-sweep"])
-def test_output_matches_reference_bytes(capsys, argv, name):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out == (REFERENCE / name).read_text(encoding="utf-8")
-
-
-# the paper's two headline figures, drawn by the README's study commands
-@pytest.mark.parametrize("argv,name", [
-    (["--param", "interlayer_thickness", "--grid", "0.1mm:4mm:log40",
-      "--y", "g_hz"], "g_vs_thickness.svg"),
-    (["--param", "loss_tangent", "--grid", "1e-4:1e-2:log25",
-      "--y", "q_total_bottom,q_total_top"], "q_vs_tan_delta.svg"),
-], ids=["thickness", "loss-tangent"])
-def test_study_plot_matches_reference_bytes(capsys, tmp_path, argv, name):
-    svg = tmp_path / name
-    code, out, _ = run(capsys, "sweep", *argv, "--out",
-                       str(tmp_path / "sweep.csv"), "--plot", str(svg),
-                       "--logx", "--logy")
-    assert (code, out) == (0, "")
-    assert svg.read_bytes() == (TEST_REFERENCE / name).read_bytes()
+def test_every_golden_has_one_table_entry():
+    # a golden added without its command would be checked by nothing
+    inputs = {Path(arg) for golden in goldens.GOLDENS for arg in golden.argv
+              if arg.endswith(".cfg")}
+    files = {path for folder in (goldens.TESTS, goldens.BENCH)
+             for path in folder.iterdir()}
+    assert sorted(golden.path for golden in goldens.GOLDENS) == \
+        sorted(files - inputs)
 
 
 # ----------------------------------------------------------------- sweep
@@ -746,14 +624,19 @@ def test_sweep_csv_stdout(capsys):
 
 
 def test_sweep_log_grid_with_zero_start(capsys):
-    code, out, _ = run(capsys, "sweep", "--config", "paper-default",
-                       "--param", "loss_tangent", "--grid", "0:1e-2:log5")
-    assert code == 0
-    first_col = [line.split(",")[0] for line in out.splitlines()[1:]]
-    assert first_col[0] == "0"
-    assert float(first_col[-1]) == pytest.approx(1e-2, rel=1e-9)
-    q = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
-    assert all(b <= a for a, b in zip(q, q[1:]))
+    # the zero point, then a log grid that ends at the stop; at 2 points
+    # the stop was lost and the row after 0 read 1e-06
+    for count in (2, 3, 5):
+        code, out, _ = run(capsys, "sweep", "--config", "paper-default",
+                           "--param", "loss_tangent",
+                           "--grid", f"0:1e-2:log{count}")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == count
+        assert rows[0][0] == "0"
+        assert float(rows[-1][0]) == pytest.approx(1e-2, rel=1e-9)
+        q = [float(row[1]) for row in rows]
+        assert all(b <= a for a, b in zip(q, q[1:]))
 
 
 def test_sweep_plot_and_csv(capsys, tmp_path):

@@ -671,16 +671,39 @@ def test_field_solved_participation_builds_no_map(monkeypatch):
 
 def test_field_solve_grid_is_capped(spec):
     # a fine cell in a config without participation is refused before
-    # the section is built; 2049 cells a side is one past the cap
+    # the section is built, 2049 cells a side being one past the cap, and
+    # so is a coarse one; both name the keys, not the solver's parameters
     g = spec.bottom.geometry
-    cell = 10 * (g.trace_width + 2 * g.gap) / 2049
-    with pytest.raises(ValueError, match=r"^cell \S+ m makes the box 2049 "
-                                         "cells wide, above 2048: raise "
-                                         "cell or lower box_factor$"):
-        analyze_preset([
+    for cell, message in [
+            (f"{10 * (g.trace_width + 2 * g.gap) / 2049!r} m",
+             r"^fieldsolve\.cell \S+ m makes the box 2049 cells wide, above "
+             r"2048: raise fieldsolve\.cell or lower fieldsolve\.box_factor$"),
+            ("20 um", r"^fieldsolve\.cell too coarse for this geometry$")]:
+        with pytest.raises(ConfigError, match=message):
+            analyze_preset([
+                ("loss.participation.substrate = 0.922481\n", ""),
+                ("loss.participation.interlayer = 0.077519\n", ""),
+                ("fieldsolve.cell = 0.5 um", f"fieldsolve.cell = {cell}")])
+
+
+def test_field_solve_refuses_a_facing_chip_below_one_cell():
+    # a facing ground that snaps to the metal plane was left out of the
+    # section, so 0.1 um solved as an open section (interlayer p 0.0775)
+    # while 0.3 um, one cell up, gave 0.557
+    def solved(thickness):
+        return parse_config(edited_preset([
             ("loss.participation.substrate = 0.922481\n", ""),
             ("loss.participation.interlayer = 0.077519\n", ""),
-            ("fieldsolve.cell = 0.5 um", f"fieldsolve.cell = {cell!r} m")])
+            ("stack.interlayer_thickness = 0.5 mm",
+             f"stack.interlayer_thickness = {thickness}")]))
+
+    for run in (analyze, lambda s: device.sweep(s, "loss_tangent", [0.0])):
+        with pytest.raises(ConfigError, match=r"^stack\.interlayer_thickness "
+                           r"1e-07 m puts the facing ground below one "
+                           r"fieldsolve\.cell \(5e-07 m\)"):
+            run(solved("0.1 um"))
+    assert device.resolve_participation(solved("0.3 um"))[0]["interlayer"] \
+        > 0.5
 
 
 def test_dispersive_shift_with_g_qr(spec):

@@ -1,7 +1,6 @@
 """One quantity grammar: config values and CLI flags parse alike."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -92,8 +91,6 @@ def test_cli_and_library_agree_on_a_snapping_tie(capsys):
                      "--eps-sub", "11.9", "--cell", "2um", "--json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out == (Path(__file__).resolve().parent / "reference" /
-                   "fieldsolve_tie.json").read_text(encoding="utf-8")
     section = fieldsolve.cpw_cross_section(
         cpw.CpwGeometry(10e-6, 6e-6, 11.9), cell=2e-6)
     _, z0 = fieldsolve.extract_eps_eff_and_z0(section)
