@@ -303,13 +303,11 @@ def _cmd_fieldsolve(args) -> dict:
         interlayer_thickness=args.interlayer_thickness)
     if args.interlayer_thickness is not None and not any(
             c.name == "facing_ground" for c in section.conductors):
-        # the library leaves such a ground out; asked for here, it must fit
+        # a ground beyond the box the library leaves out: here it must fit
         raise _UsageError(
             f"--interlayer {args.interlayer_thickness:.6g} m puts the facing "
-            f"ground outside the box: it must be at least one cell "
-            f"({args.cell:.6g} m) and below the box half-height "
-            f"({0.5 * section.height:.6g} m); change --interlayer, --cell "
-            "or --box-factor")
+            f"ground beyond the box half-height ({0.5 * section.height:.6g} m)"
+            ": lower --interlayer or raise --box-factor")
     sol = fieldsolve.solve_potential(section)
     if args.dump_potential:
         x, y = np.meshgrid(*section.cell_centers())  # rows run y, then x

@@ -293,8 +293,9 @@ def resolve_participation(spec: DeviceSpec) -> tuple[dict[str, float], str]:
     """Energy participation per dielectric region and where it came from.
 
     Config values win; otherwise the bottom chip's cross-section is
-    solved at the configured fieldsolve cell size.  A facing chip that
-    snaps below one cell is refused: the section would leave it out.
+    solved at the configured fieldsolve cell size.  cpw_cross_section
+    leaves a facing chip beyond the box out and refuses one that snaps
+    below one cell.
     """
     if spec.participation is not None:
         return dict(spec.participation), "config:loss.participation"
@@ -304,15 +305,8 @@ def resolve_participation(spec: DeviceSpec) -> tuple[dict[str, float], str]:
             box_factor=spec.fieldsolve_box_factor,
             interlayer_thickness=spec.interlayer_thickness)
     except ValueError as exc:  # the solver names its parameters
-        raise ConfigError([re.sub(r"\b(cell|box_factor)\b", r"fieldsolve.\1",
-                                  str(exc))]) from None
-    if spec.interlayer_thickness < spec.fieldsolve_cell and not any(
-            c.name == "facing_ground" for c in section.conductors):
-        raise ConfigError([
-            f"stack.interlayer_thickness {spec.interlayer_thickness:.6g} m "
-            "puts the facing ground below one fieldsolve.cell "
-            f"({spec.fieldsolve_cell:.6g} m), where the field solve leaves "
-            "it out: lower fieldsolve.cell or set loss.participation.*"])
+        message = re.sub(r"\b(cell|box_factor)\b", r"fieldsolve.\1", str(exc))
+        raise ConfigError([_name_keys(message, None)]) from None
     sol = fieldsolve.solve_potential(section)
     return (fieldsolve.energy_participation(sol),
             "fieldsolve.energy_participation")

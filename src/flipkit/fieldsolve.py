@@ -41,6 +41,7 @@ import numpy as np
 
 from .constants import C_LIGHT, EPS_0
 from .cpw import CpwGeometry
+from .numerics import _require_finite
 
 __all__ = [
     "Rect",
@@ -171,13 +172,12 @@ class FieldSolution:
     """A solved section: region energies now, the potential map on read.
 
     residual is the face system's |h f + r| / |r| (see _face_solve).
-    iterations is always 0, since the solve is direct; it stays because
-    the CLI's JSON output and its goldens carry it, and benchmark tooling
-    reads it.  energy is the field energy of each region of
-    section.regions, in J/m, summed over the face solve's bands.
-    potential, the nx x ny map, is built from the stored face solution on
-    its first read, when its residual |b - A v| / |b| over the whole grid
-    is checked too; until then the solution holds no nx x ny array.
+    iterations is always 0, since the solve is direct; the CLI's JSON, its
+    goldens and benchmark tooling read it.  energy is the field energy of
+    each region of section.regions, in J/m, summed over the face solve's
+    bands.  potential, the nx x ny map, is built from the stored face
+    solution on its first read, when its residual |b - A v| / |b| over the
+    whole grid is checked too; until then it holds no nx x ny array.
     """
 
     section: CrossSection
@@ -185,7 +185,7 @@ class FieldSolution:
     residual: float
     energy: np.ndarray
     _problem: "_Problem"
-    _faces: tuple  # lam, bands and modes of _face_solve
+    _faces: tuple  # bands and modes of _face_solve
 
     @functools.cached_property
     def potential(self) -> np.ndarray:
@@ -203,6 +203,9 @@ class _Problem:
     its walls are grounded.  Every region must span the box's width, and
     regions may meet only on a face line that carries metal, with at most
     MAX_FREE_FACES free faces on all lines: a ValueError says which fails.
+    The parts of _face_solve that eps does not change are built here, once
+    for the section and its vacuum copy: lam, each metal line's known modes
+    and free basis (lines, known, free) and each band's _band_form (forms).
     """
 
     def __init__(self, section: CrossSection):
@@ -271,6 +274,29 @@ class _Problem:
             raise ValueError(f"the metal lines leave {free} faces free, "
                              f"above the {MAX_FREE_FACES} the field solver takes")
 
+        rx, ry = hy / section.hx, section.hx / hy
+        k, wave, lone = ((np.arange(1, nx + 1), np.sin, nx)
+                         if self.grounded[0] else (np.arange(nx), np.cos, 0))
+        self.lam = 4.0 * rx * np.square(np.sin(0.5 * np.pi / nx * k))
+        norm = np.where(k == lone, math.sqrt(1.0 / nx), math.sqrt(2.0 / nx))
+        self.lines = sorted(self.faces)
+        self.known, self.free = [], []
+        for m in self.lines:
+            cols = np.flatnonzero(self.faces[m] != 0.0)  # zeros need none
+            g = self.faces[m][cols]
+            basis = norm * wave(np.outer(2 * cols + 1, k) % (4 * nx)
+                                * (0.5 * np.pi / nx))
+            fixed = ~np.isnan(g)
+            self.known.append(np.einsum("ik,i->k", basis[fixed], g[fixed]))
+            self.free.append(basis[~fixed])
+        self.forms = []
+        ends = [0, *self.lines, ny]
+        for lo, hi in zip(ends, ends[1:]):
+            pinned = [m in self.faces or self.grounded[1] for m in (lo, hi)]
+            if any(pinned):
+                self.forms.append((lo, hi, pinned, *_band_form(
+                    hi - lo, self.lam, ry, not all(pinned))))
+
 
 def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
     """X = L^-1 for the Cholesky factor A = L L^T of an SPD matrix, so
@@ -324,13 +350,13 @@ def solve_potential(section: CrossSection) -> FieldSolution:
     potential is read.
     """
     prob = _Problem(section)
-    lam, bands, modes, rel = _face_solve(prob, prob.eps)
+    bands, modes, rel = _face_solve(prob, prob.eps)
     energy = np.zeros(len(prob.region_names))
     for lo, _, _, two_u in bands:
         energy[prob.region[lo]] += two_u
     return FieldSolution(section=section, iterations=0, residual=rel,
                          energy=0.5 * EPS_0 * energy, _problem=prob,
-                         _faces=(lam, bands, modes))
+                         _faces=(bands, modes))
 
 
 def capacitance_per_length(sol: FieldSolution) -> float:
@@ -379,15 +405,14 @@ def extract_eps_eff_and_z0(section: CrossSection,
 
 
 def _vacuum_capacitance(prob: _Problem) -> float:
-    """C' in F/m of prob's section with every region at eps_r = 1, by
-    _face_solve."""
-    bands = _face_solve(prob, np.ones(prob.section.ny))[1]
+    """C' in F/m of prob's section with every region at eps_r = 1."""
+    bands = _face_solve(prob, np.ones(prob.section.ny))[0]
     span = max(prob.potentials) - min(prob.potentials)
     return EPS_0 * sum(two_u for *_, two_u in bands) / (span * span)
 
 
 def _face_solve(prob: _Problem, eps: np.ndarray):
-    """(lam, bands, modes, residual) of prob's system with eps[j] in row
+    """(bands, modes, residual) of prob's system with eps[j] in row
     j: bands as (lo, hi, pinned ends, 2U / EPS_0 of the band), modes each
     metal line's faces in the x basis, and residual the dense system's
     |h f + r| / |r|, a ConvergenceError above RESIDUAL_BOUND.
@@ -403,43 +428,19 @@ def _face_solve(prob: _Problem, eps: np.ndarray):
     matrix method (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
     722, 1971).  The node's split puts each half of a free face's energy
     in its own band, so a band's energy is that of its cells, all in one
-    region.
+    region.  Of all this, only the scaling by eps and what follows run here.
     """
-    sec, faces = prob.section, prob.faces
-    nx, rx, ry = sec.nx, sec.hy / sec.hx, sec.hx / sec.hy
-    k, wave, lone = ((np.arange(1, nx + 1), np.sin, nx) if prob.grounded[0]
-                     else (np.arange(nx), np.cos, 0))
-    lam = 4.0 * rx * np.square(np.sin(0.5 * np.pi / nx * k))
-    norm = np.where(k == lone, math.sqrt(1.0 / nx), math.sqrt(2.0 / nx))
-
-    lines = sorted(faces)
-    diag, cross, forms = [np.zeros(nx) for _ in lines], [], []
-    ends = [0, *lines, sec.ny]
-    for lo, hi in zip(ends, ends[1:]):
-        pinned = [m in faces or prob.grounded[1] for m in (lo, hi)]
-        if not any(pinned):
-            continue
-        own, across = (eps[lo] * f for f in _band_form(
-            hi - lo, lam, ry, insulated=not all(pinned)))
-        forms.append((lo, hi, pinned, own, across))
-        for m in (lo, hi):
-            if m in faces:
-                diag[lines.index(m)] += own
+    faces, lines, known, free = prob.faces, prob.lines, prob.known, prob.free
+    diag, cross, scaled = [np.zeros(prob.section.nx) for _ in lines], [], []
+    for lo, hi, pinned, own, across in prob.forms:
+        own, across = eps[lo] * own, eps[lo] * across
+        scaled.append((lo, hi, pinned, own, across))
+        for m in faces.keys() & (lo, hi):
+            diag[lines.index(m)] += own
         if lo in faces and hi in faces:
             cross.append(across)
 
-    # per line, the modes of its known potentials and the basis at its
-    # free faces (columns at zero need neither); then the Hessian h and
-    # gradient r of the energy in the free faces' potentials
-    known, free = [], []
-    for m in lines:
-        cols = np.flatnonzero(faces[m] != 0.0)
-        g = faces[m][cols]
-        basis = norm * wave(np.outer(2 * cols + 1, k) % (4 * nx)
-                            * (0.5 * np.pi / nx))
-        fixed = ~np.isnan(g)
-        known.append(np.einsum("ik,i->k", basis[fixed], g[fixed]))
-        free.append(basis[~fixed])
+    # Hessian h and gradient r of the energy in the free faces' values
     at = np.cumsum([0] + [len(q) for q in free])
     h, r = np.zeros((at[-1], at[-1])), np.zeros(at[-1])
     for j, q in enumerate(free):
@@ -462,17 +463,16 @@ def _face_solve(prob: _Problem, eps: np.ndarray):
     modes = {m: g + np.einsum("ik,i->k", q, f[at[j]:at[j + 1]])
              for j, (m, g, q) in enumerate(zip(lines, known, free))}
     bands = []
-    for lo, hi, pinned, own, across in forms:
+    for lo, hi, pinned, own, across in scaled:
         g = [modes[m] for m in (lo, hi) if m in modes]
         two_u = sum(_dot(own, q * q) for q in g)
         if len(g) == 2:
             two_u += 2.0 * _dot(across, g[0] * g[1])
         bands.append((lo, hi, pinned, two_u))
-    return lam, bands, modes, rel
+    return bands, modes, rel
 
 
-def _direct_map(prob: _Problem, lam: np.ndarray, bands: list,
-                modes: dict) -> np.ndarray:
+def _direct_map(prob: _Problem, bands: list, modes: dict) -> np.ndarray:
     """The exact potential of prob's section from its face solution.
 
     In a band of n rows, mode k at y = j + 1/2 above the lower face is
@@ -486,7 +486,7 @@ def _direct_map(prob: _Problem, lam: np.ndarray, bands: list,
     """
     sec = prob.section
     nx, ny = sec.nx, sec.ny
-    s = np.sqrt(lam / (4.0 * sec.hx / sec.hy))
+    s = np.sqrt(prob.lam / (4.0 * sec.hx / sec.hy))
     theta = 2.0 * np.arcsinh(s)  # s = sinh(theta / 2)
     c = np.zeros((ny, nx))  # per row, the potential's modes
     live = []
@@ -595,8 +595,9 @@ def cpw_cross_section(geometry: CpwGeometry, cell: float,
     the names the device loss budget looks up.  The box is box_factor
     times the (w + 2s) aperture on a side; rectangle edges snap to the
     cell grid.  When interlayer_thickness puts the facing chip's ground
-    inside the box, a grounded strip is added at that height.  A box
-    more than MAX_CELLS_PER_SIDE cells wide is refused.
+    inside the box, a grounded strip is added at that height; one beyond
+    it is left out, and one that snaps below one cell refused, as is a
+    box more than MAX_CELLS_PER_SIDE cells wide.
     """
     if cell <= 0.0:
         raise ValueError("cell must be positive")
@@ -633,10 +634,16 @@ def cpw_cross_section(geometry: CpwGeometry, cell: float,
         Conductor("ground_right", Rect(ground_from, half, 0.0, 0.0), 0.0),
     ]
     if interlayer_thickness is not None:
+        _require_finite(interlayer_thickness=interlayer_thickness)
         if interlayer_thickness <= 0.0:
             raise ValueError("interlayer_thickness must be positive")
         lid = snap(interlayer_thickness)
-        if cell <= lid < half:
+        if lid < cell:
+            raise ValueError(f"interlayer_thickness {interlayer_thickness:.6g}"
+                             f" m snaps below one cell ({cell:.6g} m), onto "
+                             "the metal plane: raise interlayer_thickness "
+                             "or lower cell")
+        if lid < half:
             conductors.append(
                 Conductor("facing_ground", Rect(-half, half, lid, lid), 0.0))
 

@@ -498,17 +498,25 @@ def test_tol_is_retired(capsys):
     assert "unrecognized arguments: --tol 1e-8" in err
 
 
-@pytest.mark.parametrize("interlayer", ["0.5mm", "1um"],
-                         ids=["above-box", "below-one-cell"])
-def test_fieldsolve_facing_ground_outside_box_exit_1(capsys, interlayer):
-    # cpw_cross_section leaves such a ground out; the CLI must not print
-    # the open-box result as if it were there
+@pytest.mark.parametrize("interlayer, message", [
+    ("0.5mm", "flipkit: --interlayer 0.0005 m puts the facing ground beyond "
+     "the box half-height (0.00011 m): lower --interlayer or raise "
+     "--box-factor\n"),
+    ("1um", "flipkit: --interlayer 1e-06 m snaps below one --cell (2e-06 m), "
+     "onto the metal plane: raise --interlayer or lower --cell\n")],
+    ids=["above-box", "below-one-cell"])
+def test_fieldsolve_facing_ground_outside_box_exit_1(capsys, interlayer,
+                                                     message):
+    # cpw_cross_section leaves a ground beyond the box out, and the CLI
+    # must not print the open-box result as if it were there; one that
+    # snaps below one cell the library refuses, naming the library's
+    # parameters, which the CLI names by their flags
     code, out, err = run(capsys, "fieldsolve", "--w", "10um", "--s",
                          "5.806um", "--eps-sub", "11.9", "--cell", "2um",
                          "--interlayer", interlayer)
     assert code == 1
     assert out == ""
-    assert "half-height (0.00011 m)" in err and "(2e-06 m)" in err
+    assert err == message
 
 
 def test_fieldsolve_facing_ground_inside_box(capsys):

@@ -689,7 +689,8 @@ def test_field_solve_grid_is_capped(spec):
 def test_field_solve_refuses_a_facing_chip_below_one_cell():
     # a facing ground that snaps to the metal plane was left out of the
     # section, so 0.1 um solved as an open section (interlayer p 0.0775)
-    # while 0.3 um, one cell up, gave 0.557
+    # while 0.3 um, which snaps to one cell, gave 0.557; the section
+    # builder refuses it, and the message names the config's keys
     def solved(thickness):
         return parse_config(edited_preset([
             ("loss.participation.substrate = 0.922481\n", ""),
@@ -699,8 +700,10 @@ def test_field_solve_refuses_a_facing_chip_below_one_cell():
 
     for run in (analyze, lambda s: device.sweep(s, "loss_tangent", [0.0])):
         with pytest.raises(ConfigError, match=r"^stack\.interlayer_thickness "
-                           r"1e-07 m puts the facing ground below one "
-                           r"fieldsolve\.cell \(5e-07 m\)"):
+                           r"1e-07 m snaps below one fieldsolve\.cell "
+                           r"\(5e-07 m\), onto the metal plane: raise "
+                           r"stack\.interlayer_thickness or lower "
+                           r"fieldsolve\.cell$"):
             run(solved("0.1 um"))
     assert device.resolve_participation(solved("0.3 um"))[0]["interlayer"] \
         > 0.5

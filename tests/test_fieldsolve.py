@@ -271,6 +271,29 @@ def test_cpw_section_rejects_coarse_cell():
         cpw_cross_section(GEOM, cell=2e-6, box_factor=5.0)
 
 
+def test_facing_ground_snaps_to_one_cell_or_is_refused():
+    # 0.49 cells snaps onto the metal plane and is refused; 0.51 snaps to
+    # one cell and keeps its ground there; one beyond the box is left out
+    cell = 2e-6
+    with pytest.raises(ValueError, match=r"^interlayer_thickness 9\.8e-07 m "
+                       r"snaps below one cell \(2e-06 m\), onto the metal "
+                       "plane: raise interlayer_thickness or lower cell$"):
+        cpw_cross_section(GEOM, cell=cell, interlayer_thickness=0.49 * cell)
+    sec = cpw_cross_section(GEOM, cell=cell, interlayer_thickness=0.51 * cell)
+    lid = next(c for c in sec.conductors if c.name == "facing_ground")
+    assert lid.rect.y0 == lid.rect.y1 == cell
+    beyond = cpw_cross_section(GEOM, cell=cell, interlayer_thickness=1e-3)
+    assert "facing_ground" not in [c.name for c in beyond.conductors]
+
+
+@pytest.mark.parametrize("thickness", [math.inf, math.nan])
+def test_non_finite_interlayer_thickness_is_a_value_error(thickness):
+    # inf raised OverflowError and NaN a ValueError from round()
+    with pytest.raises(ValueError, match=r"^interlayer_thickness must be "
+                       rf"finite, got {thickness!r}$"):
+        cpw_cross_section(GEOM, cell=1e-6, interlayer_thickness=thickness)
+
+
 def box_section(conductors, x_bc="grounded", y_bc="grounded"):
     """An 8 x 8 box of 1 um vacuum cells."""
     return CrossSection(
@@ -589,9 +612,9 @@ def calls(monkeypatch, name):
     seen = []
     fn = getattr(fieldsolve, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         seen.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(fieldsolve, name, spy)
     return seen
@@ -616,6 +639,35 @@ def test_one_energy_pass_per_solve(monkeypatch):
         assert [prob.section for prob, _ in face_solves] == [sec, sec]
         assert np.all(face_solves[1][1] == 1.0)
     assert maps == []
+
+
+def test_band_forms_are_built_once_per_request(monkeypatch):
+    # the section and its vacuum copy share one setup: a request (solve,
+    # C', p, eps_eff and Z0) builds each band's form once, open (two
+    # bands) or facing (three)
+    forms = calls(monkeypatch, "_band_form")
+    for lid, bands in ((None, 2), (40e-6, 3)):
+        forms.clear()
+        sec = cpw_cross_section(GEOM, cell=2e-6, interlayer_thickness=lid)
+        sol = solve_potential(sec)
+        capacitance_per_length(sol)
+        energy_participation(sol)
+        extract_eps_eff_and_z0(sec, solution=sol)
+        assert len(forms) == bands, lid
+
+
+@pytest.mark.parametrize("lid", [None, 40e-6])
+def test_vacuum_face_solve_leaves_the_setup_unchanged(lid):
+    # one _Problem solved at eps = 1 and then at its own eps gives bitwise
+    # the energies and residual of a fresh one: no shared array changes
+    sec = cpw_cross_section(GEOM, cell=2e-6, interlayer_thickness=lid)
+    shared = fieldsolve._Problem(sec)
+    fieldsolve._face_solve(shared, np.ones(sec.ny))
+    fresh = fieldsolve._Problem(sec)
+    (got, _, got_rel), (want, _, want_rel) = (
+        fieldsolve._face_solve(prob, prob.eps) for prob in (shared, fresh))
+    assert [band[3] for band in got] == [band[3] for band in want]
+    assert got_rel == want_rel
 
 
 def test_potential_is_built_once_on_first_read(monkeypatch):
