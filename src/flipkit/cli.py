@@ -449,7 +449,7 @@ def build_parser() -> _Parser:
                    required=True)
     p.add_argument("--eps-sup", dest="eps_superstrate", type=_scalar,
                    default=1.0)
-    p.add_argument("--cell", type=_length, default=0.5e-6)
+    p.add_argument("--cell", type=_length, default=fieldsolve.DEFAULT_CELL)
     p.add_argument("--box-factor", type=_scalar,
                    default=fieldsolve.MIN_BOX_FACTOR)
     p.add_argument("--interlayer", dest="interlayer_thickness", type=_length,
@@ -513,7 +513,7 @@ def _main(argv) -> int:
         payload = args.func(args)
     except (CutoffError, fieldsolve.ConvergenceError,
             network.ExtractionError) as exc:
-        print(f"flipkit: {exc}", file=sys.stderr)
+        print(f"flipkit: {_name_flags(str(exc), args)}", file=sys.stderr)
         return EXIT_NUMERIC
     except BrokenPipeError:  # a closed stdout is main's to handle
         raise

@@ -86,13 +86,13 @@ class DeviceSpec:
     coupling_f_bottom: float | None = None
     coupling_f_top: float | None = None
     participation: dict[str, float] | None = None
-    fieldsolve_cell: float = 1e-6
-    fieldsolve_box_factor: float = fieldsolve.MIN_BOX_FACTOR
+    cell: float = fieldsolve.DEFAULT_CELL
+    box_factor: float = fieldsolve.MIN_BOX_FACTOR
 
     def __post_init__(self):
         errors = [f"{name} must be positive" for name in (
             "interlayer_thickness", "pad_overlap_area", "coupling_f_bottom",
-            "coupling_f_top", "fieldsolve_cell")
+            "coupling_f_top", "cell")
             if getattr(self, name) is not None and getattr(self, name) <= 0.0]
         if self.interlayer_eps_r < 1.0:
             errors.append("interlayer_eps_r must be >= 1")
@@ -103,9 +103,9 @@ class DeviceSpec:
                    for name, p in shares.items() if not 0.0 <= p <= 1.0]
         if sum(shares.values()) > 1.0 + 1e-9:
             errors.append("participation values sum past 1")
-        if self.fieldsolve_box_factor < fieldsolve.MIN_BOX_FACTOR:
-            errors.append("fieldsolve_box_factor must be >= "
-                          f"{fieldsolve.MIN_BOX_FACTOR:g}")
+        if self.box_factor < fieldsolve.MIN_BOX_FACTOR:
+            errors.append(
+                f"box_factor must be >= {fieldsolve.MIN_BOX_FACTOR:g}")
         if errors:
             raise ConfigError(errors)
 
@@ -140,8 +140,8 @@ _KEYS = {
     "coupling.f_top": ("coupling_f_top", "frequency"),
     "loss.participation.substrate": ("participation.substrate", "scalar"),
     "loss.participation.interlayer": ("participation.interlayer", "scalar"),
-    "fieldsolve.cell": ("fieldsolve_cell", "length"),
-    "fieldsolve.box_factor": ("fieldsolve_box_factor", "scalar"),
+    "fieldsolve.cell": ("cell", "length"),
+    "fieldsolve.box_factor": ("box_factor", "scalar"),
 }
 
 # record -> {field: whether it has no default}
@@ -301,12 +301,10 @@ def resolve_participation(spec: DeviceSpec) -> tuple[dict[str, float], str]:
         return dict(spec.participation), "config:loss.participation"
     try:
         section = fieldsolve.cpw_cross_section(
-            spec.bottom.geometry, cell=spec.fieldsolve_cell,
-            box_factor=spec.fieldsolve_box_factor,
+            spec.bottom.geometry, cell=spec.cell, box_factor=spec.box_factor,
             interlayer_thickness=spec.interlayer_thickness)
-    except ValueError as exc:  # the solver names its parameters
-        message = re.sub(r"\b(cell|box_factor)\b", r"fieldsolve.\1", str(exc))
-        raise ConfigError([_name_keys(message, None)]) from None
+    except ValueError as exc:  # its parameters are our fields: name keys
+        raise ConfigError([_name_keys(str(exc), None)]) from None
     sol = fieldsolve.solve_potential(section)
     return (fieldsolve.energy_participation(sol),
             "fieldsolve.energy_participation")

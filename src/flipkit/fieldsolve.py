@@ -61,6 +61,7 @@ __all__ = [
 # cells, traced by tracemalloc); a solve without it at ~7 MB there
 MAX_CELLS_PER_SIDE = 2048
 MIN_BOX_FACTOR = 10.0  # CPW box width in apertures; also the default
+DEFAULT_CELL = 0.5e-6  # m, of the device's field solve and the CLI's
 # unknowns of the face solve's dense system; a CPW section's metal plane
 # leaves at most MAX_CELLS_PER_SIDE / MIN_BOX_FACTOR + 2 of them
 MAX_FREE_FACES = 256
@@ -361,11 +362,17 @@ def solve_potential(section: CrossSection) -> FieldSolution:
 
 def capacitance_per_length(sol: FieldSolution) -> float:
     """C' = 2 U / V^2 in F/m from the discrete field energy."""
-    pots = sol._problem.potentials
+    return _capacitance(sol._problem, sol._faces[0])
+
+
+def _capacitance(prob: _Problem, bands: list) -> float:
+    """C' = 2 U / V^2 in F/m of prob's section from the bands of one of
+    its face solves."""
+    pots = prob.potentials
     span = max(pots) - min(pots)
     if span <= 0.0:
         raise ValueError("electrodes span no potential difference")
-    return 2.0 * float(sol.energy.sum()) / (span * span)
+    return EPS_0 * sum(two_u for *_, two_u in bands) / (span * span)
 
 
 def energy_participation(sol: FieldSolution) -> dict[str, float]:
@@ -388,27 +395,20 @@ def extract_eps_eff_and_z0(section: CrossSection,
     = 1 / (c sqrt(C C_vac)), C_vac with every region at eps_r = 1.
 
     C_vac is the exact discrete capacitance of the all-vacuum section,
-    by a face solve of the same problem (_vacuum_capacitance).  For an
-    already-all-vacuum section C_vac is C itself, so eps_eff is exactly
-    one.  Pass a solution already computed for this section to skip the
-    solve.
+    by a face solve of the same problem at eps = 1.  For an
+    already-all-vacuum section that solve is bitwise the section's own,
+    so eps_eff is exactly one.  Pass a solution already computed for
+    this section to skip its solve.
     """
     if solution is not None and solution.section is not section:
         raise ValueError("solution belongs to a different section")
     sol = solution if solution is not None else solve_potential(section)
+    prob = sol._problem
     c_actual = capacitance_per_length(sol)
-    c_vac = (c_actual if all(r.eps_r == 1.0 for r in section.regions)
-             else _vacuum_capacitance(sol._problem))
+    c_vac = _capacitance(prob, _face_solve(prob, np.ones(section.ny))[0])
     eps_eff = c_actual / c_vac
     z0 = 1.0 / (C_LIGHT * math.sqrt(c_actual * c_vac))
     return eps_eff, z0
-
-
-def _vacuum_capacitance(prob: _Problem) -> float:
-    """C' in F/m of prob's section with every region at eps_r = 1."""
-    bands = _face_solve(prob, np.ones(prob.section.ny))[0]
-    span = max(prob.potentials) - min(prob.potentials)
-    return EPS_0 * sum(two_u for *_, two_u in bands) / (span * span)
 
 
 def _face_solve(prob: _Problem, eps: np.ndarray):

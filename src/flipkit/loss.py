@@ -54,14 +54,9 @@ class LossBudget:
         if total_p > 1.0 + 1e-9:
             raise ValueError("participations sum past 1")
 
-    def weighted_loss(self, tan_delta: float | None = None) -> float:
-        """sum_i p_i tan(delta_i), or with tan_delta in every region."""
-        if tan_delta is None:
-            return sum(p * tan_d for p, tan_d in self.regions.values())
-        if not tan_delta >= 0.0:
-            raise ValueError("loss tangent must be >= 0")
-        _require_finite(tan_delta=tan_delta)
-        return sum(p * tan_delta for p, _ in self.regions.values())
+    def weighted_loss(self) -> float:
+        """sum_i p_i tan(delta_i)."""
+        return sum(p * tan_d for p, tan_d in self.regions.values())
 
 
 def t1_upper_bound(q: float, frequency: float) -> float:
@@ -72,28 +67,28 @@ def t1_upper_bound(q: float, frequency: float) -> float:
     return q / (2.0 * math.pi * frequency)
 
 
-def dielectric_decay_rate(budget: LossBudget,
-                          loss_sum: float | None = None) -> float:
+def dielectric_decay_rate(budget: LossBudget) -> float:
     """Capacitive decay rate omega * sum_i p_i tan(delta_i), 1/s."""
-    w = budget.weighted_loss() if loss_sum is None else loss_sum
-    return 2.0 * math.pi * budget.mode_frequency * w
+    return loss_figures(budget)["gamma_cap_per_s"]
 
 
-def q_with_dielectric(budget: LossBudget,
-                      loss_sum: float | None = None) -> float:
+def q_with_dielectric(budget: LossBudget) -> float:
     """Total Q from 1/Q = 1/Q_baseline + sum_i p_i tan(delta_i)."""
-    w = budget.weighted_loss() if loss_sum is None else loss_sum
-    return 1.0 / (1.0 / budget.baseline_q + w)
+    return loss_figures(budget)["q_total"]
 
 
 def loss_figures(budget: LossBudget,
                  tan_delta: float | None = None) -> dict[str, float]:
-    """The budget's q_total, its T1 ceiling t1_upper_s and gamma_cap_per_s,
-    with tan_delta, if given, in every region; the weighted loss is summed
-    once and both formulas take it as loss_sum."""
-    loss_sum = budget.weighted_loss(tan_delta)
-    q_total = q_with_dielectric(budget, loss_sum)
+    """The budget's q_total (1/Q = 1/Q_baseline + sum_i p_i tan(delta_i)),
+    its T1 ceiling t1_upper_s and gamma_cap_per_s (omega sum_i p_i
+    tan(delta_i)), with tan_delta, if given, in every region."""
+    if tan_delta is not None:
+        if not tan_delta >= 0.0:
+            raise ValueError("loss tangent must be >= 0")
+        _require_finite(tan_delta=tan_delta)
+    w = sum(p * (tan_d if tan_delta is None else tan_delta)
+            for p, tan_d in budget.regions.values())
+    q_total = 1.0 / (1.0 / budget.baseline_q + w)
     return {"q_total": q_total,
             "t1_upper_s": t1_upper_bound(q_total, budget.mode_frequency),
-            "gamma_cap_per_s": dielectric_decay_rate(budget, loss_sum)}
-
+            "gamma_cap_per_s": 2.0 * math.pi * budget.mode_frequency * w}

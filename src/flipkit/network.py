@@ -173,7 +173,7 @@ def extract_q_fwhm(response: FrequencyResponse) -> tuple[float, float, float]:
         raise ExtractionError(
             f"{inside.size} of {len(f)} samples lie inside the half-power "
             f"width, fewer than {MIN_SAMPLES_INSIDE}: sample the dip more "
-            "finely (raise --points or narrow --span)")
+            "finely (raise points or narrow span)")
 
     def crossing(j: int, k: int) -> float:
         # linear interpolation between outside sample j and inside k

@@ -1,13 +1,12 @@
-"""Small scalar kernels: an interval type, the AGM, elliptic K, bisection,
-and the finiteness check the physics modules run on their arguments.
+"""Small scalar kernels: an interval type, the AGM, elliptic K, and the
+finiteness check the physics modules run on their arguments.
 
 These serve impedance design (complete elliptic integrals through the
-arithmetic-geometric mean) and root finding on a bracketing interval.
-Gap synthesis is no root search: cpw inverts K'/K in closed form
-through the Jacobi nome (DLMF 22.2), and the tests keep bisection as
-its oracle.  Matrix work lives with its callers: the charge-basis
-spectrum runs on numpy's LAPACK eigensolver, and the two-mode
-hybridization is a closed form.
+arithmetic-geometric mean).  Gap synthesis is no root search: cpw
+inverts K'/K in closed form through the Jacobi nome (DLMF 22.2), and
+its tests keep bisection as the oracle.  Matrix work lives with its
+callers: the charge-basis spectrum runs on numpy's LAPACK eigensolver,
+and the two-mode hybridization is a closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "RealInterval",
     "agm",
     "elliptic_k",
-    "find_root",
 ]
 
 _AGM_TOL = 1e-15  # relative stopping gap of the AGM iteration
@@ -77,32 +75,3 @@ def elliptic_k(k: float) -> float:
         raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
     kp = math.sqrt(1.0 - k * k)
     return math.pi / (2.0 * agm(1.0, kp))
-
-
-def find_root(f, bracket: RealInterval, tol: float = 1e-12,
-              max_iter: int = 200) -> float:
-    """Bisection root of a continuous scalar function.
-
-    The bracket endpoints must straddle a sign change; an endpoint that
-    is already an exact root is returned as-is.
-    """
-    lo, hi = bracket.lo, bracket.hi
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(
-            f"no sign change over [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0 or (hi - lo) <= tol:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)

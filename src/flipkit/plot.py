@@ -1,4 +1,4 @@
-"""Deterministic SVG line charts of sweep tables, for the CLI's --plot
+"""Deterministic SVG line charts of sweep tables, for the CLI's plot
 options."""
 
 from __future__ import annotations

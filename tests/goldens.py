@@ -67,6 +67,14 @@ GOLDENS = (
     Golden(BENCH / "preset_loss.csv",
            ("sweep", "--param", "loss_tangent", "--grid", "0:1e-3:log25")),
     Golden(TESTS / "preset_analyze.txt", ("analyze",)),
+    # the preset with no loss.participation.*, a facing ground at 40 um and
+    # readout.g_qr: the report and the loss sweep take the participation
+    # from a field solve, and each qubit row carries chi
+    Golden(TESTS / "field_solved_analyze.json",
+           ("analyze", "--json", "--config", str(TESTS / "field_solved.cfg"))),
+    Golden(TESTS / "field_solved_loss.csv",
+           ("sweep", "--param", "loss_tangent", "--grid", "0:1e-3:log25",
+            "--config", str(TESTS / "field_solved.cfg"))),
     # the preset without coupling.f_* and with an interlayer tan delta:
     # the coupling block takes the closed-form qubit frequencies
     Golden(TESTS / "closed_form_lossy_analyze.json",

@@ -7,6 +7,7 @@ spawns.  Only the closed-stdout test needs a process of its own.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +265,22 @@ def test_coarse_grid_extraction_exit_2(capsys):
     assert err == ("flipkit: 1 of 11 samples lie inside the half-power "
                    "width, fewer than 10: sample the dip more finely (raise "
                    "--points or narrow --span)\n")
+
+
+def test_numeric_failure_names_its_flag(capsys):
+    # a numerical failure names the flag that feeds the library's
+    # parameter, as an invalid value does
+    code, out, err = run(capsys, "transmon", "--cj", "8fF", "--cs", "81fF",
+                         "--lj", "0.0001nH", "--cutoff", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith("flipkit: --cutoff 10 too small: boundary weight ")
+
+
+def test_only_the_cli_names_flags():
+    # library messages name parameters, which the CLI maps to its flags
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        if path.name != "cli.py":
+            assert not re.search(r"--[a-z]", path.read_text()), path.name
 
 
 @pytest.mark.parametrize("extra", [["--span", "20GHz"], ["--ql", "5"]],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flipkit import cpw
 from flipkit.constants import C_LIGHT, EPS_0, MU_0
-from flipkit.numerics import RealInterval, find_root
+from flipkit.numerics import RealInterval
 
 # silicon below, vacuum above
 EPS_EFF = 6.45
@@ -136,6 +136,60 @@ def test_gap_synthesis_unreachable_target():
 
 
 # ------------------------------------- gap synthesis against bisection
+
+def find_root(f, bracket: RealInterval, tol: float = 1e-12,
+              max_iter: int = 200) -> float:
+    """Bisection root of a continuous scalar function.
+
+    The bracket endpoints must straddle a sign change; an endpoint that
+    is already an exact root is returned as-is.
+    """
+    lo, hi = bracket.lo, bracket.hi
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise ValueError(
+            f"no sign change over [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0 or (hi - lo) <= tol:
+            return mid
+        if flo * fmid < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def test_find_root_linear():
+    got = find_root(lambda x: x - 2.0, RealInterval(0.0, 5.0))
+    assert got == pytest.approx(2.0, abs=1e-12)
+
+
+def test_find_root_sqrt2():
+    got = find_root(lambda x: x * x - 2.0, RealInterval(1.0, 2.0), tol=1e-13)
+    assert got == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+def test_find_root_cosine():
+    got = find_root(math.cos, RealInterval(1.0, 2.0))
+    assert got == pytest.approx(math.pi / 2, abs=1e-11)
+
+
+def test_find_root_requires_sign_change():
+    with pytest.raises(ValueError):
+        find_root(lambda x: x * x + 1.0, RealInterval(-1.0, 1.0))
+
+
+def test_find_root_exact_endpoint():
+    assert find_root(lambda x: x, RealInterval(-1.0, 3.0)) == \
+        pytest.approx(0.0, abs=1e-12)
+
 
 def bisected_gap(w, eps_eff, z_target):
     """Independent oracle: bisect the forward map gap -> Z0."""

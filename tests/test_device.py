@@ -157,7 +157,7 @@ def test_one_box_factor_minimum(spec):
     least = fieldsolve.MIN_BOX_FACTOR
     defaults = {f.name: f.default
                 for f in dataclasses.fields(device.DeviceSpec)}
-    assert defaults["fieldsolve_box_factor"] == least
+    assert defaults["box_factor"] == least
     assert inspect.signature(fieldsolve.cpw_cross_section).parameters[
         "box_factor"].default == least
     assert cli.build_parser().parse_args([
@@ -707,6 +707,35 @@ def test_field_solve_refuses_a_facing_chip_below_one_cell():
             run(solved("0.1 um"))
     assert device.resolve_participation(solved("0.3 um"))[0]["interlayer"] \
         > 0.5
+
+
+def test_solver_fields_are_cpw_cross_section_parameters():
+    # each fieldsolve.* key feeds the cpw_cross_section parameter of its
+    # field's name, so the solver's messages name the key with no rename
+    solver = {key: field for key, (field, _) in device._KEYS.items()
+              if key.startswith("fieldsolve.")}
+    assert solver == {"fieldsolve.cell": "cell",
+                      "fieldsolve.box_factor": "box_factor"}
+    assert set(solver.values()) <= set(inspect.signature(
+        fieldsolve.cpw_cross_section).parameters)
+
+
+def test_default_cell_is_the_cli_default(capsys):
+    # a config that sets neither fieldsolve.cell nor the participation
+    # solves at the cell that `flipkit fieldsolve` takes without --cell
+    solved = analyze_preset([
+        ("loss.participation.substrate = 0.922481\n", ""),
+        ("loss.participation.interlayer = 0.077519\n", ""),
+        ("fieldsolve.cell = 0.5 um\n", ""),
+        ("stack.interlayer_thickness = 0.5 mm",
+         "stack.interlayer_thickness = 40 um")])
+    assert cli.main(["fieldsolve", "--w", "10um", "--s", "5.806um",
+                     "--eps-sub", "11.9", "--interlayer", "40um",
+                     "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)["participation"]
+    for row in solved.data["modes"]:
+        assert {name: val(p) for name, p in row["participation"].items()} \
+            == printed, row["name"]
 
 
 def test_dispersive_shift_with_g_qr(spec):

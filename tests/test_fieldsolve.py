@@ -149,6 +149,13 @@ def test_interlayer_lid_draws_energy():
     assert p["interlayer"] > 0.0
 
 
+def vacuum_capacitance(prob):
+    """C' of prob's section with every region at eps_r = 1, as
+    extract_eps_eff_and_z0 takes it."""
+    bands = fieldsolve._face_solve(prob, np.ones(prob.section.ny))[0]
+    return fieldsolve._capacitance(prob, bands)
+
+
 def perturb_inverse(monkeypatch, scale=1.0 + 1e-9):
     """Scale the face solve's Cholesky inverse, so that its solution is
     off by twice that, far above rounding."""
@@ -172,7 +179,7 @@ def test_convergence_error_carries_state(monkeypatch):
     with pytest.raises(ConvergenceError, match=message):
         extract_eps_eff_and_z0(sec, solution=sol)
     with pytest.raises(ConvergenceError, match=message):
-        fieldsolve._vacuum_capacitance(sol._problem)
+        vacuum_capacitance(sol._problem)
 
 
 def test_map_fault_raises_on_reading_the_potential(monkeypatch):
@@ -641,6 +648,19 @@ def test_one_energy_pass_per_solve(monkeypatch):
     assert maps == []
 
 
+@pytest.mark.parametrize("lid", [None, 40e-6], ids=["open", "facing"])
+def test_all_vacuum_request_runs_its_vacuum_face_solve(monkeypatch, lid):
+    # an all-vacuum section takes no shortcut: its eps = 1 face solve is
+    # bitwise its own, so eps_eff is exactly one
+    face_solves = calls(monkeypatch, "_face_solve")
+    sec = cpw_cross_section(replace(GEOM, eps_substrate=1.0), cell=2e-6,
+                            interlayer_thickness=lid)
+    eps_eff, _ = extract_eps_eff_and_z0(sec, solution=solve_potential(sec))
+    assert len(face_solves) == 2
+    assert np.all(face_solves[1][1] == 1.0)
+    assert eps_eff == 1.0
+
+
 def test_band_forms_are_built_once_per_request(monkeypatch):
     # the section and its vacuum copy share one setup: a request (solve,
     # C', p, eps_eff and Z0) builds each band's form once, open (two
@@ -828,7 +848,7 @@ def test_vacuum_capacitance_matches_sparse_lu(name):
     sec = VACUUM_SECTIONS[name]()
     vac = replace(sec, regions=[replace(r, eps_r=1.0) for r in sec.regions])
     want = oracle_capacitance(vac, *sparse_oracle(vac))
-    got = fieldsolve._vacuum_capacitance(fieldsolve._Problem(sec))
+    got = vacuum_capacitance(fieldsolve._Problem(sec))
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 

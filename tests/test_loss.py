@@ -1,5 +1,6 @@
 """Loss budget: T1 ceiling, dielectric decay rate, composed Q, linearity."""
 
+import inspect
 import math
 
 import numpy as np
@@ -155,11 +156,22 @@ def test_tan_delta_replaces_every_region():
     for tan_d in (0.0, 2e-5, 1e-3):
         assert loss.loss_figures(budget(tan_d=1e-6), tan_d) == \
             loss.loss_figures(budget(tan_d=tan_d))
-    assert budget(tan_d=1e-6).weighted_loss(2e-5) == \
-        budget(tan_d=2e-5).weighted_loss()
+    figures = loss.loss_figures(budget(tan_d=1e-6), 2e-5)
+    assert figures["q_total"] == loss.q_with_dielectric(budget(tan_d=2e-5))
+    assert figures["gamma_cap_per_s"] == \
+        loss.dielectric_decay_rate(budget(tan_d=2e-5))
     for bad in (-1e-6, math.nan):
         with pytest.raises(ValueError, match="^loss tangent must be >= 0$"):
             loss.loss_figures(budget(), bad)
+
+
+def test_loss_figures_alone_takes_a_tangent():
+    # the named formulas take no precomputed sum and weighted_loss no
+    # tangent: loss_figures is where the figures are derived
+    for fn in (loss.q_with_dielectric, loss.dielectric_decay_rate):
+        assert list(inspect.signature(fn).parameters) == ["budget"]
+    assert list(inspect.signature(LossBudget.weighted_loss).parameters) == \
+        ["self"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],

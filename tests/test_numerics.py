@@ -1,4 +1,4 @@
-"""Kernel checks: AGM, elliptic K, bisection, the interval type.
+"""Kernel checks: AGM, elliptic K, the interval type.
 
 Frozen values were produced by hand-iterating the defining recurrences
 or by an independent route inside the test (quadrature for K), so
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flipkit.numerics import RealInterval, agm, elliptic_k, find_root
+from flipkit.numerics import RealInterval, agm, elliptic_k
 
 # AGM of (1, 0.46271), iterated by hand to convergence
 AGM_046271 = 0.705558
@@ -88,33 +88,6 @@ def test_elliptic_k_strictly_increasing():
 def test_elliptic_k_domain(bad):
     with pytest.raises(ValueError):
         elliptic_k(bad)
-
-
-# ------------------------------------------------------------ find_root
-
-def test_find_root_linear():
-    got = find_root(lambda x: x - 2.0, RealInterval(0.0, 5.0))
-    assert got == pytest.approx(2.0, abs=1e-12)
-
-
-def test_find_root_sqrt2():
-    got = find_root(lambda x: x * x - 2.0, RealInterval(1.0, 2.0), tol=1e-13)
-    assert got == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-
-def test_find_root_cosine():
-    got = find_root(math.cos, RealInterval(1.0, 2.0))
-    assert got == pytest.approx(math.pi / 2, abs=1e-11)
-
-
-def test_find_root_requires_sign_change():
-    with pytest.raises(ValueError):
-        find_root(lambda x: x * x + 1.0, RealInterval(-1.0, 1.0))
-
-
-def test_find_root_exact_endpoint():
-    assert find_root(lambda x: x, RealInterval(-1.0, 3.0)) == \
-        pytest.approx(0.0, abs=1e-12)
 
 
 # ----------------------------------------------------------- containers
